@@ -9,12 +9,10 @@ alone so that real sign errors stay visible.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
-from scipy import fft as sp_fft
 
 from .grid import DomainMask, Field, GridSpec, _trailing_axes
+from .spectral import spectral_operator
 
 RINGING_TOL = 1e-12
 
@@ -33,61 +31,19 @@ def _clamp_ringing(values: np.ndarray) -> np.ndarray:
     return values
 
 
-@lru_cache(maxsize=32)
-def _periodic_decay(dim: int, n: int, tau: float) -> np.ndarray:
-    # rfftn layout: full frequencies on the leading axes, nonnegative on the last
-    m_full = np.fft.fftfreq(n, d=1.0 / n)
-    m_half = np.fft.rfftfreq(n, d=1.0 / n)
-    per_axis = [m_full] * (dim - 1) + [m_half]
-    grids = np.meshgrid(*per_axis, indexing="ij")
-    k2 = sum(g * g for g in grids)
-    out = np.exp(-tau * k2)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=32)
-def _sine_decay(dim: int, n: int, tau: float) -> np.ndarray:
-    j = np.arange(1, n)
-    lam1 = (j / 2.0) ** 2
-    grids = np.meshgrid(*[lam1] * dim, indexing="ij")
-    out = np.exp(-tau * sum(grids))
-    out.setflags(write=False)
-    return out
-
-
-def _apply_periodic(values: np.ndarray, grid: GridSpec, tau: float) -> np.ndarray:
-    axes = _trailing_axes(values, grid)
-    coef = np.fft.rfftn(values, axes=axes)
-    coef *= _periodic_decay(grid.dim, grid.n, tau)
-    out = np.fft.irfftn(coef, s=grid.shape, axes=axes)
-    return _clamp_ringing(out)
-
-
-def _apply_dirichlet(values: np.ndarray, grid: GridSpec, tau: float) -> np.ndarray:
-    axes = _trailing_axes(values, grid)
-    for ax in axes:
+def _check_boundary_planes(values: np.ndarray, grid: GridSpec) -> None:
+    for ax in _trailing_axes(values, grid):
         plane = [slice(None)] * values.ndim
         plane[ax] = 0
         if np.any(values[tuple(plane)] != 0.0):
             raise ValueError(
                 "dirichlet semigroup requires zero values on the boundary planes"
             )
-    sl = [slice(None)] * values.ndim
-    for ax in axes:
-        sl[ax] = slice(1, None)
-    interior = values[tuple(sl)]
-    coef = sp_fft.dstn(interior, type=1, axes=axes)
-    coef *= _sine_decay(grid.dim, grid.n, tau)
-    out = np.zeros_like(values)
-    out[tuple(sl)] = sp_fft.idstn(coef, type=1, axes=axes)
-    return _clamp_ringing(out)
 
 
 def heat_semigroup_periodic(f: Field, tau: float) -> Field:
     """Diffuse a field for time tau on the periodic torus."""
-    tau = _check_tau(tau)
-    return Field(f.grid, _apply_periodic(f.values.copy(), f.grid, tau))
+    return Field(f.grid, diffuse_stack(f.values, f.grid, tau, "periodic"))
 
 
 def heat_semigroup_dirichlet(f: Field, tau: float) -> Field:
@@ -96,8 +52,7 @@ def heat_semigroup_dirichlet(f: Field, tau: float) -> Field:
     The field must vanish on the stored boundary planes (index 0 along every
     axis); the opposite faces are implicit zero-Dirichlet images.
     """
-    tau = _check_tau(tau)
-    return Field(f.grid, _apply_dirichlet(np.array(f.values), f.grid, tau))
+    return Field(f.grid, diffuse_stack(f.values, f.grid, tau, "dirichlet"))
 
 
 def mask_restrict(f: Field, mask: DomainMask) -> Field:
@@ -113,19 +68,22 @@ def diffuse_stack(
     tau: float,
     bc: str,
     mask: DomainMask | None = None,
+    coef: np.ndarray | None = None,
 ) -> np.ndarray:
     """Semigroup applied to a (k, ...) stack of parts, then mask restriction.
 
     Internal batched kernel shared by the splitting schemes; transforms run
     over the trailing grid axes so all parts go through one FFT call.
+    ``coef``, if given, must be the spectral operator's forward transform of
+    ``values`` (as computed for their energy); it replaces that transform.
     """
     tau = _check_tau(tau)
-    if bc == "periodic":
-        out = _apply_periodic(np.array(values), grid, tau)
-    elif bc == "dirichlet":
-        out = _apply_dirichlet(np.array(values), grid, tau)
-    else:
-        raise ValueError(f"unknown boundary condition {bc!r}")
+    op = spectral_operator(bc, grid.dim, grid.n)
+    if bc == "dirichlet":
+        _check_boundary_planes(values, grid)
+    if coef is None:
+        coef = op.forward(values)
+    out = _clamp_ringing(op.inverse(coef * op.decay(tau)))
     if mask is not None:
         if mask.grid != grid:
             raise ValueError("mask grid does not match state grid")

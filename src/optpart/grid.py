@@ -10,11 +10,11 @@ exactly representable norms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Literal
 
 import numpy as np
-from scipy import fft as sp_fft
+
+from .spectral import spectral_operator
 
 BoundaryCondition = Literal["periodic", "dirichlet"]
 
@@ -198,48 +198,6 @@ def label_map(state: PartitionState) -> np.ndarray:
 # energies
 
 
-@lru_cache(maxsize=16)
-def _periodic_mode_squares(dim: int, n: int) -> np.ndarray:
-    # integer wavenumbers m in [-n/2, n/2), |m|^2 per mode in fftn layout
-    m = np.fft.fftfreq(n, d=1.0 / n)
-    grids = np.meshgrid(*[m] * dim, indexing="ij")
-    out = sum(g * g for g in grids)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=16)
-def _sine_eigenvalues(dim: int, n: int) -> np.ndarray:
-    # modes sin(j*(x+pi)/2), j = 1..n-1, per axis; Laplacian eigenvalue (j/2)^2
-    j = np.arange(1, n)
-    lam1 = (j / 2.0) ** 2
-    grids = np.meshgrid(*[lam1] * dim, indexing="ij")
-    out = sum(grids)
-    out.setflags(write=False)
-    return out
-
-
-def _energy_periodic(values: np.ndarray, grid: GridSpec) -> float:
-    axes = _trailing_axes(values, grid)
-    coef = np.fft.fftn(values, axes=axes) / grid.num_nodes
-    k2 = _periodic_mode_squares(grid.dim, grid.n)
-    vol = (2.0 * np.pi) ** grid.dim
-    return float(0.5 * vol * np.sum(k2 * (coef.real**2 + coef.imag**2)))
-
-
-def _energy_sine(values: np.ndarray, grid: GridSpec) -> float:
-    # expand interior nodes (index 1..n-1 per axis) in the sine basis; the
-    # index-0 boundary planes are treated as zero
-    axes = _trailing_axes(values, grid)
-    sl = [slice(None)] * values.ndim
-    for ax in axes:
-        sl[ax] = slice(1, None)
-    interior = values[tuple(sl)]
-    coef = sp_fft.dstn(interior, type=1, axes=axes) / grid.n**grid.dim
-    lam = _sine_eigenvalues(grid.dim, grid.n)
-    return float(0.5 * np.pi**grid.dim * np.sum(lam * coef * coef))
-
-
 def _energy_masked(values: np.ndarray, grid: GridSpec) -> float:
     # first-order forward differences with zero extension past the box edge
     axes = _trailing_axes(values, grid)
@@ -255,12 +213,17 @@ def dirichlet_energy(
     state: PartitionState,
     bc: BoundaryCondition = "periodic",
     mask: DomainMask | None = None,
+    coef: np.ndarray | None = None,
 ) -> float:
     """Total gradient energy 0.5 * sum_i ||grad u_i||^2 of a partition.
 
     Without a mask the gradient is spectral (trigonometric for periodic,
     sine-series for dirichlet).  With a mask, forward differences are used so
     that the jump across the domain boundary is charged to the energy.
+
+    ``coef``, if given, must be the spectral operator's forward transform of
+    ``state.values``; it saves recomputing that transform.  It is ignored
+    with a mask.
     """
     if bc not in BOUNDARY_CONDITIONS:
         raise ValueError(f"unknown boundary condition {bc!r}")
@@ -268,6 +231,5 @@ def dirichlet_energy(
         if mask.grid != state.grid:
             raise ValueError("mask grid does not match state grid")
         return _energy_masked(state.values, state.grid)
-    if bc == "periodic":
-        return _energy_periodic(state.values, state.grid)
-    return _energy_sine(state.values, state.grid)
+    op = spectral_operator(bc, state.grid.dim, state.grid.n)
+    return op.energy(op.forward(state.values) if coef is None else coef)

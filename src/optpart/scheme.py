@@ -42,6 +42,7 @@ from .projection import (
     ortho_step_ratio,
     positivity_step,
 )
+from .spectral import spectral_operator
 
 VARIANTS = (
     "four_step",
@@ -115,6 +116,11 @@ class SchemeConfig:
         taus = self.tau if isinstance(self.tau, (tuple, list)) else (self.tau,)
         if len(taus) == 0 or any(not float(t) > 0.0 for t in taus):
             raise ValueError("tau values must be positive")
+        if self.mask is not None and self.bc != "dirichlet":
+            raise ValueError(
+                "a mask requires bc='dirichlet': the masked energy extends by "
+                "zero past the box edge, which is wrong on the periodic torus"
+            )
         if isinstance(self.tau, list):
             object.__setattr__(self, "tau", tuple(float(t) for t in self.tau))
 
@@ -155,31 +161,47 @@ def _resolve_tau(cfg: SchemeConfig, tau: float | None) -> float:
     return cfg.tau_at(0) if tau is None else float(tau)
 
 
-def step_four(s: PartitionState, cfg: SchemeConfig, tau: float | None = None) -> PartitionState:
-    """One four-step iteration: diffuse, clamp, ratio-project, normalize."""
+def step_four(
+    s: PartitionState,
+    cfg: SchemeConfig,
+    tau: float | None = None,
+    coef: np.ndarray | None = None,
+) -> PartitionState:
+    """One four-step iteration: diffuse, clamp, ratio-project, normalize.
+
+    ``coef``, if given, is the spectral forward transform of ``s.values``
+    (computed for its energy); the diffusion reuses it instead of
+    transforming again.  The three-step iterations take it the same way.
+    """
     tau = _resolve_tau(cfg, tau)
-    v = diffuse_stack(s.values, s.grid, tau, cfg.bc, cfg.mask)
+    v = diffuse_stack(s.values, s.grid, tau, cfg.bc, cfg.mask, coef)
     v = positivity_step(v)
     v = ortho_step_ratio(v)
     return s.with_values(norm_step(v, s.grid))
 
 
 def step_three_linear(
-    s: PartitionState, cfg: SchemeConfig, tau: float | None = None
+    s: PartitionState,
+    cfg: SchemeConfig,
+    tau: float | None = None,
+    coef: np.ndarray | None = None,
 ) -> PartitionState:
     """One three-step iteration with the combined gap projection."""
     tau = _resolve_tau(cfg, tau)
-    v = diffuse_stack(s.values, s.grid, tau, cfg.bc, cfg.mask)
+    v = diffuse_stack(s.values, s.grid, tau, cfg.bc, cfg.mask, coef)
     v = ortho_pos_step_linear(v)
     return s.with_values(norm_step(v, s.grid))
 
 
 def step_three_geometric(
-    s: PartitionState, cfg: SchemeConfig, tau: float | None = None
+    s: PartitionState,
+    cfg: SchemeConfig,
+    tau: float | None = None,
+    coef: np.ndarray | None = None,
 ) -> PartitionState:
     """One three-step iteration with the combined geometric-mean projection."""
     tau = _resolve_tau(cfg, tau)
-    v = diffuse_stack(s.values, s.grid, tau, cfg.bc, cfg.mask)
+    v = diffuse_stack(s.values, s.grid, tau, cfg.bc, cfg.mask, coef)
     v = ortho_pos_step_geometric(v)
     return s.with_values(norm_step(v, s.grid))
 
@@ -197,6 +219,27 @@ _STEP_FUNCTIONS = {
 # energy-decrease correction
 
 
+def _evaluate(state: PartitionState, cfg: SchemeConfig) -> tuple[float, np.ndarray | None]:
+    """Energy of an iterate, and the forward transform its next diffusion reuses.
+
+    Without a mask the spectral energy and the heat semigroup work on the
+    same coefficients, so each iterate is transformed once; the masked
+    energy is a finite-difference one and leaves nothing to share.
+    """
+    if cfg.mask is not None:
+        return dirichlet_energy(state, cfg.bc, cfg.mask), None
+    coef = spectral_operator(cfg.bc, state.grid.dim, state.grid.n).forward(state.values)
+    return dirichlet_energy(state, cfg.bc, coef=coef), coef
+
+
+def _residual(
+    e_trial: float, e_prev: float, trial: PartitionState, previous: PartitionState, tau: float
+) -> float:
+    """``residual_F`` from energies the caller already has."""
+    moved = weighted_norms(trial.values - previous.values, trial.grid)
+    return float(e_trial - e_prev + np.sum(moved * moved) / tau)
+
+
 def residual_F(
     candidate: PartitionState,
     previous: PartitionState,
@@ -209,9 +252,9 @@ def residual_F(
     Nonpositive values certify that accepting the candidate cannot raise the
     energy; the penalty term is ``(1/tau) * sum_i ||u_i^cand - u_i^prev||^2``.
     """
-    de = dirichlet_energy(candidate, bc, mask) - dirichlet_energy(previous, bc, mask)
-    moved = weighted_norms(candidate.values - previous.values, candidate.grid)
-    return float(de + np.sum(moved * moved) / tau)
+    e_cand = dirichlet_energy(candidate, bc, mask)
+    e_prev = dirichlet_energy(previous, bc, mask)
+    return _residual(e_cand, e_prev, candidate, previous, tau)
 
 
 def secant_update(sigma_s: float, sigma_prev: float, F_s: float, F_prev: float) -> float:
@@ -246,29 +289,30 @@ def energy_decrease_wrap(
     cfg: SchemeConfig,
     tau: float | None = None,
     seed_pair: tuple[float, float] | None = None,
-) -> tuple[PartitionState, float | None, int]:
+    e_prev: float | None = None,
+) -> tuple[PartitionState, float | None, int, float, np.ndarray | None]:
     """Correct a fresh iterate until its energy does not exceed the previous one.
 
     The shift sigma is the single unknown of the scalar residual
     ``F(sigma) = residual_F(apply_sigma(candidate, sigma), previous)``, and
     every secant trial shifts the original candidate, so the search works on
-    one fixed function of sigma.
+    one fixed function of sigma.  ``e_prev`` is the previous iterate's energy
+    when the caller already has it.
 
-    Returns ``(state, sigma, secant_iterations)`` where sigma is the last
-    accepted support shift (None if no correction was needed).  Raises
-    SecantFailed when the search exhausts ``cfg.secant.max_iters``, stalls,
-    degenerates a part, or its residual converges with the energy still
-    above the bar; the caller decides the fallback.
+    Returns ``(state, sigma, secant_iterations, energy, coef)`` where sigma
+    is the last accepted support shift (None if no correction was needed),
+    energy is the returned state's energy, and coef its forward transform
+    for the next diffusion (None with a mask).  Raises SecantFailed when the
+    search exhausts ``cfg.secant.max_iters``, stalls, degenerates a part, or
+    its residual converges with the energy still above the bar; the caller
+    decides the fallback.
     """
     tau = _resolve_tau(cfg, tau)
-
-    def energy(s: PartitionState) -> float:
-        return dirichlet_energy(s, cfg.bc, cfg.mask)
-
-    e_prev = energy(previous)
-    e_cur = energy(candidate)
-    if e_cur <= e_prev:
-        return candidate, None, 0
+    if e_prev is None:
+        e_prev = dirichlet_energy(previous, cfg.bc, cfg.mask)
+    e_cand, coef_cand = _evaluate(candidate, cfg)
+    if e_cand <= e_prev:
+        return candidate, None, 0, e_cand, coef_cand
 
     sec = cfg.secant
     if seed_pair is not None:
@@ -277,11 +321,10 @@ def energy_decrease_wrap(
         sig_a = -tau * tau if sec.sigma0 is None else float(sec.sigma0)
         sig_b = float(sec.sigma1)
 
-    def f_at(sigma: float) -> tuple[PartitionState, float, float]:
+    def f_at(sigma: float) -> tuple[PartitionState, float, np.ndarray | None, float]:
         trial = apply_sigma(candidate, sigma)
-        e = energy(trial)
-        moved = weighted_norms(trial.values - previous.values, trial.grid)
-        return trial, e, float(e - e_prev + np.sum(moved * moved) / tau)
+        e, coef = (e_cand, coef_cand) if trial is candidate else _evaluate(trial, cfg)
+        return trial, e, coef, _residual(e, e_prev, trial, previous, tau)
 
     def give_up(reason: str, sigma: float, iters: int) -> SecantFailed:
         return SecantFailed(
@@ -292,8 +335,8 @@ def energy_decrease_wrap(
         )
 
     try:
-        _, _, f_a = f_at(sig_a)
-        current, e_cur, f_b = f_at(sig_b)
+        f_a = f_at(sig_a)[3]
+        current, e_cur, coef, f_b = f_at(sig_b)
     except DegeneratePart:
         raise give_up("left the feasible shift range", sig_b, 0) from None
 
@@ -306,7 +349,7 @@ def energy_decrease_wrap(
         except SecantStall as err:
             raise give_up(f"stalled ({err})", sig_b, iters) from err
         try:
-            current, e_cur, f_next = f_at(sig_next)
+            current, e_cur, coef, f_next = f_at(sig_next)
         except DegeneratePart:
             raise give_up("left the feasible shift range", sig_next, iters) from None
         sig_a, f_a = sig_b, f_b
@@ -318,7 +361,7 @@ def energy_decrease_wrap(
                 sig_b,
                 iters,
             )
-    return current, sig_b, iters
+    return current, sig_b, iters, e_cur, coef
 
 
 def stopping_check(s_n: PartitionState, s_np1: PartitionState) -> bool:
@@ -333,14 +376,14 @@ def stopping_check(s_n: PartitionState, s_np1: PartitionState) -> bool:
 def _trace_row(
     state: PartitionState,
     iteration: int,
-    cfg: SchemeConfig,
+    energy: float,
     sigma: float | None,
     secant_iters: int,
     stopped: bool,
 ) -> TraceRow:
     return TraceRow(
         iteration=iteration,
-        energy=dirichlet_energy(state, cfg.bc, cfg.mask),
+        energy=energy,
         norms=tuple(float(x) for x in partition_norms(state)),
         min_value=float(state.values.min()),
         sigma=sigma,
@@ -370,7 +413,10 @@ def run(
     step = _STEP_FUNCTIONS[cfg.variant]
     trace: EnergyTrace = []
     state = init
-    row = _trace_row(state, 0, cfg, None, 0, False)
+    # each iterate's energy, and its forward transform that the next
+    # diffusion reuses, are computed once and carried to the next iteration
+    energy, coef = _evaluate(state, cfg)
+    row = _trace_row(state, 0, energy, None, 0, False)
     trace.append(row)
     if on_iteration is not None:
         on_iteration(state, row)
@@ -380,24 +426,26 @@ def run(
         tau = cfg.tau_at(n)
         previous = state
         try:
-            candidate = step(previous, cfg, tau)
+            candidate = step(previous, cfg, tau, coef)
             if cfg.energy_decreasing:
                 try:
-                    state, sigma, secant_iters = energy_decrease_wrap(
-                        candidate, previous, cfg, tau, seed_pair
+                    state, sigma, secant_iters, energy, coef = energy_decrease_wrap(
+                        candidate, previous, cfg, tau, seed_pair, trace[-1].energy
                     )
                     if not cfg.secant.reset_each_iteration and sigma is not None:
                         seed_pair = (sigma, 0.0)
                 except SecantFailed as err:
-                    # freeze: keep the previous iterate, never raise the energy
+                    # freeze: keep the previous iterate (and its energy and
+                    # coefficients), never raise the energy
                     state, sigma, secant_iters = previous, err.sigma, err.iterations
             else:
                 state, sigma, secant_iters = candidate, None, 0
+                energy, coef = _evaluate(state, cfg)
         except DegeneratePart as err:
             err.iteration = n + 1
             raise
         stopped = stopping_check(previous, state)
-        row = _trace_row(state, n + 1, cfg, sigma, secant_iters, stopped)
+        row = _trace_row(state, n + 1, energy, sigma, secant_iters, stopped)
         trace.append(row)
         if on_iteration is not None:
             on_iteration(state, row)

@@ -12,9 +12,12 @@ from optpart import (
     SecantConfig,
     SecantFailed,
     SecantStall,
+    TraceRow,
+    VARIANTS,
     apply_sigma,
     dirichlet_energy,
     energy_decrease_wrap,
+    make_mask,
     max_support_overlap,
     partition_norms,
     residual_F,
@@ -60,6 +63,14 @@ def test_scheme_config_validation():
         SecantConfig(max_iters=0)
     with pytest.raises(ValueError):
         SecantConfig(residual_tol=0.0)
+
+
+def test_scheme_config_rejects_mask_on_the_torus():
+    grid = GridSpec(dim=2, n=16)
+    mask = make_mask(grid, "disk")
+    SchemeConfig(k=2, bc="dirichlet", mask=mask)
+    with pytest.raises(ValueError, match="dirichlet"):
+        SchemeConfig(k=2, bc="periodic", mask=mask)
 
 
 def test_tau_schedule_warmup_then_steady():
@@ -217,10 +228,12 @@ def test_wrap_passes_through_nonincreasing_candidates():
     cfg = SchemeConfig(k=2, variant="three_step_linear_ed", tau=0.1)
     candidate = step_three_linear(prev, cfg)
     assert dirichlet_energy(candidate) < dirichlet_energy(prev)
-    out, sigma, iters = energy_decrease_wrap(candidate, prev, cfg)
+    out, sigma, iters, energy, coef = energy_decrease_wrap(candidate, prev, cfg)
     assert out is candidate
     assert sigma is None
     assert iters == 0
+    assert energy == dirichlet_energy(candidate)
+    assert np.array_equal(coef, np.fft.rfftn(candidate.values, axes=(1, 2)))
 
 
 def test_wrap_fails_fast_on_identical_secant_seeds():
@@ -353,3 +366,58 @@ def test_run_tau_schedule_reaches_stop():
     final, trace = run(cfg, init)
     assert trace[-1].stopped
     assert np.abs(partition_norms(final) - 1.0).max() <= 1e-12
+
+
+DOMAINS = [("periodic", None), ("dirichlet", None), ("dirichlet", "disk")]
+ED_VARIANTS = [v for v in VARIANTS if v.endswith("_ed")]
+
+
+def audit_trace_energies(variant, bc, mask_name, n, tau, seed) -> tuple[int, int]:
+    """Run with every row's energy checked; return (accepted corrections, frozen rows).
+
+    Every row must carry the energy of the iterate it follows, and a frozen
+    row (the previous iterate kept after a failed correction) the previous
+    row's energy bit for bit.  Every other iterate must equal a step taken
+    from the previous one without reused coefficients, shifted by the row's
+    sigma if it was corrected.
+    """
+    grid = GridSpec(dim=2, n=n)
+    mask = make_mask(grid, mask_name) if mask_name else None
+    cfg = SchemeConfig(k=4, variant=variant, tau=tau, bc=bc, mask=mask, n_max=30)
+    step = STEPS[variant.removesuffix("_ed")]
+    seen: list[tuple[PartitionState, TraceRow]] = []
+    counts = [0, 0]
+
+    def check(state, row):
+        assert row.energy == dirichlet_energy(state, bc, mask)
+        if seen and state is seen[-1][0]:
+            counts[1] += 1
+            assert row.sigma is not None
+            assert row.energy == seen[-1][1].energy
+        elif seen:
+            expected = step(seen[-1][0], cfg)
+            if row.sigma is not None:
+                counts[0] += 1
+                expected = apply_sigma(expected, row.sigma)
+            assert np.array_equal(state.values, expected.values)
+        seen.append((state, row))
+
+    run(cfg, voronoi_init(grid, 4, seed, bc, mask), on_iteration=check)
+    return counts[0], counts[1]
+
+
+@pytest.mark.parametrize("bc,mask_name", DOMAINS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_trace_energies_are_those_of_the_iterates(variant, bc, mask_name):
+    accepted, frozen = audit_trace_energies(variant, bc, mask_name, 32, 0.3, 2)
+    assert frozen == 0
+    if variant in ED_VARIANTS:
+        assert accepted > 0
+
+
+@pytest.mark.parametrize("bc,mask_name", DOMAINS)
+@pytest.mark.parametrize("variant", ED_VARIANTS)
+def test_frozen_rows_repeat_the_previous_energy(variant, bc, mask_name):
+    # tau = 1 on a coarse grid makes the correction fail on these instances
+    _, frozen = audit_trace_energies(variant, bc, mask_name, 24, 1.0, 1)
+    assert frozen > 0
