@@ -3,93 +3,42 @@
 The iterates minimize the total gradient energy of k fields on a box (or a
 masked subdomain) while keeping every field nonnegative, of unit discrete L2
 norm, and supported on pairwise disjoint node sets at every iteration.
+
+The package exports what a caller of ``run`` needs; the building blocks
+(``scheme.step``, ``scheme.PROJECTIONS``, ``diffusion.diffuse_stack``, the
+projections and multiplier recovery in ``projection``) live in their modules.
 """
 
-from .diffusion import (
-    heat_semigroup_dirichlet,
-    heat_semigroup_periodic,
-    mask_restrict,
-)
 from .grid import (
     DomainMask,
-    Field,
     GridSpec,
     PartitionState,
     dirichlet_energy,
-    discrete_l2_norm,
     label_map,
     max_support_overlap,
     partition_norms,
 )
-from .initial import InitFailed, make_mask, voronoi_init, voronoi_labels
-from .projection import (
-    DegeneratePart,
-    MultiplierDiagnostics,
-    norm_step,
-    ortho_pos_step_geometric,
-    ortho_pos_step_linear,
-    ortho_step_ratio,
-    positivity_step,
-    recover_multipliers,
-)
-from .scheme import (
-    VARIANTS,
-    SchemeConfig,
-    SecantConfig,
-    SecantFailed,
-    SecantStall,
-    TraceRow,
-    apply_sigma,
-    energy_decrease_wrap,
-    residual_F,
-    run,
-    secant_update,
-    step_four,
-    step_three_geometric,
-    step_three_linear,
-    stopping_check,
-)
+from .initial import InitFailed, make_mask, voronoi_init
+from .projection import DegeneratePart
+from .scheme import VARIANTS, EnergyTrace, SchemeConfig, TraceRow, run
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DegeneratePart",
     "DomainMask",
-    "Field",
+    "EnergyTrace",
     "GridSpec",
     "InitFailed",
-    "MultiplierDiagnostics",
     "PartitionState",
     "SchemeConfig",
-    "SecantConfig",
-    "SecantFailed",
-    "SecantStall",
     "TraceRow",
     "VARIANTS",
-    "apply_sigma",
     "dirichlet_energy",
-    "discrete_l2_norm",
-    "energy_decrease_wrap",
-    "heat_semigroup_dirichlet",
-    "heat_semigroup_periodic",
     "label_map",
     "make_mask",
-    "mask_restrict",
     "max_support_overlap",
-    "norm_step",
-    "ortho_pos_step_geometric",
-    "ortho_pos_step_linear",
-    "ortho_step_ratio",
     "partition_norms",
-    "positivity_step",
-    "recover_multipliers",
-    "residual_F",
     "run",
-    "secant_update",
-    "step_four",
-    "step_three_geometric",
-    "step_three_linear",
-    "stopping_check",
     "voronoi_init",
-    "voronoi_labels",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 from .grid import DomainMask, GridSpec, PartitionState, label_map
 from .initial import InitFailed, make_mask, voronoi_init
 from .projection import DegeneratePart
-from .scheme import EnergyTrace, SchemeConfig, SecantConfig, TraceRow, run
+from .scheme import EnergyTrace, SchemeConfig, TraceRow, run
 
 ALGORITHM_NAMES = {
     "four-step": "four_step",
@@ -48,8 +48,10 @@ def _parse_number(text: str) -> float:
     """Parse a decimal or a fraction like 1/128."""
     text = text.strip()
     if "/" in text:
-        num, den = text.split("/", 1)
-        return float(num) / float(den)
+        num, den = (float(part) for part in text.split("/", 1))
+        if den == 0.0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return num / den
     return float(text)
 
 
@@ -125,7 +127,10 @@ def _parse_mask(spec: str, grid: GridSpec) -> DomainMask:
             if "=" not in piece:
                 raise CliError(f"bad mask parameter {piece!r}; use key=value")
             key, value = piece.split("=", 1)
-            params[key.strip()] = _parse_number(value)
+            try:
+                params[key.strip()] = _parse_number(value)
+            except ValueError as err:
+                raise CliError(f"bad mask parameter {piece!r}: {err}") from err
         try:
             return make_mask(grid, name, **params)
         except ValueError as err:
@@ -152,7 +157,8 @@ def parse_config(argv: list[str] | None = None) -> RunSetup:
     args = _build_parser().parse_args(argv)
     raw = _read_config_file(args.config) if args.config else {}
 
-    def pick(name: str, flag_value, convert):
+    def pick(name: str, flag_value, convert, default=None):
+        """Flag value, else the config file's value, else (key absent) the default."""
         if flag_value is not None:
             return flag_value
         if name in raw:
@@ -160,24 +166,22 @@ def parse_config(argv: list[str] | None = None) -> RunSetup:
                 return convert(raw[name])
             except ValueError as err:
                 raise CliError(f"config key {name}: {err}") from err
-        return None
+        return default
 
     as_bool = lambda s: s.lower() in ("1", "true", "yes", "on")
     k = pick("k", args.k, int)
-    dim = pick("dim", args.dim, int) or 2
-    n = pick("grid", args.grid, int) or 256
+    dim = pick("dim", args.dim, int, 2)
+    n = pick("grid", args.grid, int, 256)
     tau_single = pick("tau", args.tau, str)
     tau_schedule = pick("tau_schedule", args.tau_schedule, str)
-    algorithm = pick("algorithm", args.algorithm, str) or "four-step"
-    bc = pick("bc", args.bc, str) or "periodic"
+    algorithm = pick("algorithm", args.algorithm, str, "four-step")
+    bc = pick("bc", args.bc, str, "periodic")
     mask_spec = pick("mask", args.mask, str)
-    seed = pick("seed", args.seed, int)
-    seed = 0 if seed is None else seed
-    n_max = pick("max_iters", args.max_iters, int) or 2000
-    out_dir = pick("out_dir", args.out_dir, Path) or Path(".")
-    snapshot_every = pick("snapshot_every", args.snapshot_every, int) or 0
-    dump = pick("dump_fields", args.dump_fields, as_bool)
-    dump = bool(dump) if dump is not None else False
+    seed = pick("seed", args.seed, int, 0)
+    n_max = pick("max_iters", args.max_iters, int, 2000)
+    out_dir = pick("out_dir", args.out_dir, Path, Path("."))
+    snapshot_every = pick("snapshot_every", args.snapshot_every, int, 0)
+    dump = pick("dump_fields", args.dump_fields, as_bool, False)
 
     if k is None:
         raise CliError("--k is required (or set k in the config file)")
@@ -196,12 +200,12 @@ def parse_config(argv: list[str] | None = None) -> RunSetup:
         raise CliError(str(err)) from err
 
     mask = None
-    if mask_spec:
+    if mask_spec is not None:
         if bc != "dirichlet":
             raise CliError("--mask requires --bc dirichlet (masked domains are not periodic)")
         mask = _parse_mask(mask_spec, grid)
 
-    if tau_schedule:
+    if tau_schedule is not None:
         try:
             tau: float | tuple[float, ...] = tuple(
                 _parse_number(t) for t in tau_schedule.split(",") if t.strip()
@@ -210,7 +214,7 @@ def parse_config(argv: list[str] | None = None) -> RunSetup:
             raise CliError(f"bad --tau-schedule: {err}") from err
         if not tau:
             raise CliError("--tau-schedule is empty")
-    elif tau_single:
+    elif tau_single is not None:
         try:
             tau = _parse_number(tau_single)
         except ValueError as err:
@@ -226,7 +230,6 @@ def parse_config(argv: list[str] | None = None) -> RunSetup:
             bc=bc,
             mask=mask,
             n_max=n_max,
-            secant=SecantConfig(),
         )
     except ValueError as err:
         raise CliError(str(err)) from err

@@ -1,17 +1,20 @@
-"""Exact spectral heat semigroups e^{tau * Laplacian} and domain masking.
+"""The exact spectral heat semigroup e^{tau * Laplacian} on a stack of parts.
 
-Both variants diagonalize the Laplacian in a fast transform basis and damp
-each mode by ``exp(-tau * eigenvalue)``, so a single application is exact for
-band-limited data up to roundoff.  Nodal values driven into ``(-1e-12, 0)``
-by spectral ringing are snapped to zero; anything more negative is left
-alone so that real sign errors stay visible.
+``diffuse_stack`` diagonalizes the Laplacian in the fast transform basis of
+the boundary condition (trigonometric on the periodic torus, sine series on
+the Dirichlet box) and damps each mode by ``exp(-tau * eigenvalue)``, so a
+single application is exact for band-limited data up to roundoff.  Nodal
+values driven into ``(-1e-12, 0)`` by spectral ringing are snapped to zero;
+anything more negative is left alone so that real sign errors stay visible.
+A domain mask, if given, zeroes the result outside the mask.  A single field
+is diffused as a stack of one part.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import DomainMask, Field, GridSpec, _trailing_axes
+from .grid import DomainMask, GridSpec, _trailing_axes
 from .spectral import spectral_operator
 
 RINGING_TOL = 1e-12
@@ -41,27 +44,6 @@ def _check_boundary_planes(values: np.ndarray, grid: GridSpec) -> None:
             )
 
 
-def heat_semigroup_periodic(f: Field, tau: float) -> Field:
-    """Diffuse a field for time tau on the periodic torus."""
-    return Field(f.grid, diffuse_stack(f.values, f.grid, tau, "periodic"))
-
-
-def heat_semigroup_dirichlet(f: Field, tau: float) -> Field:
-    """Diffuse a field for time tau with zero boundary values on the box.
-
-    The field must vanish on the stored boundary planes (index 0 along every
-    axis); the opposite faces are implicit zero-Dirichlet images.
-    """
-    return Field(f.grid, diffuse_stack(f.values, f.grid, tau, "dirichlet"))
-
-
-def mask_restrict(f: Field, mask: DomainMask) -> Field:
-    """Zero a field outside the mask (nodewise multiply by the indicator)."""
-    if mask.grid != f.grid:
-        raise ValueError("mask grid does not match field grid")
-    return Field(f.grid, np.where(mask.indicator, f.values, 0.0))
-
-
 def diffuse_stack(
     values: np.ndarray,
     grid: GridSpec,
@@ -72,8 +54,10 @@ def diffuse_stack(
 ) -> np.ndarray:
     """Semigroup applied to a (k, ...) stack of parts, then mask restriction.
 
-    Internal batched kernel shared by the splitting schemes; transforms run
-    over the trailing grid axes so all parts go through one FFT call.
+    Transforms run over the trailing grid axes so all parts go through one
+    FFT call.  With ``bc="dirichlet"`` the parts must vanish on the stored
+    boundary planes (index 0 along every axis); the opposite faces are
+    implicit zero-Dirichlet images.
     ``coef``, if given, must be the spectral operator's forward transform of
     ``values`` (as computed for their energy); it replaces that transform.
     """

@@ -1,4 +1,4 @@
-"""Uniform grids on the box [-pi, pi]^d, scalar fields, and discrete energies.
+"""Uniform grids on the box [-pi, pi]^d, partition states, and discrete energies.
 
 Nodes along each axis sit at ``x_i = -pi + i*h`` for ``i = 0..n-1`` with
 spacing ``h = 2*pi/n``; the ``+pi`` face coincides with ``-pi`` under
@@ -10,7 +10,7 @@ exactly representable norms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -66,22 +66,6 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class Field:
-    """A real scalar sampled at every grid node.  Immutable."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = _frozen_array(self.values)
-        if values.shape != self.grid.shape:
-            raise ValueError(
-                f"values shape {values.shape} does not match grid {self.grid.shape}"
-            )
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
 class PartitionState:
     """k scalar fields on a common grid, stacked along the leading axis."""
 
@@ -102,24 +86,6 @@ class PartitionState:
     @property
     def k(self) -> int:
         return self.values.shape[0]
-
-    def part(self, i: int) -> Field:
-        return Field(self.grid, self.values[i])
-
-    @property
-    def parts(self) -> tuple[Field, ...]:
-        return tuple(self.part(i) for i in range(self.k))
-
-    @classmethod
-    def from_fields(cls, fields: Iterable[Field]) -> "PartitionState":
-        fields = tuple(fields)
-        if not fields:
-            raise ValueError("need at least one field")
-        grid = fields[0].grid
-        for f in fields[1:]:
-            if f.grid != grid:
-                raise ValueError("all fields must share one grid")
-        return cls(grid, np.stack([f.values for f in fields]))
 
     def with_values(self, values: np.ndarray) -> "PartitionState":
         return PartitionState(self.grid, values)
@@ -168,11 +134,6 @@ def weighted_norms(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Discrete L2 norms over the trailing grid axes (leading axes kept)."""
     axes = _trailing_axes(values, grid)
     return np.sqrt(grid.cell_volume * np.sum(values * values, axis=axes))
-
-
-def discrete_l2_norm(f: Field) -> float:
-    """sqrt(h^d * sum f^2): the quadrature L2 norm of a field."""
-    return float(weighted_norms(f.values, f.grid))
 
 
 def partition_norms(state: PartitionState) -> np.ndarray:

@@ -1,25 +1,23 @@
 """Operator-splitting iterations for gradient-energy-minimizing partitions.
 
-Every iteration diffuses all parts, projects them back onto the constraint
-set (nonnegative, disjoint supports, unit discrete norm), and optionally
-post-corrects the iterate so the total gradient energy never increases.
-The projections act nodewise, so the constraints hold exactly at every
-iterate, not just in the limit.
+Every iteration is one ``step``: diffuse all parts by the exact heat
+semigroup, project them back onto nonnegative values with disjoint supports,
+and rescale each to unit discrete norm.  The projections act nodewise, so
+the constraints hold exactly at every iterate, not just in the limit.  The
+variants differ only in the projection, ``PROJECTIONS[variant]``:
 
-Variants
-    four_step              diffusion, positivity clamp, ratio disjointness,
-                           normalization (separate clamp and disjointness)
-    three_step_linear      diffusion, combined gap projection, normalization
-    three_step_geometric   diffusion, combined geometric-mean projection,
-                           normalization
-    three_step_linear_ed / three_step_geometric_ed
-                           same steps wrapped in the monotone-energy
-                           correction driven by a secant search
+    four_step              positivity clamp, then ratio disjointness
+    three_step_linear      combined gap projection
+    three_step_geometric   combined geometric-mean projection
+
+The ``_ed`` variants (``three_step_linear_ed``, ``three_step_geometric_ed``)
+take the same step and then correct the iterate by a support shift, found
+by a secant search, so that the total gradient energy never increases.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -53,6 +51,17 @@ VARIANTS = (
 )
 
 SECANT_STALL_TOL = 1e-300
+SECANT_MAX_ITERS = 50
+SECANT_RESIDUAL_TOL = 1e-10
+
+# The projection step of each variant.  The lambdas look the projections up
+# in this module when called, so a wrapper installed over one of these module
+# attributes (a tracer, a call counter) sees every call the schemes make.
+PROJECTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "four_step": lambda v: ortho_step_ratio(positivity_step(v)),
+    "three_step_linear": lambda v: ortho_pos_step_linear(v),
+    "three_step_geometric": lambda v: ortho_pos_step_geometric(v),
+}
 
 
 class SecantStall(RuntimeError):
@@ -69,28 +78,6 @@ class SecantFailed(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SecantConfig:
-    """Secant-search controls for the energy-decrease correction.
-
-    ``sigma0 = None`` seeds the first trial shift at ``-tau**2`` for the
-    time step in force at that iteration.  With ``reset_each_iteration``
-    False, the final shift pair of one outer iteration seeds the next.
-    """
-
-    sigma0: float | None = None
-    sigma1: float = 0.0
-    max_iters: int = 50
-    residual_tol: float = 1e-10
-    reset_each_iteration: bool = True
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.residual_tol <= 0.0:
-            raise ValueError("residual_tol must be positive")
-
-
-@dataclass(frozen=True)
 class SchemeConfig:
     """Full description of one partition run (grid and initial data aside)."""
 
@@ -100,7 +87,6 @@ class SchemeConfig:
     bc: str = "periodic"
     mask: DomainMask | None = None
     n_max: int = 2000
-    secant: SecantConfig = field(default_factory=SecantConfig)
 
     def __post_init__(self):
         if self.k < 1:
@@ -157,62 +143,21 @@ EnergyTrace = list[TraceRow]
 OnIteration = Callable[[PartitionState, TraceRow], None]
 
 
-def _resolve_tau(cfg: SchemeConfig, tau: float | None) -> float:
-    return cfg.tau_at(0) if tau is None else float(tau)
-
-
-def step_four(
+def step(
     s: PartitionState,
     cfg: SchemeConfig,
-    tau: float | None = None,
+    tau: float,
     coef: np.ndarray | None = None,
 ) -> PartitionState:
-    """One four-step iteration: diffuse, clamp, ratio-project, normalize.
+    """One splitting iteration: diffuse, project with the variant's projection, normalize.
 
     ``coef``, if given, is the spectral forward transform of ``s.values``
     (computed for its energy); the diffusion reuses it instead of
-    transforming again.  The three-step iterations take it the same way.
+    transforming again.
     """
-    tau = _resolve_tau(cfg, tau)
     v = diffuse_stack(s.values, s.grid, tau, cfg.bc, cfg.mask, coef)
-    v = positivity_step(v)
-    v = ortho_step_ratio(v)
+    v = PROJECTIONS[cfg.variant.removesuffix("_ed")](v)
     return s.with_values(norm_step(v, s.grid))
-
-
-def step_three_linear(
-    s: PartitionState,
-    cfg: SchemeConfig,
-    tau: float | None = None,
-    coef: np.ndarray | None = None,
-) -> PartitionState:
-    """One three-step iteration with the combined gap projection."""
-    tau = _resolve_tau(cfg, tau)
-    v = diffuse_stack(s.values, s.grid, tau, cfg.bc, cfg.mask, coef)
-    v = ortho_pos_step_linear(v)
-    return s.with_values(norm_step(v, s.grid))
-
-
-def step_three_geometric(
-    s: PartitionState,
-    cfg: SchemeConfig,
-    tau: float | None = None,
-    coef: np.ndarray | None = None,
-) -> PartitionState:
-    """One three-step iteration with the combined geometric-mean projection."""
-    tau = _resolve_tau(cfg, tau)
-    v = diffuse_stack(s.values, s.grid, tau, cfg.bc, cfg.mask, coef)
-    v = ortho_pos_step_geometric(v)
-    return s.with_values(norm_step(v, s.grid))
-
-
-_STEP_FUNCTIONS = {
-    "four_step": step_four,
-    "three_step_linear": step_three_linear,
-    "three_step_geometric": step_three_geometric,
-    "three_step_linear_ed": step_three_linear,
-    "three_step_geometric_ed": step_three_geometric,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -235,26 +180,14 @@ def _evaluate(state: PartitionState, cfg: SchemeConfig) -> tuple[float, np.ndarr
 def _residual(
     e_trial: float, e_prev: float, trial: PartitionState, previous: PartitionState, tau: float
 ) -> float:
-    """``residual_F`` from energies the caller already has."""
+    """Monotonicity residual: E(trial) - E(previous) + movement penalty.
+
+    Nonpositive values certify that accepting the trial cannot raise the
+    energy; the penalty term is ``(1/tau) * sum_i ||u_i^trial - u_i^prev||^2``.
+    The energies are passed in, as the caller has already computed them.
+    """
     moved = weighted_norms(trial.values - previous.values, trial.grid)
     return float(e_trial - e_prev + np.sum(moved * moved) / tau)
-
-
-def residual_F(
-    candidate: PartitionState,
-    previous: PartitionState,
-    tau: float,
-    bc: str = "periodic",
-    mask: DomainMask | None = None,
-) -> float:
-    """Monotonicity residual: E(candidate) - E(previous) + movement penalty.
-
-    Nonpositive values certify that accepting the candidate cannot raise the
-    energy; the penalty term is ``(1/tau) * sum_i ||u_i^cand - u_i^prev||^2``.
-    """
-    e_cand = dirichlet_energy(candidate, bc, mask)
-    e_prev = dirichlet_energy(previous, bc, mask)
-    return _residual(e_cand, e_prev, candidate, previous, tau)
 
 
 def secant_update(sigma_s: float, sigma_prev: float, F_s: float, F_prev: float) -> float:
@@ -287,39 +220,30 @@ def energy_decrease_wrap(
     candidate: PartitionState,
     previous: PartitionState,
     cfg: SchemeConfig,
-    tau: float | None = None,
-    seed_pair: tuple[float, float] | None = None,
-    e_prev: float | None = None,
+    tau: float,
+    e_prev: float,
 ) -> tuple[PartitionState, float | None, int, float, np.ndarray | None]:
     """Correct a fresh iterate until its energy does not exceed the previous one.
 
     The shift sigma is the single unknown of the scalar residual
-    ``F(sigma) = residual_F(apply_sigma(candidate, sigma), previous)``, and
-    every secant trial shifts the original candidate, so the search works on
-    one fixed function of sigma.  ``e_prev`` is the previous iterate's energy
-    when the caller already has it.
+    ``F(sigma) = _residual(.., apply_sigma(candidate, sigma), previous, tau)``,
+    and every secant trial shifts the original candidate, so the search works
+    on one fixed function of sigma, seeded at ``-tau**2`` and 0.  ``e_prev``
+    is the previous iterate's energy.
 
     Returns ``(state, sigma, secant_iterations, energy, coef)`` where sigma
     is the last accepted support shift (None if no correction was needed),
     energy is the returned state's energy, and coef its forward transform
     for the next diffusion (None with a mask).  Raises SecantFailed when the
-    search exhausts ``cfg.secant.max_iters``, stalls, degenerates a part, or
-    its residual converges with the energy still above the bar; the caller
+    search exhausts ``SECANT_MAX_ITERS``, stalls, degenerates a part, or its
+    residual converges with the energy still above the bar; the caller
     decides the fallback.
     """
-    tau = _resolve_tau(cfg, tau)
-    if e_prev is None:
-        e_prev = dirichlet_energy(previous, cfg.bc, cfg.mask)
     e_cand, coef_cand = _evaluate(candidate, cfg)
     if e_cand <= e_prev:
         return candidate, None, 0, e_cand, coef_cand
 
-    sec = cfg.secant
-    if seed_pair is not None:
-        sig_a, sig_b = seed_pair
-    else:
-        sig_a = -tau * tau if sec.sigma0 is None else float(sec.sigma0)
-        sig_b = float(sec.sigma1)
+    sig_a, sig_b = -tau * tau, 0.0
 
     def f_at(sigma: float) -> tuple[PartitionState, float, np.ndarray | None, float]:
         trial = apply_sigma(candidate, sigma)
@@ -342,7 +266,7 @@ def energy_decrease_wrap(
 
     iters = 0
     while e_cur > e_prev:
-        if iters >= sec.max_iters:
+        if iters >= SECANT_MAX_ITERS:
             raise give_up("exhausted the iteration budget", sig_b, iters)
         try:
             sig_next = secant_update(sig_b, sig_a, f_b, f_a)
@@ -355,7 +279,7 @@ def energy_decrease_wrap(
         sig_a, f_a = sig_b, f_b
         sig_b, f_b = sig_next, f_next
         iters += 1
-        if e_cur > e_prev and abs(f_b) <= sec.residual_tol * max(1.0, abs(e_prev)):
+        if e_cur > e_prev and abs(f_b) <= SECANT_RESIDUAL_TOL * max(1.0, abs(e_prev)):
             raise give_up(
                 f"converged its residual ({f_b:.3e}) with the energy still high",
                 sig_b,
@@ -364,9 +288,12 @@ def energy_decrease_wrap(
     return current, sig_b, iters, e_cur, coef
 
 
-def stopping_check(s_n: PartitionState, s_np1: PartitionState) -> bool:
-    """True when the lowest-index argmax label maps of two states coincide."""
-    return bool(np.array_equal(label_map(s_n), label_map(s_np1)))
+def stopping_check(
+    prev_labels: np.ndarray, state: PartitionState
+) -> tuple[bool, np.ndarray]:
+    """The state's lowest-index argmax label map, and whether it equals ``prev_labels``."""
+    labels = label_map(state)
+    return bool(np.array_equal(prev_labels, labels)), labels
 
 
 # ---------------------------------------------------------------------------
@@ -410,18 +337,18 @@ def run(
     if cfg.mask is not None and cfg.mask.grid != init.grid:
         raise ValueError("mask grid does not match initial state grid")
 
-    step = _STEP_FUNCTIONS[cfg.variant]
     trace: EnergyTrace = []
     state = init
-    # each iterate's energy, and its forward transform that the next
-    # diffusion reuses, are computed once and carried to the next iteration
+    # each iterate's energy, its forward transform that the next diffusion
+    # reuses, and its label map are computed once and carried to the next
+    # iteration
     energy, coef = _evaluate(state, cfg)
+    labels = label_map(state)
     row = _trace_row(state, 0, energy, None, 0, False)
     trace.append(row)
     if on_iteration is not None:
         on_iteration(state, row)
 
-    seed_pair: tuple[float, float] | None = None
     for n in range(cfg.n_max):
         tau = cfg.tau_at(n)
         previous = state
@@ -430,10 +357,8 @@ def run(
             if cfg.energy_decreasing:
                 try:
                     state, sigma, secant_iters, energy, coef = energy_decrease_wrap(
-                        candidate, previous, cfg, tau, seed_pair, trace[-1].energy
+                        candidate, previous, cfg, tau, trace[-1].energy
                     )
-                    if not cfg.secant.reset_each_iteration and sigma is not None:
-                        seed_pair = (sigma, 0.0)
                 except SecantFailed as err:
                     # freeze: keep the previous iterate (and its energy and
                     # coefficients), never raise the energy
@@ -444,7 +369,7 @@ def run(
         except DegeneratePart as err:
             err.iteration = n + 1
             raise
-        stopped = stopping_check(previous, state)
+        stopped, labels = stopping_check(labels, state)
         row = _trace_row(state, n + 1, energy, sigma, secant_iters, stopped)
         trace.append(row)
         if on_iteration is not None:

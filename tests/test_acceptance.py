@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from optpart import (
-    Field,
     GridSpec,
     PartitionState,
     SchemeConfig,
@@ -18,18 +17,19 @@ from optpart import (
     label_map,
     make_mask,
     max_support_overlap,
-    ortho_pos_step_geometric,
-    ortho_pos_step_linear,
-    ortho_step_ratio,
     partition_norms,
-    recover_multipliers,
     run,
     voronoi_init,
 )
 from optpart.cli import export_labels, export_tiling, read_pgm, write_pgm
-from optpart.diffusion import heat_semigroup_dirichlet, heat_semigroup_periodic
+from optpart.projection import (
+    ortho_pos_step_geometric,
+    ortho_pos_step_linear,
+    ortho_step_ratio,
+    recover_multipliers,
+)
 
-from test_diffusion import dense_dirichlet_kernel, dense_periodic_kernel
+from test_diffusion import dense_dirichlet_kernel, dense_periodic_kernel, heat
 
 NORM_TOL = 1e-12
 
@@ -93,18 +93,18 @@ def test_criterion_02_spectral_diffusion_accuracy():
     xx, yy = g.meshgrid()
 
     cases = [
-        ("cos(x)", np.cos(xx), 0.25, np.exp(-0.25), heat_semigroup_periodic),
-        ("cos(2x)cos(3y)", np.cos(2 * xx) * np.cos(3 * yy), 0.1, np.exp(-1.3), heat_semigroup_periodic),
+        ("cos(x)", np.cos(xx), 0.25, np.exp(-0.25), "periodic"),
+        ("cos(2x)cos(3y)", np.cos(2 * xx) * np.cos(3 * yy), 0.1, np.exp(-1.3), "periodic"),
         (
             "lowest closed-box mode",
             np.sin((xx + np.pi) / 2.0) * np.sin((yy + np.pi) / 2.0),
             1.0,
             np.exp(-0.5),
-            heat_semigroup_dirichlet,
+            "dirichlet",
         ),
     ]
-    for name, f, tau, decay, semigroup in cases:
-        got = semigroup(Field(g, f), tau).values
+    for name, f, tau, decay, bc in cases:
+        got = heat(f, g, tau, bc)
         rel = np.abs(got - decay * f).max() / np.abs(decay * f).max()
         if rel > 1e-12:
             failures.append(f"{name}: eigenmode decay error {rel:.2e}")
@@ -114,12 +114,12 @@ def test_criterion_02_spectral_diffusion_accuracy():
     f_dir = f.copy()
     f_dir[0, :] = 0.0
     f_dir[:, 0] = 0.0
-    for name, field, semigroup in [
-        ("periodic", f, heat_semigroup_periodic),
-        ("closed box", f_dir, heat_semigroup_dirichlet),
+    for name, field, bc in [
+        ("periodic", f, "periodic"),
+        ("closed box", f_dir, "dirichlet"),
     ]:
-        two = semigroup(semigroup(Field(g, field), 0.07), 0.05).values
-        one = semigroup(Field(g, field), 0.12).values
+        two = heat(heat(field, g, 0.07, bc), g, 0.05, bc)
+        one = heat(field, g, 0.12, bc)
         err = np.abs(two - one).max()
         if err > 1e-12:
             failures.append(f"{name}: composition defect {err:.2e}")
@@ -130,14 +130,14 @@ def test_criterion_02_spectral_diffusion_accuracy():
     rng = np.random.default_rng(11)
     for trial in range(20):
         f = rng.standard_normal(g8.shape)
-        err = np.abs(heat_semigroup_periodic(Field(g8, f), 0.3).values - kp @ f @ kp.T).max()
+        err = np.abs(heat(f, g8, 0.3, "periodic") - kp @ f @ kp.T).max()
         if err > 1e-13:
             failures.append(f"dense periodic oracle trial {trial}: {err:.2e}")
         f[0, :] = 0.0
         f[:, 0] = 0.0
         want = np.zeros(g8.shape)
         want[1:, 1:] = kd @ f[1:, 1:] @ kd.T
-        err = np.abs(heat_semigroup_dirichlet(Field(g8, f), 0.5).values - want).max()
+        err = np.abs(heat(f, g8, 0.5, "dirichlet") - want).max()
         if err > 1e-13:
             failures.append(f"dense closed-box oracle trial {trial}: {err:.2e}")
 

@@ -1,0 +1,70 @@
+"""The public API: exactly the names callers use, and nothing that was removed."""
+
+import dataclasses
+
+import pytest
+
+import optpart
+import optpart.diffusion
+import optpart.grid
+import optpart.scheme
+from optpart import SchemeConfig
+
+PUBLIC = [
+    "DegeneratePart",
+    "DomainMask",
+    "EnergyTrace",
+    "GridSpec",
+    "InitFailed",
+    "PartitionState",
+    "SchemeConfig",
+    "TraceRow",
+    "VARIANTS",
+    "dirichlet_energy",
+    "label_map",
+    "make_mask",
+    "max_support_overlap",
+    "partition_norms",
+    "run",
+    "voronoi_init",
+]
+
+REMOVED = {
+    optpart: [
+        "SecantConfig", "Field", "step_four", "step_three_linear", "step_three_geometric",
+        "heat_semigroup_periodic", "heat_semigroup_dirichlet", "mask_restrict",
+        "residual_F", "discrete_l2_norm",
+    ],
+    optpart.scheme: [
+        "SecantConfig", "step_four", "step_three_linear", "step_three_geometric",
+        "_STEP_FUNCTIONS", "_resolve_tau", "residual_F",
+    ],
+    optpart.diffusion: ["heat_semigroup_periodic", "heat_semigroup_dirichlet", "mask_restrict"],
+    optpart.grid: ["Field", "discrete_l2_norm"],
+}
+
+
+def test_all_is_the_trimmed_list():
+    assert sorted(optpart.__all__) == sorted(PUBLIC)
+    for name in optpart.__all__:
+        assert getattr(optpart, name) is not None
+
+
+@pytest.mark.parametrize("module", list(REMOVED), ids=lambda m: m.__name__)
+def test_removed_names_stay_gone(module):
+    assert [name for name in REMOVED[module] if hasattr(module, name)] == []
+
+
+def test_partition_state_has_no_single_field_accessors():
+    for name in ("part", "parts", "from_fields"):
+        assert not hasattr(optpart.PartitionState, name)
+
+
+def test_scheme_config_fields():
+    names = [f.name for f in dataclasses.fields(SchemeConfig)]
+    assert names == ["k", "variant", "tau", "bc", "mask", "n_max"]
+
+
+def test_every_plain_variant_has_a_projection():
+    plain = {v.removesuffix("_ed") for v in optpart.VARIANTS}
+    assert set(optpart.scheme.PROJECTIONS) == plain

@@ -42,6 +42,8 @@ def test_parse_number_fractions_and_decimals():
     assert _parse_number("3") == 3.0
     with pytest.raises(ValueError):
         _parse_number("three")
+    with pytest.raises(ValueError, match="zero denominator"):
+        _parse_number("1/0")
 
 
 def test_parse_config_defaults():
@@ -297,6 +299,50 @@ def test_main_iteration_cap_exit(tmp_path, capsys):
 def test_main_config_error_exit(tmp_path, capsys):
     assert main(["--out-dir", str(tmp_path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_main_rejects_zero_grid_in_config(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k = 2\ngrid = 0\n")
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert "n must be even" in capsys.readouterr().err
+
+
+def test_main_rejects_zero_max_iters_in_config(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k = 2\ngrid = 16\nmax_iters = 0\n")
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert "n_max" in capsys.readouterr().err
+
+
+def test_main_rejects_zero_max_iters_flag(tmp_path, capsys):
+    assert main(["--k", "2", "--grid", "16", "--max-iters", "0",
+                 "--out-dir", str(tmp_path)]) == 2
+    assert "n_max" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("line", ["mask =", "tau =", "tau_schedule ="])
+def test_main_rejects_empty_config_values(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"k = 2\ngrid = 16\nbc = dirichlet\n{line}\n")
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--tau", "1/0"],
+        ["--tau-schedule", "0.1,1/0"],
+        ["--bc", "dirichlet", "--mask", "shape:disk:radius=1/0"],
+    ],
+    ids=["tau", "tau-schedule", "mask"],
+)
+def test_main_rejects_zero_denominators(tmp_path, capsys, flags):
+    assert main(["--k", "2", "--grid", "16", *flags, "--out-dir", str(tmp_path)]) == 2
+    assert "zero denominator" in capsys.readouterr().err
 
 
 def test_main_init_failure_exit(tmp_path, capsys):

@@ -5,15 +5,19 @@ import pytest
 
 from optpart import (
     DomainMask,
-    Field,
     GridSpec,
     PartitionState,
     dirichlet_energy,
-    discrete_l2_norm,
     label_map,
     max_support_overlap,
     partition_norms,
 )
+from optpart.grid import weighted_norms
+
+
+def norm(values: np.ndarray, grid: GridSpec) -> float:
+    """Discrete L2 norm of one field, as a stack of one part."""
+    return float(weighted_norms(values[None], grid)[0])
 
 
 def test_grid_spec_basics():
@@ -36,36 +40,19 @@ def test_grid_spec_rejects_bad_dimensions(dim, n):
         GridSpec(dim=dim, n=n)
 
 
-def test_field_shape_check_and_immutability():
-    g = GridSpec(dim=2, n=4)
-    with pytest.raises(ValueError):
-        Field(g, np.zeros((4, 5)))
-    f = Field(g, np.ones((4, 4)))
-    with pytest.raises(ValueError):
-        f.values[0, 0] = 2.0
-
-
 def test_partition_state_accessors():
     g = GridSpec(dim=1, n=4)
     s = PartitionState(g, np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]))
     assert s.k == 2
-    assert s.part(1).values[1] == 1.0
-    assert len(s.parts) == 2
-    rebuilt = PartitionState.from_fields(s.parts)
-    assert np.array_equal(rebuilt.values, s.values)
+    with pytest.raises(ValueError):
+        s.values[0, 0] = 2.0
+    moved = s.with_values(s.values[::-1])
+    assert moved.grid == g
+    assert moved.values[0, 1] == 1.0
     with pytest.raises(ValueError):
         PartitionState(g, np.zeros((2, 5)))
     with pytest.raises(ValueError):
         PartitionState(g, np.zeros((0, 4)))
-
-
-def test_from_fields_requires_common_grid():
-    a = Field(GridSpec(dim=1, n=4), np.zeros(4))
-    b = Field(GridSpec(dim=1, n=6), np.zeros(6))
-    with pytest.raises(ValueError):
-        PartitionState.from_fields([a, b])
-    with pytest.raises(ValueError):
-        PartitionState.from_fields([])
 
 
 def test_domain_mask_validation():
@@ -84,30 +71,29 @@ def test_domain_mask_validation():
 
 def test_norm_of_zero_field():
     g = GridSpec(dim=2, n=8)
-    assert discrete_l2_norm(Field(g, np.zeros(g.shape))) == 0.0
+    assert norm(np.zeros(g.shape), g) == 0.0
 
 
 def test_norm_of_constant_field_is_one():
     # (1/2pi)^2 integrated over the 4pi^2 box
     g = GridSpec(dim=2, n=16)
-    f = Field(g, np.full(g.shape, 1.0 / (2.0 * np.pi)))
-    assert abs(discrete_l2_norm(f) - 1.0) <= 1e-14
+    f = np.full(g.shape, 1.0 / (2.0 * np.pi))
+    assert abs(norm(f, g) - 1.0) <= 1e-14
 
 
 def test_norm_of_sine_matches_closed_form():
     g = GridSpec(dim=2, n=64)
     x, _ = g.meshgrid()
-    f = Field(g, np.sin(x))
-    assert discrete_l2_norm(f) == pytest.approx(np.sqrt(2.0 * np.pi**2), abs=1e-10)
+    assert norm(np.sin(x), g) == pytest.approx(np.sqrt(2.0 * np.pi**2), abs=1e-10)
 
 
 def test_norm_homogeneity():
     g = GridSpec(dim=2, n=8)
     rng = np.random.default_rng(3)
     f = rng.normal(size=g.shape)
-    base = discrete_l2_norm(Field(g, f))
+    base = norm(f, g)
     for c in (-2.5, 0.3, 7.0):
-        assert discrete_l2_norm(Field(g, c * f)) == pytest.approx(abs(c) * base, rel=1e-13)
+        assert norm(c * f, g) == pytest.approx(abs(c) * base, rel=1e-13)
 
 
 def test_partition_norms_match_fieldwise_norm():
@@ -116,7 +102,7 @@ def test_partition_norms_match_fieldwise_norm():
     s = PartitionState(g, rng.normal(size=(3,) + g.shape))
     norms = partition_norms(s)
     for i in range(3):
-        assert norms[i] == pytest.approx(discrete_l2_norm(s.part(i)), rel=1e-15)
+        assert norms[i] == pytest.approx(norm(s.values[i], g), rel=1e-15)
 
 
 def test_max_support_overlap():

@@ -12,8 +12,8 @@ from optpart import (
     max_support_overlap,
     partition_norms,
     voronoi_init,
-    voronoi_labels,
 )
+from optpart.initial import voronoi_labels
 
 
 def brute_force_labels(n: int, seeds) -> np.ndarray:

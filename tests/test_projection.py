@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from optpart import (
-    DegeneratePart,
-    GridSpec,
+from optpart import DegeneratePart, GridSpec
+from optpart.projection import (
     norm_step,
     ortho_pos_step_geometric,
     ortho_pos_step_linear,

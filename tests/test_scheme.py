@@ -3,38 +3,36 @@
 import numpy as np
 import pytest
 
+import optpart.scheme
 from optpart import (
     DegeneratePart,
     DomainMask,
     GridSpec,
     PartitionState,
     SchemeConfig,
-    SecantConfig,
-    SecantFailed,
-    SecantStall,
     TraceRow,
     VARIANTS,
-    apply_sigma,
     dirichlet_energy,
-    energy_decrease_wrap,
+    label_map,
     make_mask,
     max_support_overlap,
     partition_norms,
-    residual_F,
     run,
-    secant_update,
-    step_four,
-    step_three_geometric,
-    step_three_linear,
-    stopping_check,
     voronoi_init,
 )
+from optpart.scheme import (
+    SECANT_MAX_ITERS,
+    SecantFailed,
+    SecantStall,
+    _residual,
+    apply_sigma,
+    energy_decrease_wrap,
+    secant_update,
+    step,
+    stopping_check,
+)
 
-STEPS = {
-    "four_step": step_four,
-    "three_step_linear": step_three_linear,
-    "three_step_geometric": step_three_geometric,
-}
+PLAIN_VARIANTS = [v for v in VARIANTS if not v.endswith("_ed")]
 
 
 def flat_partition(grid: GridSpec, k: int, seed: int = 0) -> PartitionState:
@@ -59,10 +57,6 @@ def test_scheme_config_validation():
         SchemeConfig(k=2, tau=0.0)
     with pytest.raises(ValueError):
         SchemeConfig(k=2, tau=(0.1, -0.1))
-    with pytest.raises(ValueError):
-        SecantConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SecantConfig(residual_tol=0.0)
 
 
 def test_scheme_config_rejects_mask_on_the_torus():
@@ -94,16 +88,16 @@ def test_energy_decreasing_flag():
 # single steps
 
 
-@pytest.mark.parametrize("name", sorted(STEPS))
+@pytest.mark.parametrize("name", sorted(PLAIN_VARIANTS))
 def test_one_step_preserves_all_constraints(name):
     grid = GridSpec(dim=2, n=16)
     state = flat_partition(grid, 3, seed=7)
     cfg = SchemeConfig(k=3, variant=name, tau=0.1)
-    out = STEPS[name](state, cfg)
+    out = step(state, cfg, 0.1)
     assert out.values.min() >= 0.0
     assert max_support_overlap(out) == 0.0
     assert np.abs(partition_norms(out) - 1.0).max() <= 1e-12
-    twice = STEPS[name](out, cfg)
+    twice = step(out, cfg, 0.1)
     assert twice.values.min() >= 0.0
     assert max_support_overlap(twice) == 0.0
 
@@ -113,7 +107,7 @@ def test_step_four_single_part():
     vals = np.zeros((1,) + grid.shape)
     vals[0, 4:12, 4:12] = 1.0
     state = PartitionState(grid, vals / np.sqrt(grid.cell_volume * 64))
-    out = step_four(state, SchemeConfig(k=1, tau=0.2))
+    out = step(state, SchemeConfig(k=1, tau=0.2), 0.2)
     assert abs(partition_norms(out)[0] - 1.0) <= 1e-12
     assert out.values.min() >= 0.0
 
@@ -134,17 +128,22 @@ def test_identical_parts_degenerate_with_iteration_index():
 # residual and secant pieces
 
 
+def residual(trial: PartitionState, previous: PartitionState, tau: float) -> float:
+    e_trial, e_prev = dirichlet_energy(trial), dirichlet_energy(previous)
+    return _residual(e_trial, e_prev, trial, previous, tau)
+
+
 def test_residual_vanishes_for_identical_states():
     grid = GridSpec(dim=2, n=16)
     s = flat_partition(grid, 2)
-    assert residual_F(s, s, 0.1) == 0.0
+    assert residual(s, s, 0.1) == 0.0
 
 
 def test_residual_is_positive_for_equal_energy_movement():
     grid = GridSpec(dim=2, n=16)
     s = flat_partition(grid, 2)
     swapped = s.with_values(s.values[[1, 0]])
-    assert residual_F(swapped, s, 0.1) > 0.0
+    assert residual(swapped, s, 0.1) > 0.0
 
 
 def test_residual_reduces_to_energy_difference_for_huge_tau():
@@ -152,7 +151,7 @@ def test_residual_reduces_to_energy_difference_for_huge_tau():
     a = flat_partition(grid, 2, seed=1)
     b = flat_partition(grid, 2, seed=2)
     de = dirichlet_energy(a) - dirichlet_energy(b)
-    assert residual_F(a, b, 1e12) == pytest.approx(de, abs=1e-10)
+    assert residual(a, b, 1e12) == pytest.approx(de, abs=1e-10)
 
 
 def test_secant_update_hand_value():
@@ -226,31 +225,16 @@ def test_wrap_passes_through_nonincreasing_candidates():
     grid = GridSpec(dim=2, n=16)
     prev = flat_partition(grid, 2)
     cfg = SchemeConfig(k=2, variant="three_step_linear_ed", tau=0.1)
-    candidate = step_three_linear(prev, cfg)
+    candidate = step(prev, cfg, 0.1)
     assert dirichlet_energy(candidate) < dirichlet_energy(prev)
-    out, sigma, iters, energy, coef = energy_decrease_wrap(candidate, prev, cfg)
+    out, sigma, iters, energy, coef = energy_decrease_wrap(
+        candidate, prev, cfg, 0.1, dirichlet_energy(prev)
+    )
     assert out is candidate
     assert sigma is None
     assert iters == 0
     assert energy == dirichlet_energy(candidate)
     assert np.array_equal(coef, np.fft.rfftn(candidate.values, axes=(1, 2)))
-
-
-def test_wrap_fails_fast_on_identical_secant_seeds():
-    grid = GridSpec(dim=2, n=16)
-    smooth = flat_partition(grid, 2)
-    cfg0 = SchemeConfig(k=2, variant="three_step_linear_ed", tau=0.1)
-    smooth = step_three_linear(smooth, cfg0)
-    rough = flat_partition(grid, 2)
-    assert dirichlet_energy(rough) > dirichlet_energy(smooth)
-    cfg = SchemeConfig(
-        k=2,
-        variant="three_step_linear_ed",
-        tau=0.1,
-        secant=SecantConfig(sigma0=0.0, sigma1=0.0),
-    )
-    with pytest.raises(SecantFailed):
-        energy_decrease_wrap(rough, smooth, cfg)
 
 
 def test_wrap_gives_up_on_uncorrectable_flat_candidates():
@@ -260,12 +244,12 @@ def test_wrap_gives_up_on_uncorrectable_flat_candidates():
     smooth = flat_partition(grid, 2)
     cfg0 = SchemeConfig(k=2, variant="three_step_linear_ed", tau=0.1)
     for _ in range(5):
-        smooth = step_three_linear(smooth, cfg0)
+        smooth = step(smooth, cfg0, 0.1)
     rough = flat_partition(grid, 2)
     assert dirichlet_energy(rough) > dirichlet_energy(smooth)
-    with pytest.raises(SecantFailed) as err:
-        energy_decrease_wrap(rough, smooth, cfg0)
-    assert err.value.iterations <= cfg0.secant.max_iters
+    with pytest.raises(SecantFailed, match="stalled") as err:
+        energy_decrease_wrap(rough, smooth, cfg0, 0.1, dirichlet_energy(smooth))
+    assert err.value.iterations <= SECANT_MAX_ITERS
 
 
 def test_wrap_corrections_keep_energy_monotone():
@@ -289,9 +273,15 @@ def test_wrap_corrections_keep_energy_monotone():
 def test_stopping_check_compares_label_maps():
     grid = GridSpec(dim=2, n=8)
     s = flat_partition(grid, 2)
-    assert stopping_check(s, s)
-    assert stopping_check(s, s.with_values(2.0 * s.values))
-    assert not stopping_check(s, s.with_values(s.values[[1, 0]]))
+    labels = label_map(s)
+    stopped, same = stopping_check(labels, s)
+    assert stopped
+    assert np.array_equal(same, labels)
+    assert stopping_check(labels, s.with_values(2.0 * s.values))[0]
+    swapped = s.with_values(s.values[[1, 0]])
+    stopped, moved = stopping_check(labels, swapped)
+    assert not stopped
+    assert np.array_equal(moved, label_map(swapped))
 
 
 def test_run_trace_shape_and_budget():
@@ -342,23 +332,6 @@ def test_run_rejects_mismatched_inputs():
         run(SchemeConfig(k=2, tau=0.1, bc="dirichlet", mask=other), init)
 
 
-def test_run_with_carried_secant_seeds():
-    grid = GridSpec(dim=2, n=32)
-    init = flat_partition(grid, 2)
-    cfg = SchemeConfig(
-        k=2,
-        variant="three_step_geometric_ed",
-        tau=0.1,
-        n_max=100,
-        secant=SecantConfig(reset_each_iteration=False),
-    )
-    final, trace = run(cfg, init)
-    energies = [r.energy for r in trace]
-    assert all(b <= a for a, b in zip(energies, energies[1:]))
-    assert final.values.min() >= 0.0
-    assert max_support_overlap(final) == 0.0
-
-
 def test_run_tau_schedule_reaches_stop():
     grid = GridSpec(dim=2, n=16)
     init = flat_partition(grid, 2)
@@ -384,7 +357,6 @@ def audit_trace_energies(variant, bc, mask_name, n, tau, seed) -> tuple[int, int
     grid = GridSpec(dim=2, n=n)
     mask = make_mask(grid, mask_name) if mask_name else None
     cfg = SchemeConfig(k=4, variant=variant, tau=tau, bc=bc, mask=mask, n_max=30)
-    step = STEPS[variant.removesuffix("_ed")]
     seen: list[tuple[PartitionState, TraceRow]] = []
     counts = [0, 0]
 
@@ -395,7 +367,7 @@ def audit_trace_energies(variant, bc, mask_name, n, tau, seed) -> tuple[int, int
             assert row.sigma is not None
             assert row.energy == seen[-1][1].energy
         elif seen:
-            expected = step(seen[-1][0], cfg)
+            expected = step(seen[-1][0], cfg, tau)
             if row.sigma is not None:
                 counts[0] += 1
                 expected = apply_sigma(expected, row.sigma)
@@ -421,3 +393,52 @@ def test_frozen_rows_repeat_the_previous_energy(variant, bc, mask_name):
     # tau = 1 on a coarse grid makes the correction fail on these instances
     _, frozen = audit_trace_energies(variant, bc, mask_name, 24, 1.0, 1)
     assert frozen > 0
+
+
+def counting(monkeypatch, names) -> dict[str, int]:
+    """Wrap optpart.scheme attributes with call counters; return the counts."""
+    calls = dict.fromkeys(names, 0)
+
+    def wrap(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(optpart.scheme, name, wrap(name, getattr(optpart.scheme, name)))
+    return calls
+
+
+@pytest.mark.parametrize("variant", ["four_step", "three_step_geometric_ed"])
+def test_label_map_computed_once_per_iterate(monkeypatch, variant):
+    calls = counting(monkeypatch, ["label_map"])
+    grid = GridSpec(dim=2, n=16)
+    cfg = SchemeConfig(k=3, variant=variant, tau=0.2, n_max=20)
+    _, trace = run(cfg, voronoi_init(grid, 3, 1))
+    # the initial state's map, then one per iteration inside stopping_check
+    assert calls["label_map"] == len(trace)
+
+
+PROJECTION_LAYERS = {
+    "four_step": ["positivity_step", "ortho_step_ratio"],
+    "three_step_linear": ["ortho_pos_step_linear"],
+    "three_step_geometric": ["ortho_pos_step_geometric"],
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_layer_is_reached_through_the_module(monkeypatch, variant):
+    # a tracer wraps these module attributes, so each must be looked up by
+    # name when the scheme calls it, projections included
+    names = ["diffuse_stack", "norm_step", "dirichlet_energy", "partition_norms",
+             "stopping_check", *PROJECTION_LAYERS[variant.removesuffix("_ed")]]
+    if variant.endswith("_ed"):
+        names += ["energy_decrease_wrap", "apply_sigma"]
+    calls = counting(monkeypatch, names)
+    grid = GridSpec(dim=2, n=16)
+    cfg = SchemeConfig(k=3, variant=variant, tau=0.2, n_max=20)
+    _, trace = run(cfg, voronoi_init(grid, 3, 1))
+    assert len(trace) > 2
+    assert {name for name, n in calls.items() if n == 0} == set()
