@@ -29,6 +29,9 @@ ALGORITHM_NAMES = {
     "three-step-2-ed": "three_step_geometric_ed",
 }
 
+_BOOLS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False,
+          "on": True, "off": False}
+
 
 class CliError(ValueError):
     """Configuration problem that should abort with a one-line message."""
@@ -55,44 +58,48 @@ def _parse_number(text: str) -> float:
     return float(text)
 
 
-def _read_config_file(path: Path) -> dict[str, str]:
-    """Flat key = value lines; blank lines and # comments are skipped."""
-    if not path.is_file():
-        raise CliError(f"config file not found: {path}")
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
-    return out
+def _parse_taus(text: str) -> tuple[float, ...]:
+    """Comma list of time steps: warm-up values, then the steady one."""
+    try:
+        return tuple(_parse_number(t) for t in text.split(","))
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"bad time step list {text!r}: {err}") from err
+
+
+def _at_least(lo: int):
+    """argparse type: an integer no smaller than ``lo``."""
+
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {value}")
+        return value
+
+    convert.__name__ = "int"  # argparse names the type in its message for a non-integer
+    return convert
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The table of settings: each flag's type, choices and default, stated once."""
     p = argparse.ArgumentParser(
         prog="optpart",
         description="Compute an optimal k-partition by constrained diffusion.",
+        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        exit_on_error=False,
     )
     p.add_argument("--config", type=Path, help="flat key=value file; flags override it")
-    p.add_argument("--k", type=int, help="number of parts (required)")
-    p.add_argument("--tau", type=str, help="time step (default 0.1; fractions allowed)")
+    p.add_argument("--k", type=_at_least(2), help="number of parts (required)")
     p.add_argument(
-        "--tau-schedule",
-        type=str,
-        help="comma list of time steps: warm-up values, then the steady value",
+        "--tau", type=_parse_taus, default="0.1",
+        help="time step, or a comma list of warm-up steps then the steady one; fractions allowed",
     )
-    p.add_argument("--grid", type=int, help="nodes per axis (default 256)")
-    p.add_argument("--dim", type=int, choices=(2, 3), help="space dimension (default 2)")
+    p.add_argument("--grid", type=int, default=256, help="nodes per axis")
+    p.add_argument("--dim", type=int, choices=(2, 3), default=2, help="space dimension")
     p.add_argument(
-        "--algorithm",
-        choices=sorted(ALGORITHM_NAMES),
-        help="splitting scheme (default four-step)",
+        "--algorithm", choices=sorted(ALGORITHM_NAMES), default="four-step", help="splitting scheme"
     )
     p.add_argument(
-        "--bc", choices=("periodic", "dirichlet"), help="boundary condition (default periodic)"
+        "--bc", choices=("periodic", "dirichlet"), default="periodic", help="boundary condition"
     )
     p.add_argument(
         "--mask",
@@ -100,21 +107,43 @@ def _build_parser() -> argparse.ArgumentParser:
         help="domain mask: a P5 PGM file, or shape:NAME[:key=value...] "
         "(requires --bc dirichlet)",
     )
-    p.add_argument("--seed", type=int, help="RNG seed for the initial partition (default 0)")
-    p.add_argument("--max-iters", type=int, help="iteration cap (default 2000)")
-    p.add_argument("--out-dir", type=Path, help="output directory (default .)")
     p.add_argument(
-        "--snapshot-every",
-        type=int,
-        help="write a label snapshot every N iterations (default: off)",
+        "--seed", type=_at_least(0), default=0, help="RNG seed for the initial partition"
+    )
+    p.add_argument("--max-iters", type=int, default=2000, help="iteration cap")
+    p.add_argument("--out-dir", type=Path, default=Path("."), help="output directory")
+    p.add_argument(
+        "--snapshot-every", type=_at_least(0), default=0, help="labels every N iterations (0: off)"
     )
     p.add_argument(
-        "--dump-fields",
-        action="store_true",
-        default=None,
+        "--dump-fields", nargs="?", const="true", default="false", type=str.lower, choices=_BOOLS,
         help="also write the final part values as raw float64",
     )
     return p
+
+
+def _read_config_file(parser: argparse.ArgumentParser, path: Path) -> argparse.Namespace:
+    """Flat key = value lines, each read as the flag its key names (``max_iters``
+    or ``max-iters`` is ``--max-iters``); blank lines and # comments are skipped."""
+    if not path.is_file():
+        raise CliError(f"config file not found: {path}")
+    flags = set(parser._option_string_actions) - {"-h", "--help", "--config"}
+    settings = argparse.Namespace()
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise CliError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        flag = "--" + key.replace("_", "-")
+        if flag not in flags:
+            raise CliError(f"{path}:{lineno}: config key {key!r} names no flag")
+        try:
+            parser.parse_args([f"{flag}={value}"], namespace=settings)
+        except argparse.ArgumentError as err:
+            raise CliError(f"{path}:{lineno}: config key {key!r}: {err}") from err
+    return settings
 
 
 def _parse_mask(spec: str, grid: GridSpec) -> DomainMask:
@@ -153,94 +182,36 @@ def _parse_mask(spec: str, grid: GridSpec) -> DomainMask:
 
 
 def parse_config(argv: list[str] | None = None) -> RunSetup:
-    """Merge config file and flags into a validated run setup."""
-    args = _build_parser().parse_args(argv)
-    raw = _read_config_file(args.config) if args.config else {}
-
-    def pick(name: str, flag_value, convert, default=None):
-        """Flag value, else the config file's value, else (key absent) the default."""
-        if flag_value is not None:
-            return flag_value
-        if name in raw:
-            try:
-                return convert(raw[name])
-            except ValueError as err:
-                raise CliError(f"config key {name}: {err}") from err
-        return default
-
-    as_bool = lambda s: s.lower() in ("1", "true", "yes", "on")
-    k = pick("k", args.k, int)
-    dim = pick("dim", args.dim, int, 2)
-    n = pick("grid", args.grid, int, 256)
-    tau_single = pick("tau", args.tau, str)
-    tau_schedule = pick("tau_schedule", args.tau_schedule, str)
-    algorithm = pick("algorithm", args.algorithm, str, "four-step")
-    bc = pick("bc", args.bc, str, "periodic")
-    mask_spec = pick("mask", args.mask, str)
-    seed = pick("seed", args.seed, int, 0)
-    n_max = pick("max_iters", args.max_iters, int, 2000)
-    out_dir = pick("out_dir", args.out_dir, Path, Path("."))
-    snapshot_every = pick("snapshot_every", args.snapshot_every, int, 0)
-    dump = pick("dump_fields", args.dump_fields, as_bool, False)
-
-    if k is None:
+    """Read the config file's settings, override them with the flags, and validate."""
+    parser = _build_parser()
+    try:
+        args = parser.parse_args(argv)
+        if args.config is not None:
+            args = parser.parse_args(argv, namespace=_read_config_file(parser, args.config))
+    except argparse.ArgumentError as err:
+        raise CliError(str(err)) from err
+    if args.k is None:
         raise CliError("--k is required (or set k in the config file)")
-    if dim not in (2, 3):
-        raise CliError(f"--dim must be 2 or 3, got {dim}")
-    if algorithm not in ALGORITHM_NAMES:
-        raise CliError(
-            f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHM_NAMES)}"
-        )
-    if bc not in ("periodic", "dirichlet"):
-        raise CliError(f"unknown bc {bc!r}; choose periodic or dirichlet")
-
     try:
-        grid = GridSpec(dim=dim, n=n)
-    except ValueError as err:
-        raise CliError(str(err)) from err
-
-    mask = None
-    if mask_spec is not None:
-        if bc != "dirichlet":
-            raise CliError("--mask requires --bc dirichlet (masked domains are not periodic)")
-        mask = _parse_mask(mask_spec, grid)
-
-    if tau_schedule is not None:
-        try:
-            tau: float | tuple[float, ...] = tuple(
-                _parse_number(t) for t in tau_schedule.split(",") if t.strip()
-            )
-        except ValueError as err:
-            raise CliError(f"bad --tau-schedule: {err}") from err
-        if not tau:
-            raise CliError("--tau-schedule is empty")
-    elif tau_single is not None:
-        try:
-            tau = _parse_number(tau_single)
-        except ValueError as err:
-            raise CliError(f"bad --tau: {err}") from err
-    else:
-        tau = 0.1
-
-    try:
+        grid = GridSpec(dim=args.dim, n=args.grid)
+        mask = None if args.mask is None else _parse_mask(args.mask, grid)
         cfg = SchemeConfig(
-            k=k,
-            variant=ALGORITHM_NAMES[algorithm],
-            tau=tau,
-            bc=bc,
+            k=args.k,
+            variant=ALGORITHM_NAMES[args.algorithm],
+            tau=args.tau,
+            bc=args.bc,
             mask=mask,
-            n_max=n_max,
+            n_max=args.max_iters,
         )
     except ValueError as err:
         raise CliError(str(err)) from err
-
     return RunSetup(
         grid=grid,
         cfg=cfg,
-        seed=seed,
-        out_dir=out_dir,
-        snapshot_every=snapshot_every,
-        dump_fields=dump,
+        seed=args.seed,
+        out_dir=args.out_dir,
+        snapshot_every=args.snapshot_every,
+        dump_fields=_BOOLS[args.dump_fields],
     )
 
 
@@ -412,7 +383,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         final, trace = run(cfg, init, on_iteration=snapshot)
     except DegeneratePart as err:
-        print(f"optpart: error: iteration {getattr(err, 'iteration', '?')}: {err}", file=sys.stderr)
+        write_energy_csv(err.trace, setup.out_dir / "trace.csv")
+        print(f"optpart: error: iteration {err.iteration}: {err}", file=sys.stderr)
         return 1
 
     write_energy_csv(trace, setup.out_dir / "trace.csv")

@@ -22,8 +22,8 @@ RINGING_TOL = 1e-12
 
 def _check_tau(tau: float) -> float:
     tau = float(tau)
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0.0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     return tau
 
 

@@ -79,7 +79,11 @@ class SecantFailed(RuntimeError):
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Full description of one partition run (grid and initial data aside)."""
+    """Full description of one partition run (grid and initial data aside).
+
+    ``tau`` is one time step or a sequence of warm-up steps ending in the
+    steady one; it is stored as a tuple of floats either way.
+    """
 
     k: int
     variant: str = "four_step"
@@ -99,16 +103,15 @@ class SchemeConfig:
             raise ValueError(f"unknown boundary condition {self.bc!r}")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        taus = self.tau if isinstance(self.tau, (tuple, list)) else (self.tau,)
-        if len(taus) == 0 or any(not float(t) > 0.0 for t in taus):
-            raise ValueError("tau values must be positive")
+        taus = tuple(float(t) for t in np.ravel(self.tau))
+        if not taus or not all(0.0 < t < np.inf for t in taus):
+            raise ValueError("tau values must be positive and finite")
         if self.mask is not None and self.bc != "dirichlet":
             raise ValueError(
                 "a mask requires bc='dirichlet': the masked energy extends by "
                 "zero past the box edge, which is wrong on the periodic torus"
             )
-        if isinstance(self.tau, list):
-            object.__setattr__(self, "tau", tuple(float(t) for t in self.tau))
+        object.__setattr__(self, "tau", taus)
 
     @property
     def energy_decreasing(self) -> bool:
@@ -116,11 +119,7 @@ class SchemeConfig:
 
     def tau_at(self, iteration: int) -> float:
         """Time step for a given iteration: warm-up entries, then steady."""
-        if isinstance(self.tau, tuple):
-            if iteration < len(self.tau) - 1:
-                return float(self.tau[iteration])
-            return float(self.tau[-1])
-        return float(self.tau)
+        return self.tau[min(iteration, len(self.tau) - 1)]
 
 
 @dataclass(frozen=True)
@@ -330,7 +329,9 @@ def run(
     iterations.  The trace gets one row for the initial state and one per
     iteration.  For energy-decreasing variants a failed correction freezes
     the iterate at the previous state (recorded in the trace via the label
-    check firing) rather than accepting an energy increase.
+    check firing) rather than accepting an energy increase.  A
+    ``DegeneratePart`` raised by an iteration carries its index as
+    ``iteration`` and the rows before it as ``trace``.
     """
     if init.k != cfg.k:
         raise ValueError(f"config expects k={cfg.k}, initial state has k={init.k}")
@@ -368,6 +369,7 @@ def run(
                 energy, coef = _evaluate(state, cfg)
         except DegeneratePart as err:
             err.iteration = n + 1
+            err.trace = trace
             raise
         stopped, labels = stopping_check(labels, state)
         row = _trace_row(state, n + 1, energy, sigma, secant_iters, stopped)

@@ -1,11 +1,14 @@
 """Command-line parsing, file writers, and the end-to-end entry point."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from optpart import GridSpec, PartitionState, label_map, voronoi_init
 from optpart.cli import (
     CliError,
+    _build_parser,
     _parse_mask,
     _parse_number,
     dump_fields,
@@ -52,7 +55,7 @@ def test_parse_config_defaults():
     assert setup.grid.n == 256
     assert setup.cfg.k == 4
     assert setup.cfg.variant == "four_step"
-    assert setup.cfg.tau == 0.1
+    assert setup.cfg.tau == (0.1,)
     assert setup.cfg.bc == "periodic"
     assert setup.cfg.n_max == 2000
     assert setup.seed == 0
@@ -77,13 +80,14 @@ def test_parse_config_algorithm_names():
         assert setup.cfg.variant == variant
 
 
-def test_parse_config_tau_schedule_fractions():
-    setup = parse_config(["--k", "2", "--tau-schedule", "1/128,1/64,0.5"])
+def test_parse_config_tau_list_fractions():
+    setup = parse_config(["--k", "2", "--tau", "1/128,1/64,0.5"])
     assert setup.cfg.tau == (1.0 / 128.0, 1.0 / 64.0, 0.5)
+    assert parse_config(["--k", "2", "--tau", "1/4"]).cfg.tau == (0.25,)
     with pytest.raises(CliError):
-        parse_config(["--k", "2", "--tau-schedule", "1/128,oops"])
+        parse_config(["--k", "2", "--tau", "1/128,oops"])
     with pytest.raises(CliError):
-        parse_config(["--k", "2", "--tau-schedule", ","])
+        parse_config(["--k", "2", "--tau", ","])
 
 
 def test_parse_config_rejects_masked_periodic_runs():
@@ -99,13 +103,15 @@ def test_parse_config_reads_and_merges_config_file(tmp_path):
         "# a comment\n"
         "k = 3\n"
         "grid = 32\n"
-        "tau-schedule = 1/4, 1/2   # hyphen keys work too\n"
+        "tau = 1/4, 1/2\n"
+        "max-iters = 7   # hyphen keys work too\n"
         "algorithm = three-step-2\n"
     )
     setup = parse_config(["--config", str(cfg)])
     assert setup.cfg.k == 3
     assert setup.grid.n == 32
     assert setup.cfg.tau == (0.25, 0.5)
+    assert setup.cfg.n_max == 7
     assert setup.cfg.variant == "three_step_geometric"
     override = parse_config(["--config", str(cfg), "--grid", "16", "--k", "2"])
     assert override.grid.n == 16
@@ -120,6 +126,77 @@ def test_parse_config_bad_config_lines(tmp_path):
     bad.write_text("k: 2\n")
     with pytest.raises(CliError):
         parse_config(["--config", str(bad)])
+
+
+def parser_flags() -> set[str]:
+    """Every option string of the parser except -h/--help."""
+    return set(_build_parser()._option_string_actions) - {"-h", "--help"}
+
+
+# Each setting a config file can hold: a value for the file, a different one
+# for the command line, and what parse_config makes of it.  The file's value
+# differs from the default, so a setting the file fails to set shows up.
+SETTINGS = {
+    "--k": ("3", "4", lambda s: s.cfg.k),
+    "--tau": ("1/4, 1/2", "0.3", lambda s: s.cfg.tau),
+    "--grid": ("32", "8", lambda s: s.grid.n),
+    "--dim": ("3", "2", lambda s: s.grid.dim),
+    "--algorithm": ("three-step-2", "three-step-1-ed", lambda s: s.cfg.variant),
+    "--bc": ("dirichlet", "periodic", lambda s: s.cfg.bc),
+    "--mask": ("shape:disk", "shape:star5", lambda s: s.cfg.mask and s.cfg.mask.node_count),
+    "--seed": ("5", "7", lambda s: s.seed),
+    "--max-iters": ("10", "20", lambda s: s.cfg.n_max),
+    "--out-dir": ("from-file", "from-flag", lambda s: s.out_dir),
+    "--snapshot-every": ("5", "7", lambda s: s.snapshot_every),
+    "--dump-fields": ("yes", "off", lambda s: s.dump_fields),
+}
+
+
+def test_settings_cases_cover_every_flag():
+    assert set(SETTINGS) == parser_flags() - {"--config"}
+
+
+@pytest.mark.parametrize("spelling", ["hyphen", "underscore"])
+@pytest.mark.parametrize("flag", sorted(SETTINGS))
+def test_config_key_is_read_as_its_flag_and_the_flag_wins(tmp_path, flag, spelling):
+    in_file, on_line, get = SETTINGS[flag]
+    base = {"--k": "2", "--grid": "16", **({"--bc": "dirichlet"} if flag == "--mask" else {})}
+    base.pop(flag, None)
+    argv = [arg for item in base.items() for arg in item]
+    key = flag[2:] if spelling == "hyphen" else flag[2:].replace("-", "_")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {in_file}\n")
+
+    from_file = get(parse_config([*argv, "--config", str(cfg)]))
+    assert from_file == get(parse_config([*argv, flag, in_file]))
+    if flag != "--k":  # --k has no default
+        assert from_file != get(parse_config(argv))
+    expected = get(parse_config([*argv, flag, on_line]))
+    assert expected != from_file
+    assert get(parse_config([*argv, "--config", str(cfg), flag, on_line])) == expected
+    assert get(parse_config([*argv, flag, on_line, "--config", str(cfg)])) == expected
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["max_iter = 3", "algoritm = three-step-2-ed", "config = other.cfg",
+     "tau_schedule = 0.05, 0.1", "tau-schedule = 0.05, 0.1", "dump_fields = ture"],
+)
+def test_parse_config_rejects_unknown_keys_and_bad_values(tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"k = 2\ngrid = 16\n{line}\n")
+    key = line.split("=")[0].strip()
+    with pytest.raises(CliError, match=f"run.cfg:3: config key '{key}'"):
+        parse_config(["--config", str(cfg)])
+
+
+def test_readme_flags_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("### Flags", 1)[1].split("\n\n", 2)[1]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    documented = [row.split("`")[1] for row in rows]
+    assert len(documented) == len(set(documented))
+    assert set(documented) == parser_flags()
 
 
 def test_parse_mask_shape_and_errors():
@@ -322,7 +399,7 @@ def test_main_rejects_zero_max_iters_flag(tmp_path, capsys):
     assert not (tmp_path / "trace.csv").exists()
 
 
-@pytest.mark.parametrize("line", ["mask =", "tau =", "tau_schedule ="])
+@pytest.mark.parametrize("line", ["mask =", "tau =", "tau = ,"])
 def test_main_rejects_empty_config_values(tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"k = 2\ngrid = 16\nbc = dirichlet\n{line}\n")
@@ -335,10 +412,10 @@ def test_main_rejects_empty_config_values(tmp_path, capsys, line):
     "flags",
     [
         ["--tau", "1/0"],
-        ["--tau-schedule", "0.1,1/0"],
+        ["--tau", "0.1,1/0"],
         ["--bc", "dirichlet", "--mask", "shape:disk:radius=1/0"],
     ],
-    ids=["tau", "tau-schedule", "mask"],
+    ids=["tau", "tau-list", "mask"],
 )
 def test_main_rejects_zero_denominators(tmp_path, capsys, flags):
     assert main(["--k", "2", "--grid", "16", *flags, "--out-dir", str(tmp_path)]) == 2
@@ -359,6 +436,36 @@ def test_main_init_failure_exit(tmp_path, capsys):
 def test_main_rejects_unknown_flags():
     with pytest.raises(SystemExit):
         main(["--k", "2", "--frobnicate"])
+    with pytest.raises(SystemExit):
+        main(["--k", "2", "--tau", "0.3", "--tau-schedule", "0.05,0.1"])
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--k", "1"], "--k: expected an integer >= 2"),
+        (["--seed", "-1"], "--seed: expected an integer >= 0"),
+        (["--snapshot-every", "-3"], "--snapshot-every: expected an integer >= 0"),
+        (["--tau", "inf"], "positive and finite"),
+        (["--tau", "0.1,nan"], "positive and finite"),
+    ],
+    ids=["k", "seed", "snapshot-every", "tau-inf", "tau-nan"],
+)
+def test_main_rejects_out_of_range_values(tmp_path, capsys, flags, message):
+    argv = ["--k", "2", "--grid", "16", "--max-iters", "3", *flags, "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_main_degenerate_run_writes_its_trace(tmp_path, capsys):
+    argv = ["--k", "4", "--grid", "24", "--bc", "dirichlet", "--tau", "1.0", "--seed", "1"]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 1
+    assert "iteration 4: part 3 degenerated" in capsys.readouterr().err
+    lines = (tmp_path / "trace.csv").read_text().splitlines()
+    assert lines[0].startswith("iter,energy")
+    assert len(lines) == 5
+    assert lines[-1].startswith("3,")
 
 
 def test_main_three_dimensional_run(tmp_path):

@@ -139,7 +139,7 @@ def test_periodic_positivity_with_ringing_clamped():
 def test_semigroup_rejects_nonpositive_tau(bc):
     g = GridSpec(dim=2, n=8)
     f = np.zeros(g.shape)
-    for tau in (0.0, -0.1):
+    for tau in (0.0, -0.1, np.inf, np.nan):
         with pytest.raises(ValueError):
             heat(f, g, tau, bc)
 

@@ -57,6 +57,9 @@ def test_scheme_config_validation():
         SchemeConfig(k=2, tau=0.0)
     with pytest.raises(ValueError):
         SchemeConfig(k=2, tau=(0.1, -0.1))
+    for tau in (np.inf, np.nan, (0.1, np.inf), ()):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SchemeConfig(k=2, tau=tau)
 
 
 def test_scheme_config_rejects_mask_on_the_torus():
@@ -74,9 +77,11 @@ def test_tau_schedule_warmup_then_steady():
     assert cfg.tau_at(2) == 0.05
     assert cfg.tau_at(100) == 0.05
     single = SchemeConfig(k=2, tau=0.3)
+    assert single.tau == (0.3,)
     assert single.tau_at(0) == single.tau_at(50) == 0.3
     as_list = SchemeConfig(k=2, tau=[0.5, 0.2])
     assert as_list.tau == (0.5, 0.2)
+    assert all(type(t) is float for t in SchemeConfig(k=2, tau=(1, np.float64(0.5))).tau)
 
 
 def test_energy_decreasing_flag():
@@ -122,6 +127,8 @@ def test_identical_parts_degenerate_with_iteration_index():
         run(SchemeConfig(k=2, variant="four_step", tau=0.1), state)
     assert err.value.iteration == 1
     assert err.value.part_index == 0
+    # the rows before the failed iteration travel with the exception
+    assert [row.iteration for row in err.value.trace] == [0]
 
 
 # ---------------------------------------------------------------------------
