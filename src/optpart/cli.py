@@ -79,13 +79,21 @@ def _at_least(lo: int):
     return convert
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Append "(default: ...)" only to the flags that have a default."""
+
+    def _get_help_string(self, action):
+        return action.help if action.default is None else super()._get_help_string(action)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     """The table of settings: each flag's type, choices and default, stated once."""
     p = argparse.ArgumentParser(
         prog="optpart",
         description="Compute an optimal k-partition by constrained diffusion.",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        formatter_class=_HelpFormatter,
         exit_on_error=False,
+        allow_abbrev=False,
     )
     p.add_argument("--config", type=Path, help="flat key=value file; flags override it")
     p.add_argument("--k", type=_at_least(2), help="number of parts (required)")
@@ -312,27 +320,21 @@ def write_vtk_labels(labels: np.ndarray, grid: GridSpec, path: Path | str):
 
 def export_labels(state: PartitionState, path: Path | str):
     """Write the label map: P5 PGM in 2D, legacy VTK in 3D."""
-    labels = label_map(state)
-    if state.grid.dim == 2:
-        write_pgm(_spread_labels(labels.T, state.k), path)
-    elif state.grid.dim == 3:
-        write_vtk_labels(labels, state.grid, path)
-    else:
-        raise ValueError("label export supports 2D and 3D states only")
+    export_tiling(state, 1, path)
 
 
 def export_tiling(state: PartitionState, reps: int, path: Path | str):
-    """Tile the label map reps times per axis (periodic partitions only)."""
+    """Write the label map tiled reps times per axis (periodic partitions only)
+    as ``export_labels`` writes it; the tiled map covers the box."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    labels = label_map(state)
-    tiled = np.tile(labels, (reps,) * labels.ndim)
-    if state.grid.dim == 2:
-        write_pgm(_spread_labels(tiled.T, state.k), path)
-    elif state.grid.dim == 3:
-        write_vtk_labels(tiled, GridSpec(3, state.grid.n * reps), path)
+    labels = np.tile(label_map(state), (reps,) * state.grid.dim)
+    if labels.ndim == 2:
+        write_pgm(_spread_labels(labels.T, state.k), path)
+    elif labels.ndim == 3:
+        write_vtk_labels(labels, GridSpec(3, labels.shape[0]), path)
     else:
-        raise ValueError("tiling export supports 2D and 3D states only")
+        raise ValueError("label export supports 2D and 3D states only")
 
 
 def dump_fields(state: PartitionState, out_dir: Path):
@@ -355,9 +357,9 @@ def dump_fields(state: PartitionState, out_dir: Path):
 # entry point
 
 
-def _snapshot_name(out_dir: Path, iteration: int, dim: int) -> Path:
-    ext = "pgm" if dim == 2 else "vtk"
-    return out_dir / f"labels_{iteration:05d}.{ext}"
+def _label_path(setup: RunSetup, stem: str) -> Path:
+    """Where a label map goes: ``stem.pgm`` in 2D, ``stem.vtk`` in 3D."""
+    return setup.out_dir / f"{stem}.{'pgm' if setup.grid.dim == 2 else 'vtk'}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -378,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
 
     def snapshot(state: PartitionState, row: TraceRow):
         if setup.snapshot_every > 0 and row.iteration % setup.snapshot_every == 0:
-            export_labels(state, _snapshot_name(setup.out_dir, row.iteration, setup.grid.dim))
+            export_labels(state, _label_path(setup, f"labels_{row.iteration:05d}"))
 
     try:
         final, trace = run(cfg, init, on_iteration=snapshot)
@@ -388,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     write_energy_csv(trace, setup.out_dir / "trace.csv")
-    export_labels(final, setup.out_dir / ("labels.pgm" if setup.grid.dim == 2 else "labels.vtk"))
+    export_labels(final, _label_path(setup, "labels"))
     if setup.dump_fields:
         dump_fields(final, setup.out_dir)
 

@@ -22,7 +22,11 @@ BOUNDARY_CONDITIONS = ("periodic", "dirichlet")
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
+    """``values`` as a read-only array: frozen in place if it owns its memory,
+    else copied, so that writes through a view's base array cannot reach it."""
+    out = np.asarray(values, dtype=dtype)
+    if not out.flags.owndata:
+        out = out.copy()
     out.setflags(write=False)
     return out
 

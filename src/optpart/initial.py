@@ -112,94 +112,81 @@ def voronoi_init(
 # named mask shapes
 
 
-def _require_2d(grid: GridSpec, name: str):
-    if grid.dim != 2:
-        raise ValueError(f"mask shape {name!r} is only defined in 2D")
+def _polygon(sides: int):
+    """Indicator of the regular polygon with a flat bottom edge and circumradius ``radius``."""
 
+    def inside(x, y, radius: float) -> np.ndarray:
+        # inside iff behind every edge: projection on each outward edge normal
+        # stays below the apothem
+        apothem = radius * np.cos(np.pi / sides)
+        out = np.ones(x.shape, dtype=bool)
+        for v in range(sides):
+            ang = np.pi / 2.0 + np.pi / sides + 2.0 * np.pi * v / sides
+            out &= x * np.cos(ang) + y * np.sin(ang) <= apothem
+        return out
 
-def _polygon(grid: GridSpec, sides: int, radius: float) -> np.ndarray:
-    x, y = grid.meshgrid()
-    # inside iff behind every edge: projection on each outward edge normal
-    # stays below the apothem
-    apothem = radius * np.cos(np.pi / sides)
-    inside = np.ones(grid.shape, dtype=bool)
-    for v in range(sides):
-        ang = np.pi / 2.0 + np.pi / sides + 2.0 * np.pi * v / sides
-        inside &= x * np.cos(ang) + y * np.sin(ang) <= apothem
     return inside
 
 
+def _star(folds: int):
+    """Indicator of the star ``r <= inner + amplitude * cos(folds * theta)``."""
+
+    def inside(x, y, inner: float, amplitude: float) -> np.ndarray:
+        theta = np.arctan2(y, x)
+        return np.hypot(x, y) <= inner + amplitude * np.cos(folds * theta)
+
+    return inside
+
+
+def _sector(x, y, radius: float, angle0: float, angle1: float) -> np.ndarray:
+    theta = np.arctan2(y, x)
+    return (np.hypot(x, y) <= radius) & (theta >= angle0) & (theta <= angle1)
+
+
+def _square_with_holes(x, y, half: float, hole_radius: float, hole_offset: float) -> np.ndarray:
+    inside = (np.abs(x) <= half) & (np.abs(y) <= half)
+    inside &= np.hypot(x - hole_offset, y) > hole_radius
+    inside &= np.hypot(x + hole_offset, y) > hole_radius
+    return inside
+
+
+# name: (indicator of the node coordinates and the parameters, the parameters
+# with their defaults, whether the shape is only defined in 2D).  Every shape
+# is centered at the origin and sized to stay inside the box.
+MASK_SHAPES = {
+    "full": (lambda *mesh: np.ones(mesh[0].shape, dtype=bool), {}, False),
+    "disk": (
+        lambda *mesh, radius: sum(m * m for m in mesh) <= radius * radius,
+        {"radius": 2.5},
+        False,
+    ),
+    "ellipse": (lambda x, y, a, b: (x / a) ** 2 + (y / b) ** 2 <= 1.0, {"a": 2.8, "b": 1.7}, True),
+    "triangle": (_polygon(3), {"radius": 2.8}, True),
+    "pentagon": (_polygon(5), {"radius": 2.8}, True),
+    "octagon": (_polygon(8), {"radius": 2.8}, True),
+    "star3": (_star(3), {"inner": 1.8, "amplitude": 0.95}, True),
+    "star5": (_star(5), {"inner": 1.8, "amplitude": 0.95}, True),
+    "sector": (_sector, {"radius": 2.8, "angle0": -0.75 * np.pi, "angle1": 0.75 * np.pi}, True),
+    "square_with_holes": (
+        _square_with_holes,
+        {"half": 2.6, "hole_radius": 0.65, "hole_offset": 1.2},
+        True,
+    ),
+}
+
+
 def make_mask(grid: GridSpec, shape: str, **params: float) -> DomainMask:
-    """Build a named domain mask.
-
-    Shapes: full, disk(radius), ellipse(a, b), triangle/pentagon/octagon
-    (radius = circumradius), star3/star5(inner, amplitude), sector(radius,
-    angle0, angle1), square_with_holes(half, hole_radius, hole_offset).
-    All shapes are centered at the origin and sized to stay inside the box.
-    """
-    known = {
-        "full",
-        "disk",
-        "ellipse",
-        "triangle",
-        "pentagon",
-        "octagon",
-        "star3",
-        "star5",
-        "sector",
-        "square_with_holes",
-    }
-    if shape not in known:
-        raise ValueError(f"unknown mask shape {shape!r}; expected one of {sorted(known)}")
-
-    if shape == "full":
-        return DomainMask.full(grid)
-
-    if shape == "disk":
-        r = float(params.pop("radius", 2.5))
-        mesh = grid.meshgrid()
-        rho2 = sum(m * m for m in mesh)
-        inside = rho2 <= r * r
-    elif shape == "ellipse":
-        _require_2d(grid, shape)
-        a = float(params.pop("a", 2.8))
-        b = float(params.pop("b", 1.7))
-        x, y = grid.meshgrid()
-        inside = (x / a) ** 2 + (y / b) ** 2 <= 1.0
-    elif shape in ("triangle", "pentagon", "octagon"):
-        _require_2d(grid, shape)
-        sides = {"triangle": 3, "pentagon": 5, "octagon": 8}[shape]
-        inside = _polygon(grid, sides, float(params.pop("radius", 2.8)))
-    elif shape in ("star3", "star5"):
-        _require_2d(grid, shape)
-        folds = 3 if shape == "star3" else 5
-        inner = float(params.pop("inner", 1.8))
-        amp = float(params.pop("amplitude", 0.95))
-        x, y = grid.meshgrid()
-        theta = np.arctan2(y, x)
-        inside = np.hypot(x, y) <= inner + amp * np.cos(folds * theta)
-    elif shape == "sector":
-        _require_2d(grid, shape)
-        r = float(params.pop("radius", 2.8))
-        a0 = float(params.pop("angle0", -0.75 * np.pi))
-        a1 = float(params.pop("angle1", 0.75 * np.pi))
-        x, y = grid.meshgrid()
-        theta = np.arctan2(y, x)
-        inside = (np.hypot(x, y) <= r) & (theta >= a0) & (theta <= a1)
-    else:  # square_with_holes
-        _require_2d(grid, shape)
-        half = float(params.pop("half", 2.6))
-        hole_r = float(params.pop("hole_radius", 0.65))
-        off = float(params.pop("hole_offset", 1.2))
-        x, y = grid.meshgrid()
-        inside = (np.abs(x) <= half) & (np.abs(y) <= half)
-        inside &= np.hypot(x - off, y) > hole_r
-        inside &= np.hypot(x + off, y) > hole_r
-
-    if params:
-        raise ValueError(
-            f"unknown parameters for shape {shape!r}: {sorted(params)}"
-        )
+    """The named domain mask of ``MASK_SHAPES``; ``params`` override its defaults."""
+    if shape not in MASK_SHAPES:
+        raise ValueError(f"unknown mask shape {shape!r}; expected one of {sorted(MASK_SHAPES)}")
+    indicator, defaults, only_2d = MASK_SHAPES[shape]
+    if only_2d and grid.dim != 2:
+        raise ValueError(f"mask shape {shape!r} is only defined in 2D")
+    values = {name: float(params.get(name, default)) for name, default in defaults.items()}
+    extra = sorted(params.keys() - defaults.keys())
+    if extra:
+        raise ValueError(f"unknown parameters for shape {shape!r}: {extra}")
+    inside = indicator(*grid.meshgrid(), **values)
     if not inside.any():
         raise ValueError(f"mask shape {shape!r} contains no grid node")
     return DomainMask(grid, inside)

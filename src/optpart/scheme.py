@@ -64,10 +64,6 @@ PROJECTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
-class SecantStall(RuntimeError):
-    """Secant update rejected: successive residuals are numerically equal."""
-
-
 class SecantFailed(RuntimeError):
     """Energy correction gave up before reaching a non-increasing energy."""
 
@@ -189,13 +185,11 @@ def _residual(
     return float(e_trial - e_prev + np.sum(moved * moved) / tau)
 
 
-def secant_update(sigma_s: float, sigma_prev: float, F_s: float, F_prev: float) -> float:
-    """One secant iteration for the root of F(sigma)."""
+def secant_update(sigma_s: float, sigma_prev: float, F_s: float, F_prev: float) -> float | None:
+    """One secant iteration for the root of F(sigma); None if F is flat between the two."""
     dF = F_s - F_prev
     if abs(dF) <= SECANT_STALL_TOL:
-        raise SecantStall(
-            f"secant stalled: |F_s - F_prev| = {abs(dF):.3e} with sigma_s = {sigma_s}"
-        )
+        return None
     return sigma_s - F_s * (sigma_s - sigma_prev) / dF
 
 
@@ -242,49 +236,36 @@ def energy_decrease_wrap(
     if e_cand <= e_prev:
         return candidate, None, 0, e_cand, coef_cand
 
+    # seeds: the candidate itself (sigma_b = 0) and one trial at sigma_a = -tau**2;
+    # a failure reports sigma_b, which each secant trial takes before it is evaluated
     sig_a, sig_b = -tau * tau, 0.0
-
-    def f_at(sigma: float) -> tuple[PartitionState, float, np.ndarray | None, float]:
-        trial = apply_sigma(candidate, sigma)
-        e, coef = (e_cand, coef_cand) if trial is candidate else _evaluate(trial, cfg)
-        return trial, e, coef, _residual(e, e_prev, trial, previous, tau)
-
-    def give_up(reason: str, sigma: float, iters: int) -> SecantFailed:
-        return SecantFailed(
-            f"energy correction {reason} after {iters} secant iterations "
-            f"(last sigma {sigma:.6e})",
-            sigma=sigma,
-            iterations=iters,
-        )
-
+    iters, reason = 0, "exhausted the iteration budget"
     try:
-        f_a = f_at(sig_a)[3]
-        current, e_cur, coef, f_b = f_at(sig_b)
-    except DegeneratePart:
-        raise give_up("left the feasible shift range", sig_b, 0) from None
-
-    iters = 0
-    while e_cur > e_prev:
-        if iters >= SECANT_MAX_ITERS:
-            raise give_up("exhausted the iteration budget", sig_b, iters)
-        try:
+        seed = apply_sigma(candidate, sig_a)
+        f_a = _residual(_evaluate(seed, cfg)[0], e_prev, seed, previous, tau)
+        f_b = _residual(e_cand, e_prev, candidate, previous, tau)
+        while iters < SECANT_MAX_ITERS:
             sig_next = secant_update(sig_b, sig_a, f_b, f_a)
-        except SecantStall as err:
-            raise give_up(f"stalled ({err})", sig_b, iters) from err
-        try:
-            current, e_cur, coef, f_next = f_at(sig_next)
-        except DegeneratePart:
-            raise give_up("left the feasible shift range", sig_next, iters) from None
-        sig_a, f_a = sig_b, f_b
-        sig_b, f_b = sig_next, f_next
-        iters += 1
-        if e_cur > e_prev and abs(f_b) <= SECANT_RESIDUAL_TOL * max(1.0, abs(e_prev)):
-            raise give_up(
-                f"converged its residual ({f_b:.3e}) with the energy still high",
-                sig_b,
-                iters,
-            )
-    return current, sig_b, iters, e_cur, coef
+            if sig_next is None:
+                reason = (
+                    f"stalled (secant stalled: |F_s - F_prev| = {abs(f_b - f_a):.3e} "
+                    f"with sigma_s = {sig_b})"
+                )
+                break
+            sig_a, f_a, sig_b = sig_b, f_b, sig_next
+            current = apply_sigma(candidate, sig_b)
+            e_cur, coef = _evaluate(current, cfg)
+            f_b = _residual(e_cur, e_prev, current, previous, tau)
+            iters += 1
+            if e_cur <= e_prev:
+                return current, sig_b, iters, e_cur, coef
+            if abs(f_b) <= SECANT_RESIDUAL_TOL * max(1.0, abs(e_prev)):
+                reason = f"converged its residual ({f_b:.3e}) with the energy still high"
+                break
+    except DegeneratePart:
+        reason = "left the feasible shift range"
+    message = f"energy correction {reason} after {iters} secant iterations (last sigma {sig_b:.6e})"
+    raise SecantFailed(message, sigma=sig_b, iterations=iters)
 
 
 def stopping_check(

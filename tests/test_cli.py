@@ -319,6 +319,20 @@ def test_export_labels_3d_vtk(tmp_path):
     assert np.array_equal(flat.reshape(grid.shape, order="F"), label_map(state))
 
 
+def test_export_tiling_3d_and_unsupported_dimensions(tmp_path):
+    state = voronoi_init(GridSpec(dim=3, n=4), 2, rng_seed=0)
+    export_tiling(state, 2, tmp_path / "two.vtk")
+    text = (tmp_path / "two.vtk").read_text().splitlines()
+    assert "DIMENSIONS 8 8 8" in text
+    assert f"SPACING {np.pi / 4:.17g} {np.pi / 4:.17g} {np.pi / 4:.17g}" in text
+    flat = np.array(" ".join(text[text.index("LOOKUP_TABLE default") + 1 :]).split(), dtype=int)
+    assert np.array_equal(flat.reshape((8, 8, 8), order="F"), np.tile(label_map(state), (2, 2, 2)))
+    line = voronoi_init(GridSpec(dim=1, n=8), 2, rng_seed=0)
+    for export in (lambda path: export_labels(line, path), lambda path: export_tiling(line, 1, path)):
+        with pytest.raises(ValueError, match="2D and 3D"):
+            export(tmp_path / "line.out")
+
+
 def test_dump_fields_roundtrip(tmp_path):
     grid = GridSpec(dim=2, n=8)
     state = voronoi_init(grid, 2, rng_seed=0)
@@ -438,6 +452,17 @@ def test_main_rejects_unknown_flags():
         main(["--k", "2", "--frobnicate"])
     with pytest.raises(SystemExit):
         main(["--k", "2", "--tau", "0.3", "--tau-schedule", "0.05,0.1"])
+    # a flag is spelled out in full, as its config key is
+    for abbreviated in (["--max-iter", "3"], ["--alg", "three-step-1"], ["--snap", "4"]):
+        with pytest.raises(SystemExit):
+            main(["--k", "2", *abbreviated])
+
+
+def test_help_shows_only_real_defaults(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    text = _build_parser().format_help()
+    assert "(default: None)" not in text
+    assert "(default: 256)" in text
 
 
 @pytest.mark.parametrize(
@@ -466,6 +491,14 @@ def test_main_degenerate_run_writes_its_trace(tmp_path, capsys):
     assert lines[0].startswith("iter,energy")
     assert len(lines) == 5
     assert lines[-1].startswith("3,")
+
+
+def test_main_3d_snapshots_are_vtk(tmp_path):
+    argv = ["--k", "2", "--dim", "3", "--grid", "8", "--max-iters", "3", "--snapshot-every", "2"]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names[:2] == ["labels.vtk", "labels_00000.vtk"]
+    assert not list(tmp_path.glob("*.pgm"))
 
 
 def test_main_three_dimensional_run(tmp_path):

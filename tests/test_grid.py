@@ -55,6 +55,25 @@ def test_partition_state_accessors():
         PartitionState(g, np.zeros((0, 4)))
 
 
+def test_states_freeze_owned_arrays_and_copy_views():
+    g = GridSpec(dim=1, n=4)
+    owned = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
+    s = PartitionState(g, owned)
+    assert np.shares_memory(s.values, owned)
+    assert not owned.flags.writeable
+    base = np.eye(4)
+    view = PartitionState(g, base[:2])
+    assert not np.shares_memory(view.values, base)
+    base[0, 0] = 5.0
+    assert view.values[0, 0] == 1.0
+    indicator = np.eye(4, dtype=bool)
+    assert np.shares_memory(DomainMask(GridSpec(dim=2, n=4), indicator).indicator, indicator)
+    padded = np.ones((5, 4), dtype=bool)
+    mask = DomainMask(GridSpec(dim=2, n=4), padded[1:])
+    assert not np.shares_memory(mask.indicator, padded)
+    assert padded.flags.writeable
+
+
 def test_domain_mask_validation():
     g = GridSpec(dim=2, n=4)
     with pytest.raises(ValueError):

@@ -186,13 +186,32 @@ def test_named_masks_are_nonempty_and_proper(shape):
     assert 0 < mask.node_count < grid.num_nodes
 
 
+SHAPES = ["full", "disk", "ellipse", "triangle", "pentagon", "octagon", "star3", "star5",
+          "sector", "square_with_holes"]
+
+
 def test_make_mask_rejects_bad_requests():
-    grid = GridSpec(dim=2, n=16)
-    with pytest.raises(ValueError):
-        make_mask(grid, "hexaflexagon")
-    with pytest.raises(ValueError):
-        make_mask(grid, "disk", radius=1.0, bogus=2.0)
-    with pytest.raises(ValueError):
-        make_mask(GridSpec(dim=3, n=8), "star5")
-    with pytest.raises(ValueError):
-        make_mask(grid, "sector", radius=0.01, angle0=0.1, angle1=0.2)
+    cases = [
+        (2, "hexaflexagon", {}, f"unknown mask shape 'hexaflexagon'; expected one of {sorted(SHAPES)}"),
+        (2, "disk", {"radius": 1.0, "bogus": 2.0}, "unknown parameters for shape 'disk': ['bogus']"),
+        (2, "full", {"radius": 1.0}, "unknown parameters for shape 'full': ['radius']"),
+        (3, "star5", {}, "mask shape 'star5' is only defined in 2D"),
+        (3, "star5", {"bogus": 1.0}, "mask shape 'star5' is only defined in 2D"),
+        (2, "sector", {"radius": 0.01, "angle0": 0.1, "angle1": 0.2},
+         "mask shape 'sector' contains no grid node"),
+        (2, "ellipse", {"a": "wide", "bogus": 1.0}, "could not convert string to float: 'wide'"),
+    ]
+    for dim, shape, params, message in cases:
+        with pytest.raises(ValueError) as err:
+            make_mask(GridSpec(dim=dim, n=16), shape, **params)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_only_full_and_disk_masks_extend_to_3d(shape):
+    grid = GridSpec(dim=3, n=8)
+    if shape in ("full", "disk"):
+        assert make_mask(grid, shape).indicator.shape == grid.shape
+    else:
+        with pytest.raises(ValueError, match="only defined in 2D"):
+            make_mask(grid, shape)

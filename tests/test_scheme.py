@@ -23,7 +23,6 @@ from optpart import (
 from optpart.scheme import (
     SECANT_MAX_ITERS,
     SecantFailed,
-    SecantStall,
     _residual,
     apply_sigma,
     energy_decrease_wrap,
@@ -173,8 +172,7 @@ def test_secant_update_is_exact_on_affine_residuals():
 
 
 def test_secant_update_stalls_on_flat_residual():
-    with pytest.raises(SecantStall):
-        secant_update(0.1, 0.2, 1.0, 1.0)
+    assert secant_update(0.1, 0.2, 1.0, 1.0) is None
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +255,80 @@ def test_wrap_gives_up_on_uncorrectable_flat_candidates():
     with pytest.raises(SecantFailed, match="stalled") as err:
         energy_decrease_wrap(rough, smooth, cfg0, 0.1, dirichlet_energy(smooth))
     assert err.value.iterations <= SECANT_MAX_ITERS
+    assert str(err.value) == (
+        "energy correction stalled (secant stalled: |F_s - F_prev| = 0.000e+00 "
+        "with sigma_s = 0.0) after 0 secant iterations (last sigma 0.000000e+00)"
+    )
+
+
+def first_secant_failure(monkeypatch, variant, bc, mask_name, n, tau, seed) -> SecantFailed:
+    """The first SecantFailed that energy_decrease_wrap raises in a k=4 run."""
+    failures = []
+    wrap = optpart.scheme.energy_decrease_wrap
+
+    def recording(*args):
+        try:
+            return wrap(*args)
+        except SecantFailed as err:
+            failures.append(err)
+            raise
+
+    monkeypatch.setattr(optpart.scheme, "energy_decrease_wrap", recording)
+    grid = GridSpec(dim=2, n=n)
+    mask = make_mask(grid, mask_name) if mask_name else None
+    cfg = SchemeConfig(k=4, variant=variant, tau=tau, bc=bc, mask=mask, n_max=30)
+    run(cfg, voronoi_init(grid, 4, seed, bc, mask))
+    assert failures
+    return failures[0]
+
+
+def test_wrap_fails_when_the_seed_shift_leaves_the_feasible_range(monkeypatch):
+    # the -tau**2 seed empties a part; the failure reports the sigma = 0 end
+    err = first_secant_failure(monkeypatch, "three_step_linear_ed", "periodic", None, 24, 1.0, 1)
+    assert str(err) == (
+        "energy correction left the feasible shift range after 0 secant "
+        "iterations (last sigma 0.000000e+00)"
+    )
+    assert (err.sigma, err.iterations) == (0.0, 0)
+
+
+def test_wrap_fails_when_a_secant_trial_leaves_the_feasible_range(monkeypatch):
+    # the third secant trial empties a part; the failure reports that trial
+    err = first_secant_failure(
+        monkeypatch, "three_step_geometric_ed", "dirichlet", "disk", 24, 0.5, 1
+    )
+    assert str(err) == (
+        "energy correction left the feasible shift range after 2 secant "
+        "iterations (last sigma -1.072508e+00)"
+    )
+    assert err.sigma == pytest.approx(-1.07250823515756, rel=1e-9)
+    assert err.iterations == 2
+
+
+@pytest.mark.parametrize(
+    "budget,sigma,message_sigma",
+    [(0, 0.0, "0.000000e+00"), (1, 0.0005819562253957037, "5.819562e-04")],
+)
+def test_wrap_fails_when_the_secant_budget_runs_out(monkeypatch, budget, sigma, message_sigma):
+    monkeypatch.setattr(optpart.scheme, "SECANT_MAX_ITERS", budget)
+    err = first_secant_failure(monkeypatch, "three_step_linear_ed", "periodic", None, 24, 0.5, 1)
+    assert str(err) == (
+        f"energy correction exhausted the iteration budget after {budget} secant "
+        f"iterations (last sigma {message_sigma})"
+    )
+    assert err.sigma == pytest.approx(sigma, rel=1e-9)
+    assert err.iterations == budget
+
+
+def test_wrap_fails_when_the_residual_converges_with_the_energy_high(monkeypatch):
+    monkeypatch.setattr(optpart.scheme, "SECANT_RESIDUAL_TOL", 1e3)
+    err = first_secant_failure(monkeypatch, "three_step_linear_ed", "periodic", None, 24, 0.5, 1)
+    assert str(err) == (
+        "energy correction converged its residual (6.902e-03) with the energy "
+        "still high after 1 secant iterations (last sigma 5.819562e-04)"
+    )
+    assert err.sigma == pytest.approx(0.0005819562253957037, rel=1e-9)
+    assert err.iterations == 1
 
 
 def test_wrap_corrections_keep_energy_monotone():
