@@ -5,7 +5,7 @@ masked subdomain) while keeping every field nonnegative, of unit discrete L2
 norm, and supported on pairwise disjoint node sets at every iteration.
 
 The package exports what a caller of ``run`` needs; the building blocks
-(``scheme.step``, ``scheme.PROJECTIONS``, ``diffusion.diffuse_stack``, the
+(``scheme.step``, ``scheme.PROJECTIONS``, ``spectral.diffuse_stack``, the
 projections and multiplier recovery in ``projection``) live in their modules.
 """
 
@@ -13,7 +13,6 @@ from .grid import (
     DomainMask,
     GridSpec,
     PartitionState,
-    dirichlet_energy,
     label_map,
     max_support_overlap,
     partition_norms,
@@ -21,6 +20,7 @@ from .grid import (
 from .initial import InitFailed, make_mask, voronoi_init
 from .projection import DegeneratePart
 from .scheme import VARIANTS, EnergyTrace, SchemeConfig, TraceRow, run
+from .spectral import dirichlet_energy
 
 __version__ = "0.1.0"
 

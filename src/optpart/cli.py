@@ -365,11 +365,11 @@ def _label_path(setup: RunSetup, stem: str) -> Path:
 def main(argv: list[str] | None = None) -> int:
     try:
         setup = parse_config(argv)
-    except CliError as err:
+        setup.out_dir.mkdir(parents=True, exist_ok=True)
+    except (CliError, OSError) as err:
         print(f"optpart: error: {err}", file=sys.stderr)
         return 2
 
-    setup.out_dir.mkdir(parents=True, exist_ok=True)
     cfg = setup.cfg
 
     try:

@@ -1,4 +1,4 @@
-"""Uniform grids on the box [-pi, pi]^d, partition states, and discrete energies.
+"""Uniform grids on the box [-pi, pi]^d, partition states, norms and label maps.
 
 Nodes along each axis sit at ``x_i = -pi + i*h`` for ``i = 0..n-1`` with
 spacing ``h = 2*pi/n``; the ``+pi`` face coincides with ``-pi`` under
@@ -10,13 +10,8 @@ exactly representable norms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
-
-from .spectral import spectral_operator
-
-BoundaryCondition = Literal["periodic", "dirichlet"]
 
 BOUNDARY_CONDITIONS = ("periodic", "dirichlet")
 
@@ -158,43 +153,3 @@ def label_map(state: PartitionState) -> np.ndarray:
     """Lowest-index argmax over parts at each node."""
     return np.argmax(state.values, axis=0)
 
-
-# ---------------------------------------------------------------------------
-# energies
-
-
-def _energy_masked(values: np.ndarray, grid: GridSpec) -> float:
-    # first-order forward differences with zero extension past the box edge
-    axes = _trailing_axes(values, grid)
-    total = 0.0
-    for ax in axes:
-        d = np.diff(values, axis=ax, append=0.0)
-        total += float(np.sum(d * d))
-    h = grid.spacing
-    return 0.5 * h ** (grid.dim - 2) * total
-
-
-def dirichlet_energy(
-    state: PartitionState,
-    bc: BoundaryCondition = "periodic",
-    mask: DomainMask | None = None,
-    coef: np.ndarray | None = None,
-) -> float:
-    """Total gradient energy 0.5 * sum_i ||grad u_i||^2 of a partition.
-
-    Without a mask the gradient is spectral (trigonometric for periodic,
-    sine-series for dirichlet).  With a mask, forward differences are used so
-    that the jump across the domain boundary is charged to the energy.
-
-    ``coef``, if given, must be the spectral operator's forward transform of
-    ``state.values``; it saves recomputing that transform.  It is ignored
-    with a mask.
-    """
-    if bc not in BOUNDARY_CONDITIONS:
-        raise ValueError(f"unknown boundary condition {bc!r}")
-    if mask is not None:
-        if mask.grid != state.grid:
-            raise ValueError("mask grid does not match state grid")
-        return _energy_masked(state.values, state.grid)
-    op = spectral_operator(bc, state.grid.dim, state.grid.n)
-    return op.energy(op.forward(state.values) if coef is None else coef)

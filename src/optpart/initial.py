@@ -14,8 +14,6 @@ import numpy as np
 
 from .grid import DomainMask, GridSpec, PartitionState
 
-MAX_SEED_ATTEMPTS = 100
-
 BOX_PERIOD = 2.0 * np.pi
 
 
@@ -39,11 +37,6 @@ def _domain_indicator(
     return inside
 
 
-def _node_coordinates(grid: GridSpec) -> np.ndarray:
-    mesh = grid.meshgrid()
-    return np.stack([m.ravel() for m in mesh], axis=1)  # (num_nodes, dim)
-
-
 def voronoi_labels(
     grid: GridSpec,
     seeds: np.ndarray,
@@ -53,19 +46,24 @@ def voronoi_labels(
     """Nearest-seed label per node (-1 outside the domain).
 
     Ties go to the lowest seed index.  Periodic runs measure distance on the
-    torus of period 2*pi per axis.
+    torus of period 2*pi per axis.  One sweep per seed updates a running
+    nearest distance, so memory grows with the grid, not with k.
     """
     seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
     if seeds.shape[1] != grid.dim:
         raise ValueError(f"seeds must have shape (k, {grid.dim})")
-    coords = _node_coordinates(grid)  # (N, dim)
-    delta = np.abs(coords[None, :, :] - seeds[:, None, :])  # (k, N, dim)
+    delta = np.abs(grid.axis() - seeds[:, :, None])  # (k, dim, n)
     if bc == "periodic":
         delta = np.minimum(delta, BOX_PERIOD - delta)
-    dist2 = np.sum(delta * delta, axis=2)
-    labels = np.argmin(dist2, axis=0).reshape(grid.shape)
-    inside = _domain_indicator(grid, bc, mask)
-    labels[~inside] = -1
+    squares = delta * delta
+    best = np.full(grid.shape, np.inf)
+    labels = np.zeros(grid.shape, dtype=np.intp)
+    for i, per_axis in enumerate(squares):
+        # the per-axis squares are added left to right, as np.sum adds a short row
+        dist2 = sum(np.ix_(*per_axis))
+        labels[dist2 < best] = i
+        np.minimum(best, dist2, out=best)
+    labels[~_domain_indicator(grid, bc, mask)] = -1
     return labels
 
 
@@ -80,32 +78,24 @@ def voronoi_init(
 
     Part i is the indicator of cell i scaled to unit discrete L2 norm, so
     the output is nonnegative with pairwise disjoint supports and exact unit
-    norms.  Redraws on an empty cell, up to MAX_SEED_ATTEMPTS.
+    norms.  The k seeds are distinct domain nodes, drawn once.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    inside = _domain_indicator(grid, bc, mask)
-    candidates = np.nonzero(inside.ravel())[0]
-    coords = _node_coordinates(grid)
-    rng = np.random.default_rng(rng_seed)
-
-    for _ in range(MAX_SEED_ATTEMPTS):
-        if candidates.size < k:
-            break
-        pick = rng.choice(candidates.size, size=k, replace=False)
-        seeds = coords[candidates[pick]]
-        labels = voronoi_labels(grid, seeds, bc, mask)
-        counts = np.bincount(labels.ravel()[labels.ravel() >= 0], minlength=k)
-        if (counts > 0).all():
-            values = np.zeros((k,) + grid.shape)
-            scale = 1.0 / np.sqrt(grid.cell_volume * counts)
-            for i in range(k):
-                values[i][labels == i] = scale[i]
-            return PartitionState(grid, values)
-    raise InitFailed(
-        f"could not draw {k} nonempty Voronoi cells from {candidates.size} "
-        f"domain nodes in {MAX_SEED_ATTEMPTS} attempts"
-    )
+    candidates = np.flatnonzero(_domain_indicator(grid, bc, mask))
+    if candidates.size < k:
+        raise InitFailed(
+            f"could not draw {k} nonempty Voronoi cells from {candidates.size} domain nodes"
+        )
+    pick = np.random.default_rng(rng_seed).choice(candidates.size, size=k, replace=False)
+    nodes = np.unravel_index(candidates[pick], grid.shape)
+    labels = voronoi_labels(grid, grid.axis()[np.column_stack(nodes)], bc, mask)
+    cell = labels >= 0
+    part = labels[cell]
+    scale = 1.0 / np.sqrt(grid.cell_volume * np.bincount(part, minlength=k))
+    values = np.zeros((k,) + grid.shape)
+    values[(part,) + np.nonzero(cell)] = scale[part]
+    return PartitionState(grid, values)
 
 
 # ---------------------------------------------------------------------------

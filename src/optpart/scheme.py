@@ -22,12 +22,10 @@ from typing import Callable
 
 import numpy as np
 
-from .diffusion import diffuse_stack
 from .grid import (
     BOUNDARY_CONDITIONS,
     DomainMask,
     PartitionState,
-    dirichlet_energy,
     label_map,
     partition_norms,
     weighted_norms,
@@ -40,7 +38,7 @@ from .projection import (
     ortho_step_ratio,
     positivity_step,
 )
-from .spectral import spectral_operator
+from .spectral import diffuse_stack, dirichlet_energy, spectral_operator
 
 VARIANTS = (
     "four_step",

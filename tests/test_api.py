@@ -1,13 +1,17 @@
 """The public API: exactly the names callers use, and nothing that was removed."""
 
+import ast
 import dataclasses
+import importlib.util
+import inspect
 
 import pytest
 
 import optpart
-import optpart.diffusion
 import optpart.grid
+import optpart.initial
 import optpart.scheme
+import optpart.spectral
 from optpart import SchemeConfig
 
 PUBLIC = [
@@ -39,8 +43,9 @@ REMOVED = {
         "SecantConfig", "step_four", "step_three_linear", "step_three_geometric",
         "_STEP_FUNCTIONS", "_resolve_tau", "residual_F",
     ],
-    optpart.diffusion: ["heat_semigroup_periodic", "heat_semigroup_dirichlet", "mask_restrict"],
-    optpart.grid: ["Field", "discrete_l2_norm"],
+    optpart.spectral: ["heat_semigroup_periodic", "heat_semigroup_dirichlet", "mask_restrict"],
+    optpart.grid: ["Field", "discrete_l2_norm", "dirichlet_energy", "BoundaryCondition"],
+    optpart.initial: ["MAX_SEED_ATTEMPTS", "_node_coordinates"],
 }
 
 
@@ -68,3 +73,21 @@ def test_scheme_config_fields():
 def test_every_plain_variant_has_a_projection():
     plain = {v.removesuffix("_ed") for v in optpart.VARIANTS}
     assert set(optpart.scheme.PROJECTIONS) == plain
+
+
+def test_the_laplacian_lives_in_one_module():
+    assert importlib.util.find_spec("optpart.diffusion") is None
+    assert optpart.dirichlet_energy is optpart.spectral.dirichlet_energy
+    # the schemes call both through their own namespace, where a tracer wraps them
+    assert optpart.scheme.diffuse_stack is optpart.spectral.diffuse_stack
+    assert optpart.scheme.dirichlet_energy is optpart.spectral.dirichlet_energy
+
+
+def test_grid_imports_no_sibling_module():
+    modules = set()
+    for node in ast.walk(ast.parse(inspect.getsource(optpart.grid))):
+        if isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+    assert [m for m in modules if m.startswith((".", "optpart"))] == []

@@ -392,6 +392,15 @@ def test_main_config_error_exit(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["is-a-file", "under-a-file"])
+def test_main_unusable_out_dir_is_a_config_error(tmp_path, capsys, sub):
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    assert main(["--k", "2", "--grid", "8", "--out-dir", str(blocker / sub)]) == 2
+    assert capsys.readouterr().err.startswith("optpart: error: ")
+    assert blocker.read_text() == ""
+
+
 def test_main_rejects_zero_grid_in_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("k = 2\ngrid = 0\n")

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from optpart import DomainMask, GridSpec, PartitionState, dirichlet_energy
-from optpart.diffusion import diffuse_stack
+from optpart.spectral import diffuse_stack
 
 
 def heat(f: np.ndarray, grid: GridSpec, tau: float, bc: str) -> np.ndarray:

@@ -174,6 +174,19 @@ def test_energy_masked_unit_spike():
     assert dirichlet_energy(s, "dirichlet", mask) == pytest.approx(2.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (3, 8)])
+def test_energy_masked_is_bitwise_the_np_diff_sum(dim, n):
+    # the reference: np.diff with a zero plane appended, one axis at a time
+    g = GridSpec(dim=dim, n=n)
+    vals = np.random.default_rng(dim).normal(size=(3,) + g.shape)
+    total = 0.0
+    for ax in range(1, dim + 1):
+        d = np.diff(vals, axis=ax, append=0.0)
+        total += float(np.sum(d * d))
+    expected = 0.5 * g.spacing ** (dim - 2) * total
+    assert dirichlet_energy(PartitionState(g, vals), "dirichlet", DomainMask.full(g)) == expected
+
+
 @pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
 def test_energy_is_permutation_invariant_and_nonnegative(bc):
     g = GridSpec(dim=2, n=16)

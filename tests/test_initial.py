@@ -1,5 +1,7 @@
 """Voronoi seeding and the named domain masks."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,24 +18,31 @@ from optpart import (
 from optpart.initial import voronoi_labels
 
 
-def brute_force_labels(n: int, seeds) -> np.ndarray:
-    """Literal nearest-seed loop on the torus, lowest index on ties."""
+def brute_force_labels(n: int, seeds, bc: str = "periodic", mask=None) -> np.ndarray:
+    """Literal nearest-seed loop over every node, lowest index on ties.
+
+    The grid has as many axes as the seeds have coordinates.  Distances are
+    geodesic on the torus for periodic, plain Euclidean for dirichlet, where
+    the index-0 boundary planes get -1; so do the nodes outside ``mask``.
+    """
+    dim = len(seeds[0])
     h = 2.0 * np.pi / n
-    out = np.empty((n, n), dtype=int)
-    for p in range(n):
-        for q in range(n):
-            x = -np.pi + h * p
-            y = -np.pi + h * q
-            best, best_d = -1, None
-            for s, (sx, sy) in enumerate(seeds):
-                dx = abs(x - sx)
-                dx = min(dx, 2.0 * np.pi - dx)
-                dy = abs(y - sy)
-                dy = min(dy, 2.0 * np.pi - dy)
-                d = dx * dx + dy * dy
-                if best_d is None or d < best_d:
-                    best, best_d = s, d
-            out[p, q] = best
+    out = np.empty((n,) * dim, dtype=int)
+    for node in itertools.product(range(n), repeat=dim):
+        if (bc == "dirichlet" and 0 in node) or (mask is not None and not mask[node]):
+            out[node] = -1
+            continue
+        best, best_d = -1, None
+        for s, seed in enumerate(seeds):
+            d = 0.0
+            for p, c in zip(node, seed):
+                dx = abs(-np.pi + h * p - c)
+                if bc == "periodic":
+                    dx = min(dx, 2.0 * np.pi - dx)
+                d += dx * dx
+            if best_d is None or d < best_d:
+                best, best_d = s, d
+        out[node] = best
     return out
 
 
@@ -49,6 +58,60 @@ def test_labels_match_brute_force_with_ties():
     labels = voronoi_labels(grid, seeds)
     assert np.array_equal(labels, brute_force_labels(8, seeds))
     assert np.bincount(labels.ravel()).tolist() == [40, 24]
+
+
+def random_node_seeds(grid: GridSpec, k: int, seed: int) -> np.ndarray:
+    nodes = np.random.default_rng(seed).choice(grid.num_nodes, size=k, replace=False)
+    return grid.axis()[np.column_stack(np.unravel_index(nodes, grid.shape))]
+
+
+@pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (3, 8)])
+@pytest.mark.parametrize("k", [2, 5, 16])
+def test_labels_match_brute_force_on_random_node_seeds(k, dim, n, bc):
+    grid = GridSpec(dim=dim, n=n)
+    for seed in range(2):
+        seeds = random_node_seeds(grid, k, 10 * dim + k + seed)
+        assert np.array_equal(voronoi_labels(grid, seeds, bc), brute_force_labels(n, seeds, bc))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_labels_match_brute_force_inside_a_mask(dim):
+    grid = GridSpec(dim=dim, n=8)
+    mask = make_mask(grid, "disk")
+    seeds = random_node_seeds(grid, 5, dim)
+    expected = brute_force_labels(8, seeds, "dirichlet", mask.indicator)
+    assert np.array_equal(voronoi_labels(grid, seeds, "dirichlet", mask), expected)
+
+
+def mirror_seeds(dim: int, shape: str) -> np.ndarray:
+    """Seeds at +-pi/2 on the first axis ("pair") or on every axis ("cross")."""
+    axes = 1 if shape == "pair" else dim
+    seeds = np.zeros((2 * axes, dim))
+    for ax in range(axes):
+        seeds[2 * ax : 2 * ax + 2, ax] = [-np.pi / 2.0, np.pi / 2.0]
+    return seeds
+
+
+@pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+@pytest.mark.parametrize(
+    "dim,shape", [(1, "pair"), (2, "pair"), (2, "cross"), (3, "pair"), (3, "cross")]
+)
+def test_labels_break_exact_ties_to_the_lowest_index(dim, shape, bc):
+    grid = GridSpec(dim=dim, n=8)
+    seeds = mirror_seeds(dim, shape)
+    labels = voronoi_labels(grid, seeds, bc)
+    reversed_labels = voronoi_labels(grid, seeds[::-1], bc)
+    assert np.array_equal(labels, brute_force_labels(8, seeds, bc))
+    assert np.array_equal(reversed_labels, brute_force_labels(8, seeds[::-1], bc))
+    # the nodes equidistant from two seeds go to the lower index in either
+    # order, so the reversed labels, mapped back, differ exactly there
+    mapped_back = np.where(reversed_labels >= 0, len(seeds) - 1 - reversed_labels, -1)
+    assert not np.array_equal(mapped_back, labels)
+    if shape == "pair":
+        # the x = 0 plane is equidistant from both seeds
+        plane = labels[4][labels[4] >= 0]
+        assert plane.size > 0 and np.all(plane == 0)
 
 
 def test_labels_shift_with_seeds_on_the_torus():

@@ -12,8 +12,7 @@ from optpart import (
     run,
     voronoi_init,
 )
-from optpart.diffusion import diffuse_stack
-from optpart.spectral import SpectralOperator, spectral_operator
+from optpart.spectral import SpectralOperator, diffuse_stack, spectral_operator
 
 
 def fftn_energy(values: np.ndarray, grid: GridSpec) -> float:
