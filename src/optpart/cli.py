@@ -401,7 +401,3 @@ def main(argv: list[str] | None = None) -> int:
         f"(trace: {setup.out_dir / 'trace.csv'})"
     )
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

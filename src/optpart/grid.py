@@ -140,16 +140,35 @@ def partition_norms(state: PartitionState) -> np.ndarray:
     return weighted_norms(state.values, state.grid)
 
 
+def top_two(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodewise largest value, runner-up and lowest-index winner over the leading axis.
+
+    The runner-up is the second order statistic, ties counted (-inf for a
+    single row).  One running pass over the k contiguous rows, instead of a
+    sort along the strided leading axis; values must not be NaN.
+    """
+    top = np.array(values[0], dtype=float)
+    second = np.full(top.shape, -np.inf)
+    # the narrowest unsigned type that holds k - 1 keeps the winner updates cheap
+    winner = np.zeros(top.shape, dtype=np.min_scalar_type(len(values) - 1))
+    low, won = np.empty_like(top), np.empty_like(winner)
+    for i in range(1, len(values)):
+        row = values[i]
+        np.maximum(second, np.minimum(top, row, out=low), out=second)
+        # row i takes the node only if strictly larger; i exceeds every earlier winner
+        np.maximum(winner, np.multiply(row > top, winner.dtype.type(i), out=won), out=winner)
+        np.maximum(top, row, out=top)
+    return top, second, winner.astype(np.intp)
+
+
 def max_support_overlap(state: PartitionState) -> float:
     """Largest second-place |value| over all nodes: 0.0 iff supports are disjoint."""
     if state.k < 2:
         return 0.0
-    a = np.abs(state.values)
-    second = np.partition(a, state.k - 2, axis=0)[state.k - 2]
-    return float(second.max())
+    return float(top_two(np.abs(state.values))[1].max())
 
 
 def label_map(state: PartitionState) -> np.ndarray:
     """Lowest-index argmax over parts at each node."""
-    return np.argmax(state.values, axis=0)
+    return top_two(state.values)[2]
 

@@ -3,7 +3,9 @@
 All projections act independently at each grid node on the k-tuple of part
 values (leading axis indexes parts).  Each one keeps at most one part
 nonzero per node, which is what makes pairwise products of the outputs
-exactly zero in floating point, not just small.
+exactly zero in floating point, not just small.  They find each node's
+winner and runner-up in one running pass over the k part rows
+(``grid.top_two``, as the label map does), with no sort along the part axis.
 
 ``recover_multipliers`` reconstructs, for diagnostic purposes, multiplier
 fields that certify a projection output as the solution of the implicit
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, weighted_norms
+from .grid import GridSpec, top_two, weighted_norms
 
 DEGENERATE_NORM_TOL = 1e-14
 
@@ -27,15 +29,13 @@ GEOMETRIC = "three_step_geometric"
 
 
 class DegeneratePart(RuntimeError):
-    """A part collapsed: its discrete norm fell to ~0 and cannot be normalized."""
+    """A part collapsed: its discrete norm is ~0 or not finite, so it cannot be normalized."""
 
     def __init__(self, part_index: int, norm: float):
         self.part_index = int(part_index)
         self.norm = float(norm)
-        super().__init__(
-            f"part {part_index} degenerated (discrete norm {norm:.3e} <= "
-            f"{DEGENERATE_NORM_TOL:g})"
-        )
+        why = f"<= {DEGENERATE_NORM_TOL:g}" if np.isfinite(norm) else "is not finite"
+        super().__init__(f"part {part_index} degenerated (discrete norm {norm:.3e} {why})")
 
 
 def positivity_step(parts: np.ndarray) -> np.ndarray:
@@ -43,31 +43,13 @@ def positivity_step(parts: np.ndarray) -> np.ndarray:
     return np.maximum(np.asarray(parts, dtype=float), 0.0)
 
 
-def _flat(parts: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    arr = np.asarray(parts, dtype=float)
-    if arr.ndim < 1 or arr.shape[0] < 1:
-        raise ValueError("expected a stack of parts along the leading axis")
-    return arr.reshape(arr.shape[0], -1), arr.shape
-
-
-def _runner_up(flat: np.ndarray) -> np.ndarray:
-    # largest value over j != argmax: the second order statistic, counting ties
-    k = flat.shape[0]
-    if k == 1:
-        return np.full(flat.shape[1], -np.inf)
-    return np.partition(flat, k - 2, axis=0)[k - 2]
-
-
-def _scatter_winner(
-    shape: tuple[int, ...],
-    winner: np.ndarray,
-    keep: np.ndarray,
-    value: np.ndarray,
-) -> np.ndarray:
-    out = np.zeros((shape[0], int(np.prod(shape[1:], dtype=np.intp))))
-    cols = np.nonzero(keep)[0]
-    out[winner[cols], cols] = value[cols]
-    return out.reshape(shape)
+def _winner_rows(k: int, winner: np.ndarray, keep: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """Stack of k parts holding ``value`` in each node's winner row where ``keep``, else 0."""
+    won = np.where(keep, winner, -1)
+    out = np.zeros((k,) + won.shape)
+    for i in range(k):
+        np.copyto(out[i], value, where=won == i)
+    return out
 
 
 def ortho_step_ratio(parts: np.ndarray) -> np.ndarray:
@@ -76,16 +58,15 @@ def ortho_step_ratio(parts: np.ndarray) -> np.ndarray:
     At each node the strict maximizer keeps ``(top^2 - second^2) / top`` and
     every other part is zeroed; ties leave all parts zero.
     """
-    flat, shape = _flat(parts)
-    top = flat.max(axis=0)
-    winner = flat.argmax(axis=0)
-    second = np.maximum(_runner_up(flat), 0.0)  # empty competitor set counts as 0
+    arr = np.asarray(parts, dtype=float)
+    top, second, winner = top_two(arr)
+    second = np.maximum(second, 0.0)  # empty competitor set counts as 0
     keep = top > second  # strict maximizer exists; implies top > 0 for inputs >= 0
     safe = np.where(keep, top, 1.0)
     # (top^2 - second^2) / top evaluated as a subtraction from top, so the
     # result stays inside [0, top] in floating point, not just in exact math
     value = top - second * (second / safe)
-    return _scatter_winner(shape, winner, keep, value)
+    return _winner_rows(arr.shape[0], winner, keep, value)
 
 
 def ortho_pos_step_linear(parts: np.ndarray) -> np.ndarray:
@@ -95,13 +76,11 @@ def ortho_pos_step_linear(parts: np.ndarray) -> np.ndarray:
     zero, ``top - max(second, 0)``; everything else, including every
     nonpositive value, is zeroed.
     """
-    flat, shape = _flat(parts)
-    top = flat.max(axis=0)
-    winner = flat.argmax(axis=0)
-    second = _runner_up(flat)
+    arr = np.asarray(parts, dtype=float)
+    top, second, winner = top_two(arr)
     keep = (top > second) & (top > 0.0)
     value = top - np.maximum(second, 0.0)
-    return _scatter_winner(shape, winner, keep, value)
+    return _winner_rows(arr.shape[0], winner, keep, value)
 
 
 def ortho_pos_step_geometric(parts: np.ndarray) -> np.ndarray:
@@ -111,20 +90,18 @@ def ortho_pos_step_geometric(parts: np.ndarray) -> np.ndarray:
     0))`` whenever it is positive; the subtraction is floored at zero to keep
     exact nonnegativity when the rounded sqrt overshoots on near-ties.
     """
-    flat, shape = _flat(parts)
-    top = flat.max(axis=0)
-    winner = flat.argmax(axis=0)
-    second = _runner_up(flat)
+    arr = np.asarray(parts, dtype=float)
+    top, second, winner = top_two(arr)
     keep = top > 0.0
     value = np.maximum(top - np.sqrt(top * np.maximum(second, 0.0)), 0.0)
-    return _scatter_winner(shape, winner, keep, value)
+    return _winner_rows(arr.shape[0], winner, keep, value)
 
 
 def norm_step(parts: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Rescale every part to unit discrete L2 norm on the given grid."""
     arr = np.asarray(parts, dtype=float)
     norms = weighted_norms(arr, grid)
-    bad = np.nonzero(norms <= DEGENERATE_NORM_TOL)[0]
+    bad = np.nonzero(~(np.isfinite(norms) & (norms > DEGENERATE_NORM_TOL)))[0]
     if bad.size:
         raise DegeneratePart(bad[0], norms[bad[0]])
     return arr / norms.reshape((-1,) + (1,) * grid.dim)

@@ -316,6 +316,8 @@ def run(
         raise ValueError(f"config expects k={cfg.k}, initial state has k={init.k}")
     if cfg.mask is not None and cfg.mask.grid != init.grid:
         raise ValueError("mask grid does not match initial state grid")
+    if not np.isfinite(init.values).all():
+        raise ValueError("initial state has non-finite values")
 
     trace: EnergyTrace = []
     state = init

@@ -10,6 +10,7 @@ import pytest
 import optpart
 import optpart.grid
 import optpart.initial
+import optpart.projection
 import optpart.scheme
 import optpart.spectral
 from optpart import SchemeConfig
@@ -46,6 +47,7 @@ REMOVED = {
     optpart.spectral: ["heat_semigroup_periodic", "heat_semigroup_dirichlet", "mask_restrict"],
     optpart.grid: ["Field", "discrete_l2_norm", "dirichlet_energy", "BoundaryCondition"],
     optpart.initial: ["MAX_SEED_ATTEMPTS", "_node_coordinates"],
+    optpart.projection: ["_flat", "_runner_up", "_scatter_winner"],
 }
 
 

@@ -1,5 +1,8 @@
 """Command-line parsing, file writers, and the end-to-end entry point."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -365,6 +368,18 @@ def test_main_happy_path_is_reproducible(tmp_path):
     header, first = (out_a / "trace.csv").read_text().splitlines()[:2]
     assert header.startswith("iter,energy")
     assert first.startswith("0,")
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    (["--help"], 0, "usage: optpart"), (["--k", "2", "--grid", "7"], 2, "optpart: error: n must be even"),
+], ids=["help", "bad-grid"])
+def test_python_m_optpart_runs_the_command(tmp_path, argv, code, text):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "optpart", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == code, done.stderr
+    assert text in done.stdout + done.stderr
 
 
 def test_main_snapshots_every_n(tmp_path):

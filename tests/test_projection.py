@@ -6,7 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from optpart import DegeneratePart, GridSpec
+import optpart.scheme
+from optpart import (
+    VARIANTS,
+    DegeneratePart,
+    GridSpec,
+    PartitionState,
+    SchemeConfig,
+    label_map,
+    make_mask,
+    max_support_overlap,
+    run,
+    voronoi_init,
+)
 from optpart.projection import (
     norm_step,
     ortho_pos_step_geometric,
@@ -125,6 +137,17 @@ def test_norm_step_reports_degenerate_part():
     assert err.value.norm == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_norm_step_reports_non_finite_norm(bad):
+    g = GridSpec(dim=2, n=8)
+    vals = np.ones((3,) + g.shape)
+    vals[1, 3, 3] = bad
+    with pytest.raises(DegeneratePart, match="part 1 degenerated .* is not finite") as err:
+        norm_step(vals, g)
+    assert err.value.part_index == 1
+    assert not np.isfinite(err.value.norm)
+
+
 # ---------------------------------------------------------------------------
 # exactness properties
 
@@ -190,6 +213,141 @@ def test_argmax_scaling_invariance():
         base = np.argmax(step(v), axis=0)
         scaled = np.argmax(step(2.5 * v), axis=0)
         assert np.array_equal(base, scaled)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass kernels against the part-axis sort, argmax and scatter they
+# replaced, kept here as the reference
+
+
+def _ref_top_two(parts):
+    flat = np.asarray(parts, dtype=float)
+    flat = flat.reshape(flat.shape[0], -1)
+    k = flat.shape[0]
+    second = (np.full(flat.shape[1], -np.inf) if k == 1
+              else np.partition(flat, k - 2, axis=0)[k - 2])
+    return flat.max(axis=0), second, flat.argmax(axis=0)
+
+
+def _ref_scatter(shape, winner, keep, value):
+    out = np.zeros((shape[0], int(np.prod(shape[1:], dtype=np.intp))))
+    cols = np.nonzero(keep)[0]
+    out[winner[cols], cols] = value[cols]
+    return out.reshape(shape)
+
+
+def ref_ratio(parts):
+    top, second, winner = _ref_top_two(parts)
+    second = np.maximum(second, 0.0)
+    keep = top > second
+    safe = np.where(keep, top, 1.0)
+    return _ref_scatter(np.shape(parts), winner, keep, top - second * (second / safe))
+
+
+def ref_linear(parts):
+    top, second, winner = _ref_top_two(parts)
+    keep = (top > second) & (top > 0.0)
+    return _ref_scatter(np.shape(parts), winner, keep, top - np.maximum(second, 0.0))
+
+
+def ref_geometric(parts):
+    top, second, winner = _ref_top_two(parts)
+    value = np.maximum(top - np.sqrt(top * np.maximum(second, 0.0)), 0.0)
+    return _ref_scatter(np.shape(parts), winner, top > 0.0, value)
+
+
+def ref_label_map(state):
+    return np.argmax(state.values, axis=0)
+
+
+def ref_max_support_overlap(state):
+    if state.k < 2:
+        return 0.0
+    a = np.abs(state.values)
+    return float(np.partition(a, state.k - 2, axis=0)[state.k - 2].max())
+
+
+REFERENCE = {
+    ortho_step_ratio: ref_ratio,
+    ortho_pos_step_linear: ref_linear,
+    ortho_pos_step_geometric: ref_geometric,
+}
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    if a.dtype == np.float64:
+        a, b = a.view(np.uint64), b.view(np.uint64)
+    return bool(np.array_equal(a, b))
+
+
+@st.composite
+def node_stacks(draw):
+    """(k, n, ...) stacks, k = 1..9 and 1D-3D, rich in signed zeros and exact
+    ties, sometimes sliced (non-contiguous) and sometimes read-only."""
+    k, dim, n = draw(st.integers(1, 9)), draw(st.integers(1, 3)), draw(st.sampled_from([4, 6]))
+    layout = draw(st.sampled_from(["contiguous", "parts reversed", "nodes strided", "fortran"]))
+    shape = (k,) + (2 * n if layout == "nodes strided" else n,) + (n,) * (dim - 1)
+    pool = st.sampled_from([0.0, -0.0, 0.25, 0.5, -0.5, 1.0, -np.inf])
+    elements = st.one_of(pool, st.floats(-2.0, 2.0, width=64))
+    v = draw(hnp.arrays(np.float64, shape, elements=elements))
+    v = {"contiguous": v, "parts reversed": v[::-1], "nodes strided": v[:, ::2],
+         "fortran": np.asfortranarray(v)}[layout]
+    if draw(st.booleans()):
+        v.setflags(write=False)
+    return v
+
+
+@given(node_stacks())
+@settings(max_examples=300, deadline=None)
+@np.errstate(invalid="ignore")  # -inf * 0 in values that no kept node uses
+def test_projections_match_the_sorting_reference_bitwise(v):
+    before = v.copy()
+    for step, ref in REFERENCE.items():
+        assert same_bits(step(v), ref(v)), step.__name__
+        assert same_bits(step(positivity_step(v)), ref(positivity_step(v))), step.__name__
+    assert same_bits(v, before)
+
+
+@given(node_stacks())
+@settings(max_examples=200, deadline=None)
+def test_label_map_and_overlap_match_the_sorting_reference_bitwise(v):
+    before = v.copy()
+    state = PartitionState(GridSpec(v.ndim - 1, v.shape[-1]), v)
+    assert same_bits(label_map(state), ref_label_map(state))
+    assert same_bits(max_support_overlap(state), ref_max_support_overlap(state))
+    assert same_bits(v, before)
+
+
+def _recorded_run(cfg, init):
+    iterates = []
+    try:
+        _, trace = run(cfg, init, on_iteration=lambda s, r: iterates.append(s.values))
+    except DegeneratePart as err:
+        trace = err.trace + [str(err), err.iteration]
+    return iterates, [repr(row) for row in trace]
+
+
+@pytest.mark.parametrize("bc, mask_name, n", [
+    ("periodic", None, 16), ("dirichlet", None, 20), ("dirichlet", "disk", 24),
+])
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("tau", [0.1, 0.5])  # 0.5 makes some -ed runs correct and freeze
+def test_runs_match_the_sorting_reference_bitwise(monkeypatch, variant, bc, mask_name, n, tau):
+    grid = GridSpec(dim=2, n=n)
+    mask = make_mask(grid, mask_name) if mask_name else None
+    cfg = SchemeConfig(k=4, variant=variant, tau=tau, bc=bc, mask=mask, n_max=15)
+    init = voronoi_init(grid, 4, 3, bc, mask)
+    iterates, rows = _recorded_run(cfg, init)
+    for step, ref in REFERENCE.items():
+        monkeypatch.setattr(optpart.scheme, step.__name__, ref)
+    monkeypatch.setattr(optpart.scheme, "label_map", ref_label_map)
+    ref_iterates, ref_rows = _recorded_run(cfg, init)
+    assert rows == ref_rows
+    assert len(iterates) == len(ref_iterates) > 1
+    assert all(same_bits(a, b) for a, b in zip(iterates, ref_iterates))
 
 
 # ---------------------------------------------------------------------------

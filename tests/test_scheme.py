@@ -411,6 +411,15 @@ def test_run_rejects_mismatched_inputs():
         run(SchemeConfig(k=2, tau=0.1, bc="dirichlet", mask=other), init)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_run_rejects_non_finite_init(bad):
+    grid = GridSpec(dim=2, n=16)
+    values = flat_partition(grid, 2).values.copy()
+    values[0, 4, 4] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        run(SchemeConfig(k=2, tau=0.1), PartitionState(grid, values))
+
+
 def test_run_tau_schedule_reaches_stop():
     grid = GridSpec(dim=2, n=16)
     init = flat_partition(grid, 2)
