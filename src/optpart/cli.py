@@ -313,8 +313,8 @@ def write_vtk_labels(labels: np.ndarray, grid: GridSpec, path: Path | str):
         "LOOKUP_TABLE default",
     ]
     # VTK orders points with the first axis varying fastest
-    flat = labels.ravel(order="F")
-    lines.extend(" ".join(str(int(v)) for v in flat[i : i + 9]) for i in range(0, flat.size, 9))
+    words = list(map(str, labels.ravel(order="F").astype(np.int64).tolist()))
+    lines.extend(" ".join(words[i : i + 9]) for i in range(0, len(words), 9))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

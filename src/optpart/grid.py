@@ -172,3 +172,11 @@ def label_map(state: PartitionState) -> np.ndarray:
     """Lowest-index argmax over parts at each node."""
     return top_two(state.values)[2]
 
+
+def support_labels(state: PartitionState) -> np.ndarray:
+    """``label_map`` of a nonnegative state with pairwise disjoint supports, as every
+    iterate is (each node's positive part, else 0), in the narrowest unsigned dtype."""
+    labels = np.zeros(state.grid.shape, dtype=np.min_scalar_type(state.k - 1))
+    for i in range(1, state.k):
+        np.copyto(labels, i, where=state.values[i] > 0.0)
+    return labels

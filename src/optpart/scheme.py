@@ -3,8 +3,9 @@
 Every iteration is one ``step``: diffuse all parts by the exact heat
 semigroup, project them back onto nonnegative values with disjoint supports,
 and rescale each to unit discrete norm.  The projections act nodewise, so
-the constraints hold exactly at every iterate, not just in the limit.  The
-variants differ only in the projection, ``PROJECTIONS[variant]``:
+the constraints hold exactly at every iterate, not just in the limit, and
+the label check that stops a run is one scan of an iterate's disjoint
+supports.  The variants differ only in the projection, ``PROJECTIONS[variant]``:
 
     four_step              positivity clamp, then ratio disjointness
     three_step_linear      combined gap projection
@@ -28,6 +29,7 @@ from .grid import (
     PartitionState,
     label_map,
     partition_norms,
+    support_labels,
     weighted_norms,
 )
 from .projection import (
@@ -267,10 +269,11 @@ def energy_decrease_wrap(
 
 
 def stopping_check(
-    prev_labels: np.ndarray, state: PartitionState
+    prev_labels: np.ndarray, state: PartitionState, frozen: bool = False
 ) -> tuple[bool, np.ndarray]:
-    """The state's lowest-index argmax label map, and whether it equals ``prev_labels``."""
-    labels = label_map(state)
+    """An iterate's label map, one scan of its disjoint supports, and whether it
+    equals ``prev_labels``; a ``frozen`` iterate's map is ``prev_labels``."""
+    labels = prev_labels if frozen else support_labels(state)
     return bool(np.array_equal(prev_labels, labels)), labels
 
 
@@ -352,7 +355,7 @@ def run(
             err.iteration = n + 1
             err.trace = trace
             raise
-        stopped, labels = stopping_check(labels, state)
+        stopped, labels = stopping_check(labels, state, frozen=state is previous)
         row = _trace_row(state, n + 1, energy, sigma, secant_iters, stopped)
         trace.append(row)
         if on_iteration is not None:

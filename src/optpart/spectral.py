@@ -10,10 +10,11 @@ trailing ``dim`` axes, so a (k, ...) stack of parts goes through one call.
 ``diffuse_stack`` applies the exact heat semigroup e^{tau * Laplacian}, and
 ``dirichlet_energy`` the gradient energy; both work on the same forward
 coefficients, so an iterate transformed once for its energy can be diffused
-without transforming it again.  Nodal values driven into ``(-1e-12, 0)`` by
-spectral ringing are snapped to zero; anything more negative is left alone
-so that real sign errors stay visible.  The one non-spectral piece is the
-forward-difference energy on a masked domain.
+without transforming it again.  A heat step allocates one coefficient array
+and one output, and works in them in place.  Nodal values driven into
+``(-1e-12, 0)`` by spectral ringing are snapped to zero; anything more
+negative is left alone so that real sign errors stay visible.  The one
+non-spectral piece is the forward-difference energy on a masked domain.
 """
 
 from __future__ import annotations
@@ -81,11 +82,15 @@ class SpectralOperator:
         return coef
 
     def inverse(self, coef: np.ndarray) -> np.ndarray:
-        """Nodal values of a coefficient array; Dirichlet boundary planes are 0."""
+        """Nodal values of a coefficient array; Dirichlet boundary planes are 0.
+        A Dirichlet ``coef`` must be writable: the sine transform overwrites it."""
         if self.bc == "periodic":
             return np.fft.irfftn(coef, s=self.shape, axes=self.axes)
-        out = np.zeros(coef.shape[: coef.ndim - self.dim] + self.shape)
-        out[(...,) + (slice(1, None),) * self.dim] = sp_fft.idstn(coef, type=1, axes=self.axes)
+        out = np.empty(coef.shape[: coef.ndim - self.dim] + self.shape)
+        for ax in self.axes:
+            np.moveaxis(out, ax, 0)[0] = 0.0
+        interior = sp_fft.idstn(coef, type=1, axes=self.axes, overwrite_x=True)
+        out[(...,) + (slice(1, None),) * self.dim] = interior
         return out
 
     @lru_cache(maxsize=32)
@@ -134,13 +139,8 @@ def _clamp_ringing(values: np.ndarray) -> np.ndarray:
 
 
 def _check_boundary_planes(values: np.ndarray, grid: GridSpec) -> None:
-    for ax in _trailing_axes(values, grid):
-        plane = [slice(None)] * values.ndim
-        plane[ax] = 0
-        if np.any(values[tuple(plane)] != 0.0):
-            raise ValueError(
-                "dirichlet semigroup requires zero values on the boundary planes"
-            )
+    if any(np.any(np.moveaxis(values, ax, 0)[0] != 0.0) for ax in _trailing_axes(values, grid)):
+        raise ValueError("dirichlet semigroup requires zero values on the boundary planes")
 
 
 def diffuse_stack(
@@ -158,18 +158,22 @@ def diffuse_stack(
     boundary planes (index 0 along every axis); the opposite faces are
     implicit zero-Dirichlet images.
     ``coef``, if given, must be the spectral operator's forward transform of
-    ``values`` (as computed for their energy); it replaces that transform.
+    ``values`` (as computed for their energy), read in place of that transform.
     """
     tau = _check_tau(tau)
     op = spectral_operator(bc, grid.dim, grid.n)
     if bc == "dirichlet":
         _check_boundary_planes(values, grid)
     if coef is None:
-        coef = op.forward(values)
-    out = _clamp_ringing(op.inverse(coef * op.decay(tau)))
+        product = op.forward(values)
+        product.setflags(write=True)  # this call's own array: decay it in place
+        product *= op.decay(tau)
+    else:
+        product = coef * op.decay(tau)
+    out = _clamp_ringing(op.inverse(product))
     if mask is not None:
         _check_mask(mask, grid)
-        out = np.where(mask.indicator, out, 0.0)
+        np.copyto(out, 0.0, where=~mask.indicator)
     return out
 
 
@@ -187,7 +191,7 @@ def _energy_masked(values: np.ndarray, grid: GridSpec) -> float:
         v, dv = np.moveaxis(values, ax, -1), np.moveaxis(d_ax, ax, -1)
         np.subtract(v[..., 1:], v[..., :-1], out=dv[..., :-1])
         np.subtract(0.0, v[..., -1], out=dv[..., -1])
-    total = sum(float(np.sum(d_ax * d_ax)) for d_ax in d)
+    total = sum(float(np.sum(np.multiply(d_ax, d_ax, out=d_ax))) for d_ax in d)
     return 0.5 * grid.spacing ** (grid.dim - 2) * total
 
 

@@ -22,6 +22,7 @@ from optpart.cli import (
     read_pgm,
     write_energy_csv,
     write_pgm,
+    write_vtk_labels,
 )
 from optpart.scheme import TraceRow
 
@@ -334,6 +335,41 @@ def test_export_tiling_3d_and_unsupported_dimensions(tmp_path):
     for export in (lambda path: export_labels(line, path), lambda path: export_tiling(line, 1, path)):
         with pytest.raises(ValueError, match="2D and 3D"):
             export(tmp_path / "line.out")
+
+
+def old_write_vtk_labels(labels, grid, path):
+    """The per-value writer the vectorised one replaced: the byte reference."""
+    h = grid.spacing
+    lines = [
+        "# vtk DataFile Version 3.0",
+        "partition labels",
+        "ASCII",
+        "DATASET STRUCTURED_POINTS",
+        f"DIMENSIONS {grid.n} {grid.n} {grid.n}",
+        f"ORIGIN {-np.pi:.17g} {-np.pi:.17g} {-np.pi:.17g}",
+        f"SPACING {h:.17g} {h:.17g} {h:.17g}",
+        f"POINT_DATA {grid.num_nodes}",
+        "SCALARS label int 1",
+        "LOOKUP_TABLE default",
+    ]
+    flat = labels.ravel(order="F")
+    lines.extend(" ".join(str(int(v)) for v in flat[i : i + 9]) for i in range(0, flat.size, 9))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("n,k,reps", [(4, 2, 1), (6, 16, 1), (8, 11, 1), (10, 5, 1), (4, 3, 3)])
+def test_vtk_writer_matches_the_per_value_writer_byte_for_byte(tmp_path, n, k, reps):
+    # (n * reps)^3 = 64, 216, 512, 1000 and 1728 nodes leave 1, 0, 8, 1 and 0
+    # values on the last line, which holds 9 when full
+    grid = GridSpec(dim=3, n=n)
+    state = voronoi_init(grid, k, rng_seed=n + k)
+    labels = np.tile(label_map(state), (reps,) * 3)
+    big = GridSpec(dim=3, n=n * reps)
+    write_vtk_labels(labels, big, tmp_path / "new.vtk")
+    old_write_vtk_labels(labels, big, tmp_path / "old.vtk")
+    assert (tmp_path / "new.vtk").read_bytes() == (tmp_path / "old.vtk").read_bytes()
+    export_tiling(state, reps, tmp_path / "export.vtk")
+    assert (tmp_path / "export.vtk").read_bytes() == (tmp_path / "old.vtk").read_bytes()
 
 
 def test_dump_fields_roundtrip(tmp_path):

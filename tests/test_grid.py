@@ -12,7 +12,8 @@ from optpart import (
     max_support_overlap,
     partition_norms,
 )
-from optpart.grid import weighted_norms
+from optpart.grid import support_labels, weighted_norms
+from optpart.scheme import apply_sigma
 
 
 def norm(values: np.ndarray, grid: GridSpec) -> float:
@@ -138,6 +139,40 @@ def test_label_map_breaks_ties_at_lowest_index():
     g = GridSpec(dim=1, n=4)
     s = PartitionState(g, np.array([[0.5, 0.1, 0.0, 0.2], [0.5, 0.7, 0.0, 0.1]]))
     assert np.array_equal(label_map(s), [0, 1, 0, 0])
+
+
+def test_support_labels_of_disjoint_supports():
+    g = GridSpec(dim=1, n=4)
+    # node 2 is zero in every part; the map of the stack is that of label_map
+    s = PartitionState(g, np.array([[0.5, 0.0, 0.0, 0.0], [0.0, 0.7, 0.0, 0.2]]))
+    assert support_labels(s).dtype == np.uint8
+    for got in (support_labels(s), label_map(s)):
+        assert np.array_equal(got, [0, 1, 0, 1])
+    one = PartitionState(g, np.array([[0.0, 1.0, 0.0, 2.0]]))
+    assert np.array_equal(support_labels(one), [0, 0, 0, 0])
+    assert np.array_equal(label_map(one), support_labels(one))
+
+
+@pytest.mark.parametrize("k,dtype", [(255, np.uint8), (256, np.uint8), (257, np.uint16)])
+def test_support_labels_past_the_narrow_dtype(k, dtype):
+    # k = 256 is the last k whose labels fit one byte
+    g = GridSpec(dim=1, n=k + 1 + (k + 1) % 2)
+    vals = np.zeros((k, g.n))
+    vals[np.arange(k), np.arange(k)[::-1] + 1] = 1.0
+    s = PartitionState(g, vals)
+    got = support_labels(s)
+    assert got.dtype == dtype
+    assert got[1] == k - 1 and got[k] == 0 and got[0] == 0
+    assert np.array_equal(got, label_map(s))
+
+
+def test_support_labels_where_a_shift_zeroes_the_winner():
+    g = GridSpec(dim=1, n=4)
+    s = PartitionState(g, np.array([[0.9, 0.1, 0.0, 0.0], [0.0, 0.0, 0.6, 0.05]]))
+    shifted = apply_sigma(s, -0.2)
+    # the shift cuts part 0 at node 1 and part 1 at node 3: no part is left there
+    assert np.array_equal(support_labels(shifted), [0, 0, 1, 0])
+    assert np.array_equal(support_labels(shifted), label_map(shifted))
 
 
 def test_energy_of_constants_is_zero():

@@ -20,6 +20,7 @@ from optpart import (
     run,
     voronoi_init,
 )
+from optpart.grid import support_labels
 from optpart.scheme import (
     SECANT_MAX_ITERS,
     SecantFailed,
@@ -504,6 +505,61 @@ def test_frozen_rows_repeat_the_previous_energy(variant, bc, mask_name):
     assert frozen > 0
 
 
+LABEL_DOMAINS = [(2, "periodic", None), (2, "dirichlet", None), (2, "dirichlet", "disk"),
+                 (2, "dirichlet", "star5"), (3, "dirichlet", None)]
+
+
+@pytest.mark.parametrize("dim,bc,mask_name", LABEL_DOMAINS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_label_scan_equals_label_map_on_every_iterate(variant, dim, bc, mask_name):
+    grid = GridSpec(dim, 12 if dim == 3 else 32 if mask_name == "star5" else 24)
+    mask = make_mask(grid, mask_name) if mask_name else None
+    rows = {"corrected": 0, "frozen": 0}
+    # on these grids tau = 0.5 from seeds 0 and 3 corrects every -ed run at
+    # least once, and tau = 1 freezes it (and degenerates some plain runs)
+    for tau, seed in [(0.5, 0), (0.5, 3), (1.0, 1)]:
+        cfg = SchemeConfig(k=4, variant=variant, tau=tau, bc=bc, mask=mask, n_max=30)
+        seen = []
+
+        def check(state, row):
+            assert np.array_equal(support_labels(state), label_map(state))
+            if seen and state is seen[-1]:
+                rows["frozen"] += 1
+            elif row.sigma is not None:
+                rows["corrected"] += 1
+            seen.append(state)
+
+        try:
+            run(cfg, voronoi_init(grid, 4, seed, bc, mask), on_iteration=check)
+        except DegeneratePart:
+            pass
+        assert len(seen) > 1
+    if variant in ED_VARIANTS:
+        assert rows["corrected"] > 0 and rows["frozen"] > 0
+
+
+def test_frozen_overlapping_init_repeats_its_label_map(monkeypatch):
+    # a caller's initial state may overlap, and there the scan of supports
+    # (all part 1) differs from the lowest-index argmax (part 1 on the left
+    # half, part 0 on the tied right half); a frozen first iterate must
+    # still stop the run at once, as the repeated argmax map does
+    grid = GridSpec(dim=2, n=8)
+    values = np.ones((2,) + grid.shape)
+    values[1, :4] = 2.0
+    norms = partition_norms(PartitionState(grid, values))
+    init = PartitionState(grid, values / norms[:, None, None])
+
+    def fail(*args):
+        raise SecantFailed("forced", sigma=-1.0, iterations=0)
+
+    monkeypatch.setattr(optpart.scheme, "energy_decrease_wrap", fail)
+    cfg = SchemeConfig(k=2, variant="three_step_linear_ed", tau=0.1, n_max=5)
+    final, trace = run(cfg, init)
+    assert final is init
+    assert [r.stopped for r in trace] == [False, True]
+    assert not np.array_equal(support_labels(init), label_map(init))
+
+
 def counting(monkeypatch, names) -> dict[str, int]:
     """Wrap optpart.scheme attributes with call counters; return the counts."""
     calls = dict.fromkeys(names, 0)
@@ -522,12 +578,13 @@ def counting(monkeypatch, names) -> dict[str, int]:
 
 @pytest.mark.parametrize("variant", ["four_step", "three_step_geometric_ed"])
 def test_label_map_computed_once_per_iterate(monkeypatch, variant):
-    calls = counting(monkeypatch, ["label_map"])
+    calls = counting(monkeypatch, ["label_map", "support_labels"])
     grid = GridSpec(dim=2, n=16)
     cfg = SchemeConfig(k=3, variant=variant, tau=0.2, n_max=20)
     _, trace = run(cfg, voronoi_init(grid, 3, 1))
-    # the initial state's map, then one per iteration inside stopping_check
-    assert calls["label_map"] == len(trace)
+    # the general map for the initial state, then one scan of the supports
+    # per iteration inside stopping_check
+    assert calls == {"label_map": 1, "support_labels": len(trace) - 1}
 
 
 PROJECTION_LAYERS = {

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy import fft as sp_fft
 
 from optpart import (
+    DomainMask,
     GridSpec,
     PartitionState,
     SchemeConfig,
@@ -13,6 +15,7 @@ from optpart import (
     voronoi_init,
 )
 from optpart.spectral import SpectralOperator, diffuse_stack, spectral_operator
+from test_projection import same_bits
 
 
 def fftn_energy(values: np.ndarray, grid: GridSpec) -> float:
@@ -109,3 +112,56 @@ def test_uncorrected_iteration_costs_one_transform_each_way(monkeypatch, bc, mas
     else:
         # the masked energy is finite-difference: transforms serve diffusion only
         assert calls == {"forward": iterations, "inverse": iterations, "energy": 0}
+
+
+def old_diffuse_stack(values, grid, tau, bc, mask=None):
+    """The heat step before it transformed in place: the bitwise reference."""
+    op = spectral_operator(bc, grid.dim, grid.n)
+    coef = op.forward(values) * op.decay(tau)
+    if bc == "periodic":
+        out = np.fft.irfftn(coef, s=grid.shape, axes=op.axes)
+    else:
+        out = np.zeros(values.shape[:1] + grid.shape)
+        out[(...,) + (slice(1, None),) * grid.dim] = sp_fft.idstn(coef, type=1, axes=op.axes)
+    tiny = (out > -1e-12) & (out < 0.0)
+    out[tiny] = 0.0
+    return out if mask is None else np.where(mask.indicator, out, 0.0)
+
+
+def positive_zero(a) -> bool:
+    return bool(np.all(a == 0.0) and not np.signbit(a).any())
+
+
+@pytest.mark.parametrize("dim,n", [(1, 16), (2, 12), (3, 8)])
+@pytest.mark.parametrize("domain", ["periodic", "dirichlet", "masked"])
+@pytest.mark.parametrize("given_coef", [False, True])
+def test_heat_step_buffers(dim, n, domain, given_coef):
+    g = GridSpec(dim, n)
+    bc = "periodic" if domain == "periodic" else "dirichlet"
+    rng = np.random.default_rng(dim * n)
+    mask = DomainMask(g, rng.random(g.shape) < 0.7) if domain == "masked" else None
+    # signed values, and -0.0 on the Dirichlet boundary planes, which must
+    # still come out as +0.0
+    vals = rng.normal(size=(3,) + g.shape)
+    if bc == "dirichlet":
+        for ax in range(1, dim + 1):
+            np.moveaxis(vals, ax, 0)[0] = -0.0
+    kept_vals = vals.copy()
+    op = spectral_operator(bc, dim, n)
+    coef = op.forward(vals) if given_coef else None
+    kept_coef = None if coef is None else coef.copy()
+    a = diffuse_stack(vals, g, 0.3, bc, mask, coef)
+    b = diffuse_stack(vals, g, 0.3, bc, mask, coef)
+    assert same_bits(vals, kept_vals)
+    if coef is not None:
+        assert same_bits(coef, kept_coef)
+        assert not coef.flags.writeable
+    want = old_diffuse_stack(kept_vals, g, 0.3, bc, mask)
+    assert same_bits(a, want) and same_bits(b, want)
+    assert a.flags.owndata and b.flags.owndata
+    assert not np.shares_memory(a, b)
+    assert not any(np.shares_memory(x, y) for x in (a, b) for y in (vals, coef) if y is not None)
+    if bc == "dirichlet":
+        assert all(positive_zero(np.moveaxis(a, ax, 0)[0]) for ax in range(1, dim + 1))
+    if mask is not None:
+        assert positive_zero(a[:, ~mask.indicator])
