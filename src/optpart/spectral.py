@@ -4,21 +4,26 @@ Periodic grids expand in the trigonometric basis through the real-to-complex
 FFT (``np.fft.rfftn``): full wavenumbers on the leading axes, the
 nonnegative half on the last one.  Dirichlet grids expand the interior nodes
 (index 1..n-1 per axis) in the sine basis ``sin(j*(x+pi)/2)`` through the
-type-1 DST; the index-0 boundary planes are zero.  Transforms run over the
-trailing ``dim`` axes, so a (k, ...) stack of parts goes through one call.
+type-1 DST; the index-0 boundary planes are zero.  On grids with at most
+``SINE_MATRIX_MAX_N`` nodes per axis that DST is one product per axis with
+the dense (n-1)x(n-1) sine matrix, which beats the FFT on such short axes;
+larger grids call ``scipy.fft.dstn``.  Transforms run over the trailing
+``dim`` axes, so a (k, ...) stack of parts goes through one call.
 
 ``diffuse_stack`` applies the exact heat semigroup e^{tau * Laplacian}, and
 ``dirichlet_energy`` the gradient energy; both work on the same forward
 coefficients, so an iterate transformed once for its energy can be diffused
 without transforming it again.  A heat step allocates one coefficient array
-and one output, and works in them in place.  Nodal values driven into
-``(-1e-12, 0)`` by spectral ringing are snapped to zero; anything more
+and one output, and works in them in place; the sine-matrix products add
+their work buffers.  Nodal values driven into ``(-1e-12, 0)`` by spectral
+ringing are snapped to zero; anything more
 negative is left alone so that real sign errors stay visible.  The one
 non-spectral piece is the forward-difference energy on a masked domain.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -28,10 +33,34 @@ from .grid import BOUNDARY_CONDITIONS, DomainMask, GridSpec, PartitionState, _tr
 
 RINGING_TOL = 1e-12
 
+# Largest nodes per axis n for which the Dirichlet sine transform is a dense
+# product with the (n-1)x(n-1) DST-I matrix per axis rather than scipy's DST.
+# One transform of a (k, n-1, ...) interior, matrix time over ``dstn`` time
+# (median of 15 calls, one BLAS thread, 2-core VM): 2D k=6 0.26-0.37 at
+# n=32, 0.93-1.23 at 96, 1.45-2.08 at 128; 3D k=8 0.17-0.19 at n=16,
+# 0.40-0.53 at 28, 0.55-0.75 at 96.  In 2D, n=96 is about break-even, and
+# above it the FFT wins.  Fixed, not timed at run time, so that a
+# configuration's output never varies.
+SINE_MATRIX_MAX_N = 96
+
 
 def _axis_sum(per_axis: list[np.ndarray]) -> np.ndarray:
     grids = np.meshgrid(*per_axis, indexing="ij")
     return sum(grids)
+
+
+def _left_products(arr: np.ndarray, mat: np.ndarray, powers, buffers) -> np.ndarray:
+    """``mat`` applied along axis ``-1 - a`` of ``arr`` for each ``a`` in turn.
+
+    Each product left-multiplies a (..., m, m**a) view, so no axis is moved
+    or copied; the results alternate between ``buffers``, which must not
+    share memory with ``arr``.  Returns the buffer holding the last result.
+    """
+    m = len(mat)
+    for a, out in zip(powers, itertools.cycle(buffers)):
+        np.matmul(mat, arr.reshape(-1, m, m**a), out=out.reshape(-1, m, m**a))
+        arr = out
+    return arr
 
 
 class SpectralOperator:
@@ -40,12 +69,16 @@ class SpectralOperator:
     Obtain instances through ``spectral_operator``, which caches them, so
     the tables below are built once per grid.  Coefficient arrays returned
     by ``forward`` are read-only: they may be shared between the energy of
-    an iterate and its next diffusion.
+    an iterate and its next diffusion.  ``_sine`` is the DST-I matrix
+    2*sin(pi*j*l/n) of a Dirichlet grid with n <= ``SINE_MATRIX_MAX_N``
+    (None otherwise), and ``_sine_inverse`` is ``_sine / (2n)``: the matrix
+    squares to 2n times the identity.
     """
 
     def __init__(self, bc: str, dim: int, n: int):
         self.bc, self.dim = bc, dim
         self.shape = (n,) * dim
+        self._sine = self._sine_inverse = None
         self.axes = tuple(range(-dim, 0))
         if bc == "periodic":
             m_full = np.fft.fftfreq(n, d=1.0 / n)
@@ -60,6 +93,13 @@ class SpectralOperator:
         elif bc == "dirichlet":
             j = np.arange(1, n)
             self.eigenvalues = _axis_sum([(j / 2.0) ** 2] * dim)
+            if n <= SINE_MATRIX_MAX_N:
+                # reducing j*l modulo the period 2n keeps the sine's argument
+                # below 2*pi: S @ S then misses 2n*I by 9e-16, not 6e-15, at n=96
+                self._sine = 2.0 * np.sin(np.pi * (np.outer(j, j) % (2 * n)) / n)
+                self._sine_inverse = self._sine / (2 * n)
+                self._sine.setflags(write=False)
+                self._sine_inverse.setflags(write=False)
             weight = 1.0
             energy_scale = 0.5 * np.pi**dim / float(n**dim) ** 2
         else:
@@ -73,24 +113,40 @@ class SpectralOperator:
 
         On Dirichlet grids the index-0 boundary planes are not read.
         """
+        interior = values[(...,) + (slice(1, None),) * self.dim]
         if self.bc == "periodic":
             coef = np.fft.rfftn(values, axes=self.axes)
+        elif self._sine is None:
+            coef = sp_fft.dstn(interior, type=1, axes=self.axes)
         else:
-            coef = sp_fft.dstn(values[(...,) + (slice(1, None),) * self.dim],
-                               type=1, axes=self.axes)
+            # the last axis first, read straight from the strided interior
+            coef = np.matmul(interior, self._sine)
+            if self.dim > 1:
+                coef = _left_products(coef, self._sine, range(1, self.dim),
+                                      (np.empty_like(coef), coef))
         coef.setflags(write=False)
         return coef
 
     def inverse(self, coef: np.ndarray) -> np.ndarray:
         """Nodal values of a coefficient array; Dirichlet boundary planes are 0.
-        A Dirichlet ``coef`` must be writable: the sine transform overwrites it."""
+
+        The sine-matrix path only reads ``coef``.  Above ``SINE_MATRIX_MAX_N``
+        a Dirichlet ``coef`` must be writable: scipy's DST overwrites it.
+        """
         if self.bc == "periodic":
             return np.fft.irfftn(coef, s=self.shape, axes=self.axes)
         out = np.empty(coef.shape[: coef.ndim - self.dim] + self.shape)
         for ax in self.axes:
             np.moveaxis(out, ax, 0)[0] = 0.0
-        interior = sp_fft.idstn(coef, type=1, axes=self.axes, overwrite_x=True)
-        out[(...,) + (slice(1, None),) * self.dim] = interior
+        interior = out[(...,) + (slice(1, None),) * self.dim]
+        if self._sine is None:
+            interior[...] = sp_fft.idstn(coef, type=1, axes=self.axes, overwrite_x=True)
+        else:
+            # the leading axes first, so that the last product, along the last
+            # axis, writes straight into the strided interior of the output
+            buffers = tuple(np.empty(coef.shape) for _ in range(self.dim - 1))
+            partial = _left_products(coef, self._sine_inverse, range(self.dim - 1, 0, -1), buffers)
+            np.matmul(partial, self._sine_inverse, out=interior)
         return out
 
     @lru_cache(maxsize=32)

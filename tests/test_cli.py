@@ -418,6 +418,25 @@ def test_python_m_optpart_runs_the_command(tmp_path, argv, code, text):
     assert text in done.stdout + done.stderr
 
 
+def test_3d_dirichlet_output_does_not_depend_on_blas_threads(tmp_path):
+    # at 28^3 the sine transform's (27, 27) @ (27, 729) products are large
+    # enough for OpenBLAS to split them across threads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = ["--k", "8", "--dim", "3", "--grid", "28", "--bc", "dirichlet", "--tau", "0.2",
+            "--algorithm", "four-step", "--seed", "3", "--max-iters", "200"]
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "optpart", *argv, "--out-dir", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outs.append(out)
+    for name in ("trace.csv", "labels.vtk"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_main_snapshots_every_n(tmp_path):
     assert run_main(tmp_path, "--snapshot-every", "5", "--max-iters", "12") == 0
     names = sorted(p.name for p in tmp_path.glob("labels_*.pgm"))

@@ -14,7 +14,8 @@ from optpart import (
     run,
     voronoi_init,
 )
-from optpart.spectral import SpectralOperator, diffuse_stack, spectral_operator
+from optpart import spectral
+from optpart.spectral import SINE_MATRIX_MAX_N, SpectralOperator, diffuse_stack, spectral_operator
 from test_projection import same_bits
 
 
@@ -115,14 +116,17 @@ def test_uncorrected_iteration_costs_one_transform_each_way(monkeypatch, bc, mas
 
 
 def old_diffuse_stack(values, grid, tau, bc, mask=None):
-    """The heat step before it transformed in place: the bitwise reference."""
+    """The heat step through FFTs and scipy's DST, with a zero-filled output
+    and ``np.where`` for the mask: the reference."""
     op = spectral_operator(bc, grid.dim, grid.n)
-    coef = op.forward(values) * op.decay(tau)
     if bc == "periodic":
-        out = np.fft.irfftn(coef, s=grid.shape, axes=op.axes)
+        out = np.fft.irfftn(np.fft.rfftn(values, axes=op.axes) * op.decay(tau),
+                            s=grid.shape, axes=op.axes)
     else:
+        interior = (...,) + (slice(1, None),) * grid.dim
+        coef = sp_fft.dstn(values[interior], type=1, axes=op.axes) * op.decay(tau)
         out = np.zeros(values.shape[:1] + grid.shape)
-        out[(...,) + (slice(1, None),) * grid.dim] = sp_fft.idstn(coef, type=1, axes=op.axes)
+        out[interior] = sp_fft.idstn(coef, type=1, axes=op.axes)
     tiny = (out > -1e-12) & (out < 0.0)
     out[tiny] = 0.0
     return out if mask is None else np.where(mask.indicator, out, 0.0)
@@ -132,7 +136,7 @@ def positive_zero(a) -> bool:
     return bool(np.all(a == 0.0) and not np.signbit(a).any())
 
 
-@pytest.mark.parametrize("dim,n", [(1, 16), (2, 12), (3, 8)])
+@pytest.mark.parametrize("dim,n", [(1, 16), (2, 12), (3, 8), (2, 98)])
 @pytest.mark.parametrize("domain", ["periodic", "dirichlet", "masked"])
 @pytest.mark.parametrize("given_coef", [False, True])
 def test_heat_step_buffers(dim, n, domain, given_coef):
@@ -157,7 +161,12 @@ def test_heat_step_buffers(dim, n, domain, given_coef):
         assert same_bits(coef, kept_coef)
         assert not coef.flags.writeable
     want = old_diffuse_stack(kept_vals, g, 0.3, bc, mask)
-    assert same_bits(a, want) and same_bits(b, want)
+    assert same_bits(a, b)
+    if bc == "periodic" or n > SINE_MATRIX_MAX_N:
+        assert same_bits(a, want)
+    else:
+        # the sine-matrix products round differently from the FFT
+        assert np.max(np.abs(a - want)) <= 1e-14 * np.max(np.abs(want))
     assert a.flags.owndata and b.flags.owndata
     assert not np.shares_memory(a, b)
     assert not any(np.shares_memory(x, y) for x in (a, b) for y in (vals, coef) if y is not None)
@@ -165,3 +174,72 @@ def test_heat_step_buffers(dim, n, domain, given_coef):
         assert all(positive_zero(np.moveaxis(a, ax, 0)[0]) for ax in range(1, dim + 1))
     if mask is not None:
         assert positive_zero(a[:, ~mask.indicator])
+
+
+# ---------------------------------------------------------------------------
+# the Dirichlet sine transform as one matrix product per axis
+
+
+def interior(values, dim):
+    return values[(...,) + (slice(1, None),) * dim]
+
+
+def boundary_zero_stack(dim, n, seed, k=3):
+    vals = np.random.default_rng(seed).normal(size=(k,) + (n,) * dim)
+    for ax in range(1, dim + 1):
+        np.moveaxis(vals, ax, 0)[0] = 0.0
+    return vals
+
+
+@pytest.mark.parametrize("n", [8, 28, 96])
+def test_sine_matrix_squares_to_2n_times_the_identity(n):
+    op = spectral_operator("dirichlet", 1, n)
+    s, s_inv = op._sine, op._sine_inverse
+    assert s.shape == (n - 1, n - 1)
+    assert not s.flags.writeable and not s_inv.flags.writeable
+    assert np.max(np.abs(s @ s / (2 * n) - np.eye(n - 1))) <= 4e-15
+    assert np.array_equal(s_inv, s / (2 * n))
+
+
+@pytest.mark.parametrize("n", [8, 28, 96])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sine_matrix_transform_matches_scipy_dst(dim, n):
+    op = spectral_operator("dirichlet", dim, n)
+    vals = boundary_zero_stack(dim, n, dim * n, k=1 if dim == 3 else 3)
+    kept = vals.copy()
+    coef = op.forward(vals)
+    assert same_bits(vals, kept)
+    assert not coef.flags.writeable
+    want = sp_fft.dstn(interior(vals, dim), type=1, axes=op.axes)
+    assert np.max(np.abs(coef - want)) <= 1e-14 * np.max(np.abs(want))
+    kept_coef = coef.copy()
+    back = op.inverse(coef)  # the matrix path only reads its coefficients
+    assert same_bits(coef, kept_coef)
+    assert np.max(np.abs(back - vals)) <= 1e-14 * np.max(np.abs(vals))
+    assert all(positive_zero(np.moveaxis(back, ax, 0)[0]) for ax in range(1, dim + 1))
+
+
+def test_sine_matrix_path_is_pinned_to_n_at_most_96(monkeypatch):
+    assert SINE_MATRIX_MAX_N == 96
+    assert spectral_operator("dirichlet", 2, 96)._sine is not None
+    assert spectral_operator("dirichlet", 2, 98)._sine is None
+    assert spectral_operator("periodic", 2, 32)._sine is None
+    # at n = 98 both directions are scipy's DST, bit for bit
+    op = spectral_operator("dirichlet", 2, 98)
+    vals = boundary_zero_stack(2, 98, 98)
+    coef = op.forward(vals)
+    assert same_bits(coef, sp_fft.dstn(interior(vals, 2), type=1, axes=op.axes))
+    want = sp_fft.idstn(coef, type=1, axes=op.axes)
+    assert same_bits(interior(op.inverse(coef.copy()), 2), want)
+
+    # at n = 96 scipy's DST is never called
+    def no_dst(*args, **kwargs):
+        raise AssertionError("scipy DST called on the sine-matrix path")
+
+    monkeypatch.setattr(spectral.sp_fft, "dstn", no_dst)
+    monkeypatch.setattr(spectral.sp_fft, "idstn", no_dst)
+    op = spectral_operator("dirichlet", 2, 96)
+    vals = boundary_zero_stack(2, 96, 96)
+    out = diffuse_stack(vals, GridSpec(2, 96), 0.1, "dirichlet")
+    assert out.shape == vals.shape
+    assert op.inverse(op.forward(vals)).shape == vals.shape
