@@ -4,19 +4,27 @@ Periodic grids expand in the trigonometric basis through the real-to-complex
 FFT (``np.fft.rfftn``): full wavenumbers on the leading axes, the
 nonnegative half on the last one.  Dirichlet grids expand the interior nodes
 (index 1..n-1 per axis) in the sine basis ``sin(j*(x+pi)/2)`` through the
-type-1 DST; the index-0 boundary planes are zero.  On grids with at most
-``SINE_MATRIX_MAX_N`` nodes per axis that DST is one product per axis with
-the dense (n-1)x(n-1) sine matrix, which beats the FFT on such short axes;
-larger grids call ``scipy.fft.dstn``.  Transforms run over the trailing
-``dim`` axes, so a (k, ...) stack of parts goes through one call.
+type-1 DST; the index-0 boundary planes are zero.  Transforms run over the
+trailing ``dim`` axes, so a (k, ...) stack of parts goes through one call.
 
 ``diffuse_stack`` applies the exact heat semigroup e^{tau * Laplacian}, and
 ``dirichlet_energy`` the gradient energy; both work on the same forward
 coefficients, so an iterate transformed once for its energy can be diffused
-without transforming it again.  A heat step allocates one coefficient array
-and one output, and works in them in place; the sine-matrix products add
-their work buffers.  Nodal values driven into ``(-1e-12, 0)`` by spectral
-ringing are snapped to zero; anything more
+without transforming it again.  The heat step goes through only the modes
+that ``SpectralOperator.modes`` keeps: the rest are multiplied by less than
+2**-53 / (2**dim * N) and cannot move any value.  A Dirichlet transform of
+J <= ``SINE_MATRIX_MAX_N`` - 1 modes per axis is one dense product per axis
+with J columns of the sine matrix: the full transforms of grids with n <= 96
+(the energy's, and the heat step's when tau keeps every mode, as on 28^3 at
+tau = 0.2) and the heat step's on larger grids at the usual tau (192^2 at
+tau = 0.05 keeps 62 modes); a full transform above n = 96 calls
+``scipy.fft.dstn``.  A periodic heat step that keeps |m| <= M, with
+M <= n/4 and M <= ``PERIODIC_MAX_MODES``, runs its inverse as complex
+products on the full axes and one real product on the last (128^2 at
+tau = 0.25 keeps M = 13); otherwise ``irfftn`` of every mode.  A heat step
+allocates one coefficient array and one output, and works in them in place;
+the products add their work buffers.  Nodal values driven into
+``(-1e-12, 0)`` by spectral ringing are snapped to zero; anything more
 negative is left alone so that real sign errors stay visible.  The one
 non-spectral piece is the forward-difference energy on a masked domain.
 """
@@ -24,6 +32,7 @@ non-spectral piece is the forward-difference energy on a masked domain.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -33,15 +42,36 @@ from .grid import BOUNDARY_CONDITIONS, DomainMask, GridSpec, PartitionState, _tr
 
 RINGING_TOL = 1e-12
 
-# Largest nodes per axis n for which the Dirichlet sine transform is a dense
-# product with the (n-1)x(n-1) DST-I matrix per axis rather than scipy's DST.
-# One transform of a (k, n-1, ...) interior, matrix time over ``dstn`` time
-# (median of 15 calls, one BLAS thread, 2-core VM): 2D k=6 0.26-0.37 at
-# n=32, 0.93-1.23 at 96, 1.45-2.08 at 128; 3D k=8 0.17-0.19 at n=16,
-# 0.40-0.53 at 28, 0.55-0.75 at 96.  In 2D, n=96 is about break-even, and
-# above it the FFT wins.  Fixed, not timed at run time, so that a
-# configuration's output never varies.
+# Caps the sine modes per axis that go through dense products: a heat step
+# that would keep more than SINE_MATRIX_MAX_N - 1 of them keeps every mode
+# (``SpectralOperator.modes``), and only a full transform (J = n-1) with
+# n > SINE_MATRIX_MAX_N calls scipy's DST; every other transform of J modes
+# per axis is one product per axis with J columns of the DST-I matrix.  Full
+# forward, matrix time over ``dstn`` time (median of 15 calls, one BLAS
+# thread, 2-core VM): 2D k=6 0.26-0.37 at n=32,
+# 0.49-0.62 at 88-92, 0.93-1.23 at 96, 1.45-2.08 at 128; 3D k=8 0.17-0.19 at
+# n=16, 0.40-0.53 at 28, 0.55-0.75 at 96.  A heat step's J-column forward
+# plus inverse over ``dstn`` plus ``idstn``, 2D, k=6, five runs:
+#   n=128: 0.12-0.18 at J=31, 0.23-0.35 at J=62, 0.55-0.73 at J=95
+#   n=192: 0.12-0.16 at J=31, 0.23-0.28 at J=62, 0.39-0.51 at J=95
+#   n=512: 0.11-0.15 at J=31, 0.16-0.34 at J=62, 0.25-0.30 at J=95
+# Fixed, not timed at run time, so that a configuration's output never varies.
 SINE_MATRIX_MAX_N = 96
+
+# Caps the wavenumbers |m| <= M a periodic heat step keeps for products: a
+# count above min(n/4, PERIODIC_MAX_MODES) keeps every mode through irfftn.
+# The products' cost grows with M, irfftn's does not.  Kept-mode inverse over
+# ``irfftn`` of every mode, from given coefficients at the tau that keeps M
+# (median of 5-11 calls, one BLAS thread, 2-core VM, three runs):
+#   1D k=8: M=32 0.73-0.81 at n=256, 0.52-0.64 at 1024, 0.78-0.83 at 4096;
+#           M=48 0.73-1.23
+#   2D k=6: n=64 0.51-0.58 at M=16, 0.86-1.10 at 24, 1.30-2.78 at 31;
+#           n=128 0.35-0.42 at M=32, 0.91-0.99 at 40;
+#           n=256 0.18-0.19 at M=32, 0.90-0.93 at 64;
+#           n=512 0.20-0.21 at M=32, 0.34-0.37 at 64
+#   3D: n=32 k=8 0.48-0.52 at M=8, 0.60-0.86 at 12; n=48 k=4 0.47-0.69 at
+#       M=12, 0.88-1.17 at 20; n=64 k=4 0.43-0.60 at M=16, 0.54-0.89 at 24
+PERIODIC_MAX_MODES = 32
 
 
 def _axis_sum(per_axis: list[np.ndarray]) -> np.ndarray:
@@ -49,16 +79,25 @@ def _axis_sum(per_axis: list[np.ndarray]) -> np.ndarray:
     return sum(grids)
 
 
-def _left_products(arr: np.ndarray, mat: np.ndarray, powers, buffers) -> np.ndarray:
-    """``mat`` applied along axis ``-1 - a`` of ``arr`` for each ``a`` in turn.
+def _wavenumber_rows(n: int, modes: int) -> np.ndarray:
+    """Indices of the wavenumbers |m| <= modes along a full FFT axis of n."""
+    return np.r_[0 : modes + 1, n - modes : n]
 
-    Each product left-multiplies a (..., m, m**a) view, so no axis is moved
-    or copied; the results alternate between ``buffers``, which must not
-    share memory with ``arr``.  Returns the buffer holding the last result.
+
+def _left_products(arr: np.ndarray, mat: np.ndarray, axes, buffers) -> np.ndarray:
+    """``mat`` applied along each axis of ``axes`` (all before the last) in turn.
+
+    Each product left-multiplies a (..., m, rest) view, so no axis is moved
+    or copied; a (p, m) ``mat`` turns the axis's length m into p.  The
+    results alternate between the leading memory of ``buffers``, which must
+    hold every result and not share memory with ``arr``.  Returns the last
+    result.
     """
-    m = len(mat)
-    for a, out in zip(powers, itertools.cycle(buffers)):
-        np.matmul(mat, arr.reshape(-1, m, m**a), out=out.reshape(-1, m, m**a))
+    for ax, buf in zip(axes, itertools.cycle(buffers)):
+        m, rest = arr.shape[ax], math.prod(arr.shape[ax + 1 :])
+        shape = arr.shape[:ax] + (len(mat),) + arr.shape[ax + 1 :]
+        out = buf.reshape(-1)[: math.prod(shape)].reshape(shape)
+        np.matmul(mat, arr.reshape(-1, m, rest), out=out.reshape(-1, len(mat), rest))
         arr = out
     return arr
 
@@ -67,23 +106,32 @@ class SpectralOperator:
     """Forward/inverse transforms, heat decay and energy for one (bc, dim, n).
 
     Obtain instances through ``spectral_operator``, which caches them, so
-    the tables below are built once per grid.  Coefficient arrays returned
+    its tables are built once per grid.  Coefficient arrays returned
     by ``forward`` are read-only: they may be shared between the energy of
-    an iterate and its next diffusion.  ``_sine`` is the DST-I matrix
-    2*sin(pi*j*l/n) of a Dirichlet grid with n <= ``SINE_MATRIX_MAX_N``
-    (None otherwise), and ``_sine_inverse`` is ``_sine / (2n)``: the matrix
-    squares to 2n times the identity.
+    an iterate and its next diffusion.
+
+    A heat step keeps ``modes(tau)`` modes per axis: sine modes 1..J, or
+    wavenumbers |m| <= M.  Mode j is kept iff its one-axis multiplier
+    exp(-tau * lambda_j) reaches the floor 2**-53 / (2**dim * N), N the
+    nodes a part transforms ((n-1)**dim Dirichlet, n**dim periodic).  A
+    dropped mode's multiplier is below the floor, since its other axes'
+    factors are at most 1.  A coefficient is at most 2**dim * N * max|u|
+    (Dirichlet; N * max|u| periodic), the inverse weighs each mode by at
+    most n**-dim (1/N), and at most N modes are dropped, so the dropped part
+    of every diffused value is below 2**-53 * max|u|: under the FFT's own
+    rounding.
     """
 
     def __init__(self, bc: str, dim: int, n: int):
         self.bc, self.dim = bc, dim
         self.shape = (n,) * dim
-        self._sine = self._sine_inverse = None
         self.axes = tuple(range(-dim, 0))
         if bc == "periodic":
             m_full = np.fft.fftfreq(n, d=1.0 / n)
             m_half = np.fft.rfftfreq(n, d=1.0 / n)
             self.eigenvalues = _axis_sum([m_full**2] * (dim - 1) + [m_half**2])
+            self._axis_eigenvalues = m_half[1:] ** 2
+            self._nodes = n**dim
             # Hermitian symmetry: every last-axis mode except 0 and n/2 stands
             # for itself and its conjugate partner, which rfftn does not store
             weight = np.full(n // 2 + 1, 2.0)
@@ -92,14 +140,9 @@ class SpectralOperator:
             energy_scale = 0.5 * vol / float(n**dim) ** 2
         elif bc == "dirichlet":
             j = np.arange(1, n)
-            self.eigenvalues = _axis_sum([(j / 2.0) ** 2] * dim)
-            if n <= SINE_MATRIX_MAX_N:
-                # reducing j*l modulo the period 2n keeps the sine's argument
-                # below 2*pi: S @ S then misses 2n*I by 9e-16, not 6e-15, at n=96
-                self._sine = 2.0 * np.sin(np.pi * (np.outer(j, j) % (2 * n)) / n)
-                self._sine_inverse = self._sine / (2 * n)
-                self._sine.setflags(write=False)
-                self._sine_inverse.setflags(write=False)
+            self._axis_eigenvalues = (j / 2.0) ** 2
+            self.eigenvalues = _axis_sum([self._axis_eigenvalues] * dim)
+            self._nodes = (n - 1) ** dim
             weight = 1.0
             energy_scale = 0.5 * np.pi**dim / float(n**dim) ** 2
         else:
@@ -108,45 +151,132 @@ class SpectralOperator:
         self._energy_weights = energy_scale * weight * self.eigenvalues
         self._energy_weights.setflags(write=False)
 
-    def forward(self, values: np.ndarray) -> np.ndarray:
+    @lru_cache(maxsize=32)
+    def modes(self, tau: float) -> int:
+        """Modes per axis a heat step at ``tau`` keeps (see the class docstring).
+
+        Counts that products would not run faster than the full transforms
+        become every mode: Dirichlet counts above ``SINE_MATRIX_MAX_N`` - 1
+        become n-1, and periodic ones above n/4 or ``PERIODIC_MAX_MODES``
+        become n/2.  Sine mode 1 is always kept.
+        """
+        n = self.shape[0]
+        floor = 2.0**-53 / (2**self.dim * self._nodes)
+        kept = int(np.count_nonzero(np.exp(-tau * self._axis_eigenvalues) >= floor))
+        if self.bc == "periodic":
+            return kept if kept <= min(n // 4, PERIODIC_MAX_MODES) else n // 2
+        return max(kept, 1) if kept < SINE_MATRIX_MAX_N else n - 1
+
+    def block(self, modes: int) -> tuple:
+        """Index of the coefficients of ``modes`` modes per axis in a full array."""
+        if self.bc == "dirichlet":
+            return (...,) + (slice(None, modes),) * self.dim
+        if modes == self.shape[0] // 2:
+            return (...,)
+        rows = _wavenumber_rows(self.shape[0], modes)
+        return (...,) + np.ix_(*[rows] * (self.dim - 1)) + (slice(None, modes + 1),)
+
+    @lru_cache(maxsize=16)
+    def _sine_tables(self, modes: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only first ``modes`` columns of the DST-I matrix, and their transpose."""
+        n = self.shape[0]
+        j = np.arange(1, n)
+        # reducing j*l modulo the period 2n keeps the sine's argument below
+        # 2*pi: the full matrix squared then misses 2n*I by 9e-16, not 6e-15,
+        # at n=96
+        cols = 2.0 * np.sin(np.pi * (np.outer(j, j[:modes]) % (2 * n)) / n)
+        rows = np.ascontiguousarray(cols.T)
+        cols.setflags(write=False)
+        rows.setflags(write=False)
+        return cols, rows
+
+    @lru_cache(maxsize=16)
+    def _inverse_tables(self, modes: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only matrices of an inverse from ``modes`` modes per axis.
+
+        The first goes along the leading axes, the second along the last.
+        Dirichlet: the sine tables divided by 2n.  Periodic: the complex
+        (n, 2M+1) matrix exp(2 pi i l m / n) / n over the kept rows, and a
+        real (2M+2, n) one that sums the half axis' interleaved real and
+        imaginary parts into w_m (cos, -sin)(2 pi m l / n) / n, with weight w
+        1 for m = 0 and 2 for the conjugate pairs.
+        """
+        n = self.shape[0]
+        if self.bc == "dirichlet":
+            tables = tuple(t / (2 * n) for t in self._sine_tables(modes))
+        else:
+            nodes = np.arange(n)
+            full = np.exp(2j * np.pi * (np.outer(nodes, _wavenumber_rows(n, modes)) % n) / n) / n
+            angle = 2.0 * np.pi * (np.outer(np.arange(modes + 1), nodes) % n) / n
+            weight = np.full((modes + 1, 1), 2.0 / n)
+            weight[0] = 1.0 / n
+            half = np.empty((2 * modes + 2, n))
+            half[0::2] = weight * np.cos(angle)
+            half[1::2] = -weight * np.sin(angle)
+            tables = (full, half)
+        for t in tables:
+            t.setflags(write=False)
+        return tables
+
+    def forward(self, values: np.ndarray, modes: int | None = None) -> np.ndarray:
         """Coefficients of nodal values over the trailing grid axes (read-only).
 
-        On Dirichlet grids the index-0 boundary planes are not read.
+        With ``modes``, only the block ``block(modes)`` of them; the
+        Dirichlet products compute no other.  On Dirichlet grids the index-0
+        boundary planes are not read.
         """
-        interior = values[(...,) + (slice(1, None),) * self.dim]
         if self.bc == "periodic":
             coef = np.fft.rfftn(values, axes=self.axes)
-        elif self._sine is None:
+            if modes is not None:
+                coef = coef[self.block(modes)]
+            coef.setflags(write=False)
+            return coef
+        n = self.shape[0]
+        interior = values[(...,) + (slice(1, None),) * self.dim]
+        modes = n - 1 if modes is None else modes
+        if modes == n - 1 and n > SINE_MATRIX_MAX_N:
             coef = sp_fft.dstn(interior, type=1, axes=self.axes)
         else:
+            cols, rows = self._sine_tables(modes)
             # the last axis first, read straight from the strided interior
-            coef = np.matmul(interior, self._sine)
+            coef = np.matmul(interior, cols)
             if self.dim > 1:
-                coef = _left_products(coef, self._sine, range(1, self.dim),
-                                      (np.empty_like(coef), coef))
+                first = np.empty(coef.shape[:-2] + (modes, modes))
+                coef = _left_products(coef, rows, range(-2, -self.dim - 1, -1), (first, coef))
         coef.setflags(write=False)
         return coef
 
     def inverse(self, coef: np.ndarray) -> np.ndarray:
-        """Nodal values of a coefficient array; Dirichlet boundary planes are 0.
+        """Nodal values of full or ``block``-kept coefficients; Dirichlet boundary planes are 0.
 
-        The sine-matrix path only reads ``coef``.  Above ``SINE_MATRIX_MAX_N``
-        a Dirichlet ``coef`` must be writable: scipy's DST overwrites it.
+        The product paths only read ``coef``.  A full Dirichlet ``coef``
+        above ``SINE_MATRIX_MAX_N`` must be writable: scipy's DST overwrites it.
         """
+        n, kept = self.shape[0], coef.shape[-1]
+        lead = coef.shape[: coef.ndim - self.dim]
         if self.bc == "periodic":
-            return np.fft.irfftn(coef, s=self.shape, axes=self.axes)
-        out = np.empty(coef.shape[: coef.ndim - self.dim] + self.shape)
-        for ax in self.axes:
-            np.moveaxis(out, ax, 0)[0] = 0.0
-        interior = out[(...,) + (slice(1, None),) * self.dim]
-        if self._sine is None:
-            interior[...] = sp_fft.idstn(coef, type=1, axes=self.axes, overwrite_x=True)
+            if kept == n // 2 + 1:
+                return np.fft.irfftn(coef, s=self.shape, axes=self.axes)
+            out = dest = np.empty(lead + self.shape)
+            modes = kept - 1
         else:
-            # the leading axes first, so that the last product, along the last
-            # axis, writes straight into the strided interior of the output
-            buffers = tuple(np.empty(coef.shape) for _ in range(self.dim - 1))
-            partial = _left_products(coef, self._sine_inverse, range(self.dim - 1, 0, -1), buffers)
-            np.matmul(partial, self._sine_inverse, out=interior)
+            out = np.empty(lead + self.shape)
+            for ax in self.axes:
+                np.moveaxis(out, ax, 0)[0] = 0.0
+            dest = out[(...,) + (slice(1, None),) * self.dim]
+            if kept == n - 1 and n > SINE_MATRIX_MAX_N:
+                dest[...] = sp_fft.idstn(coef, type=1, axes=self.axes, overwrite_x=True)
+                return out
+            modes = kept
+        leading, last = self._inverse_tables(modes)
+        # the leading axes first, so that the last product, along the last
+        # axis, writes straight into the output (its strided interior)
+        buffers = tuple(np.empty(lead + (len(leading),) * (self.dim - 1) + (kept,), coef.dtype)
+                        for _ in range(self.dim - 1))
+        partial = _left_products(coef, leading, range(-self.dim, -1), buffers)
+        # a complex partial's interleaved real and imaginary parts meet the
+        # real table's rows
+        np.matmul(partial.view(np.float64), last, out=dest)
         return out
 
     @lru_cache(maxsize=32)
@@ -210,9 +340,10 @@ def diffuse_stack(
     """Semigroup applied to a (k, ...) stack of parts, then mask restriction.
 
     Transforms run over the trailing grid axes so all parts go through one
-    FFT call.  With ``bc="dirichlet"`` the parts must vanish on the stored
-    boundary planes (index 0 along every axis); the opposite faces are
-    implicit zero-Dirichlet images.
+    transform call, which carries only the modes ``SpectralOperator.modes``
+    keeps at ``tau``.  With ``bc="dirichlet"`` the parts must vanish on the
+    stored boundary planes (index 0 along every axis); the opposite faces
+    are implicit zero-Dirichlet images.
     ``coef``, if given, must be the spectral operator's forward transform of
     ``values`` (as computed for their energy), read in place of that transform.
     """
@@ -220,12 +351,14 @@ def diffuse_stack(
     op = spectral_operator(bc, grid.dim, grid.n)
     if bc == "dirichlet":
         _check_boundary_planes(values, grid)
+    modes = op.modes(tau)
+    block = op.block(modes)
     if coef is None:
-        product = op.forward(values)
+        product = op.forward(values, modes)
         product.setflags(write=True)  # this call's own array: decay it in place
-        product *= op.decay(tau)
+        product *= op.decay(tau)[block]
     else:
-        product = coef * op.decay(tau)
+        product = coef[block] * op.decay(tau)[block]
     out = _clamp_ringing(op.inverse(product))
     if mask is not None:
         _check_mask(mask, grid)

@@ -418,12 +418,8 @@ def test_python_m_optpart_runs_the_command(tmp_path, argv, code, text):
     assert text in done.stdout + done.stderr
 
 
-def test_3d_dirichlet_output_does_not_depend_on_blas_threads(tmp_path):
-    # at 28^3 the sine transform's (27, 27) @ (27, 729) products are large
-    # enough for OpenBLAS to split them across threads
+def assert_output_does_not_depend_on_blas_threads(tmp_path, argv, names):
     src = str(Path(__file__).resolve().parents[1] / "src")
-    argv = ["--k", "8", "--dim", "3", "--grid", "28", "--bc", "dirichlet", "--tau", "0.2",
-            "--algorithm", "four-step", "--seed", "3", "--max-iters", "200"]
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
@@ -433,8 +429,28 @@ def test_3d_dirichlet_output_does_not_depend_on_blas_threads(tmp_path):
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         outs.append(out)
-    for name in ("trace.csv", "labels.vtk"):
+    for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_3d_dirichlet_output_does_not_depend_on_blas_threads(tmp_path):
+    # at 28^3 the sine transform's (27, 27) @ (27, 729) products are large
+    # enough for OpenBLAS to split them across threads
+    argv = ["--k", "8", "--dim", "3", "--grid", "28", "--bc", "dirichlet", "--tau", "0.2",
+            "--algorithm", "four-step", "--seed", "3", "--max-iters", "200"]
+    assert_output_does_not_depend_on_blas_threads(tmp_path, argv, ("trace.csv", "labels.vtk"))
+
+
+@pytest.mark.parametrize("argv", [
+    # 61 of 127 sine modes: (127, 127) @ (127, 61) products per part
+    ["--bc", "dirichlet", "--mask", "shape:star5", "--tau", "0.05",
+     "--algorithm", "three-step-1-ed"],
+    # |m| <= 13 of 64: the last axis' (128, 28) @ (28, 128) product per part
+    ["--bc", "periodic", "--tau", "0.25", "--algorithm", "three-step-2-ed"],
+], ids=["masked", "periodic"])
+def test_2d_kept_mode_output_does_not_depend_on_blas_threads(tmp_path, argv):
+    argv = ["--k", "6", "--grid", "128", "--seed", "3", "--max-iters", "60", *argv]
+    assert_output_does_not_depend_on_blas_threads(tmp_path, argv, ("trace.csv", "labels.pgm"))
 
 
 def test_main_snapshots_every_n(tmp_path):

@@ -15,7 +15,13 @@ from optpart import (
     voronoi_init,
 )
 from optpart import spectral
-from optpart.spectral import SINE_MATRIX_MAX_N, SpectralOperator, diffuse_stack, spectral_operator
+from optpart.spectral import (
+    PERIODIC_MAX_MODES,
+    SINE_MATRIX_MAX_N,
+    SpectralOperator,
+    diffuse_stack,
+    spectral_operator,
+)
 from test_projection import same_bits
 
 
@@ -89,21 +95,27 @@ def test_dirichlet_boundary_check_holds_with_given_coefficients():
         diffuse_stack(vals, g, 0.2, "dirichlet", coef=coef)
 
 
-@pytest.mark.parametrize("bc,mask_name", [("periodic", None), ("dirichlet", None),
-                                          ("dirichlet", "disk")])
-def test_uncorrected_iteration_costs_one_transform_each_way(monkeypatch, bc, mask_name):
-    g = GridSpec(dim=2, n=24)
+@pytest.mark.parametrize("bc,mask_name,n,tau", [
+    ("periodic", None, 24, 0.1), ("dirichlet", None, 24, 0.1), ("dirichlet", "disk", 24, 0.1),
+    # heat steps that keep only some modes: 27 of 63, |m| <= 13 of 32
+    ("dirichlet", "disk", 64, 0.25), ("periodic", None, 64, 0.25),
+], ids=["periodic-None", "dirichlet-None", "dirichlet-disk", "dirichlet-disk-64",
+        "periodic-None-64"])
+def test_uncorrected_iteration_costs_one_transform_each_way(monkeypatch, bc, mask_name, n, tau):
+    g = GridSpec(dim=2, n=n)
     mask = make_mask(g, mask_name) if mask_name else None
+    if n == 64:
+        assert spectral_operator(bc, 2, n).modes(tau) == (27 if bc == "dirichlet" else 13)
     calls = {"forward": 0, "inverse": 0, "energy": 0}
     for name in calls:
         original = getattr(SpectralOperator, name)
 
-        def counted(self, arr, _name=name, _original=original):
+        def counted(self, *args, _name=name, _original=original):
             calls[_name] += 1
-            return _original(self, arr)
+            return _original(self, *args)
 
         monkeypatch.setattr(SpectralOperator, name, counted)
-    cfg = SchemeConfig(k=3, variant="three_step_linear", tau=0.1, bc=bc, mask=mask, n_max=8)
+    cfg = SchemeConfig(k=3, variant="three_step_linear", tau=tau, bc=bc, mask=mask, n_max=8)
     _, trace = run(cfg, voronoi_init(g, 3, 0, bc, mask))
     iterations = len(trace) - 1
     if mask is None:
@@ -136,10 +148,12 @@ def positive_zero(a) -> bool:
     return bool(np.all(a == 0.0) and not np.signbit(a).any())
 
 
-@pytest.mark.parametrize("dim,n", [(1, 16), (2, 12), (3, 8), (2, 98)])
+@pytest.mark.parametrize("dim,n,tau", [(1, 16, 0.3), (2, 12, 0.3), (3, 8, 0.3), (2, 98, 0.3),
+                                       (2, 98, 0.01)],
+                         ids=["1-16", "2-12", "3-8", "2-98", "2-98-tau0.01"])
 @pytest.mark.parametrize("domain", ["periodic", "dirichlet", "masked"])
 @pytest.mark.parametrize("given_coef", [False, True])
-def test_heat_step_buffers(dim, n, domain, given_coef):
+def test_heat_step_buffers(dim, n, tau, domain, given_coef):
     g = GridSpec(dim, n)
     bc = "periodic" if domain == "periodic" else "dirichlet"
     rng = np.random.default_rng(dim * n)
@@ -154,18 +168,22 @@ def test_heat_step_buffers(dim, n, domain, given_coef):
     op = spectral_operator(bc, dim, n)
     coef = op.forward(vals) if given_coef else None
     kept_coef = None if coef is None else coef.copy()
-    a = diffuse_stack(vals, g, 0.3, bc, mask, coef)
-    b = diffuse_stack(vals, g, 0.3, bc, mask, coef)
+    a = diffuse_stack(vals, g, tau, bc, mask, coef)
+    b = diffuse_stack(vals, g, tau, bc, mask, coef)
     assert same_bits(vals, kept_vals)
     if coef is not None:
         assert same_bits(coef, kept_coef)
         assert not coef.flags.writeable
-    want = old_diffuse_stack(kept_vals, g, 0.3, bc, mask)
+    want = old_diffuse_stack(kept_vals, g, tau, bc, mask)
     assert same_bits(a, b)
-    if bc == "periodic" or n > SINE_MATRIX_MAX_N:
+    every_mode = op.modes(tau) == (n // 2 if bc == "periodic" else n - 1)
+    # at n = 98, tau = 0.3 keeps 27 sine modes of 97 and |m| <= 12 of 49;
+    # tau = 0.01 keeps them all
+    assert every_mode == (n != 98 or tau == 0.01)
+    if every_mode and (bc == "periodic" or n > SINE_MATRIX_MAX_N):
         assert same_bits(a, want)
     else:
-        # the sine-matrix products round differently from the FFT
+        # the sine-matrix and kept-mode products round differently from the FFT
         assert np.max(np.abs(a - want)) <= 1e-14 * np.max(np.abs(want))
     assert a.flags.owndata and b.flags.owndata
     assert not np.shares_memory(a, b)
@@ -194,7 +212,7 @@ def boundary_zero_stack(dim, n, seed, k=3):
 @pytest.mark.parametrize("n", [8, 28, 96])
 def test_sine_matrix_squares_to_2n_times_the_identity(n):
     op = spectral_operator("dirichlet", 1, n)
-    s, s_inv = op._sine, op._sine_inverse
+    s, s_inv = op._sine_tables(n - 1)[0], op._inverse_tables(n - 1)[0]
     assert s.shape == (n - 1, n - 1)
     assert not s.flags.writeable and not s_inv.flags.writeable
     assert np.max(np.abs(s @ s / (2 * n) - np.eye(n - 1))) <= 4e-15
@@ -221,10 +239,7 @@ def test_sine_matrix_transform_matches_scipy_dst(dim, n):
 
 def test_sine_matrix_path_is_pinned_to_n_at_most_96(monkeypatch):
     assert SINE_MATRIX_MAX_N == 96
-    assert spectral_operator("dirichlet", 2, 96)._sine is not None
-    assert spectral_operator("dirichlet", 2, 98)._sine is None
-    assert spectral_operator("periodic", 2, 32)._sine is None
-    # at n = 98 both directions are scipy's DST, bit for bit
+    # at n = 98 full transforms are scipy's DST both ways, bit for bit
     op = spectral_operator("dirichlet", 2, 98)
     vals = boundary_zero_stack(2, 98, 98)
     coef = op.forward(vals)
@@ -232,7 +247,8 @@ def test_sine_matrix_path_is_pinned_to_n_at_most_96(monkeypatch):
     want = sp_fft.idstn(coef, type=1, axes=op.axes)
     assert same_bits(interior(op.inverse(coef.copy()), 2), want)
 
-    # at n = 96 scipy's DST is never called
+    # at n = 96, and for fewer than every mode at n = 98, scipy's DST is
+    # never called
     def no_dst(*args, **kwargs):
         raise AssertionError("scipy DST called on the sine-matrix path")
 
@@ -243,3 +259,67 @@ def test_sine_matrix_path_is_pinned_to_n_at_most_96(monkeypatch):
     out = diffuse_stack(vals, GridSpec(2, 96), 0.1, "dirichlet")
     assert out.shape == vals.shape
     assert op.inverse(op.forward(vals)).shape == vals.shape
+    op = spectral_operator("dirichlet", 2, 98)
+    vals = boundary_zero_stack(2, 98, 98)
+    for modes in (27, SINE_MATRIX_MAX_N - 1, SINE_MATRIX_MAX_N):
+        coef = op.forward(vals, modes)
+        assert coef.shape == (3, modes, modes)
+        assert op.inverse(coef).shape == vals.shape
+
+
+# ---------------------------------------------------------------------------
+# the heat step through the kept modes only
+
+
+def test_kept_modes_are_pinned():
+    assert spectral_operator("dirichlet", 2, 192).modes(0.05) == 62
+    assert spectral_operator("periodic", 2, 128).modes(0.25) == 13
+    assert spectral_operator("dirichlet", 3, 28).modes(0.2) == 27  # every mode
+    # counts above SINE_MATRIX_MAX_N - 1 keep every mode: scipy's DST is full
+    assert spectral_operator("dirichlet", 2, 256).modes(0.01) == 255
+    assert spectral_operator("periodic", 2, 98).modes(0.01) == 49
+    # periodic counts above n/4 or PERIODIC_MAX_MODES keep every mode:
+    # irfftn is then faster than the products
+    assert PERIODIC_MAX_MODES == 32
+    assert spectral_operator("periodic", 2, 64).modes(0.17) == 16  # n/4
+    assert spectral_operator("periodic", 2, 64).modes(0.16) == 32  # 17 survive
+    assert spectral_operator("periodic", 2, 512).modes(0.05) == 31
+    assert spectral_operator("periodic", 2, 512).modes(0.045) == 256  # 33 survive
+    # the slowest mode is never dropped: a part keeps something to normalise
+    assert spectral_operator("dirichlet", 2, 32).modes(400.0) == 1
+    assert spectral_operator("periodic", 2, 32).modes(400.0) == 0
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.25, 1.0])
+@pytest.mark.parametrize("dim,n", [(1, 256), (2, 98), (3, 32)])
+@pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+def test_kept_mode_heat_step_matches_the_full_spectrum(bc, dim, n, tau):
+    # the dropped modes move no value by more than 2**-53 * max|input|
+    g = GridSpec(dim, n)
+    op = spectral_operator(bc, dim, n)
+    vals = np.random.default_rng(dim * n).normal(size=(2,) + g.shape)
+    if bc == "dirichlet":
+        for ax in range(1, dim + 1):
+            np.moveaxis(vals, ax, 0)[0] = 0.0
+    want = old_diffuse_stack(vals, g, tau, bc)
+    for coef in (None, op.forward(vals)):
+        got = diffuse_stack(vals, g, tau, bc, coef=coef)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(vals))
+
+
+@pytest.mark.parametrize("bc,n,tau,shapes", [
+    ("dirichlet", 192, 0.05, [(191, 62), (62, 191), (191, 62), (62, 191)]),
+    ("periodic", 128, 0.25, [(128, 27), (28, 128)]),
+])
+def test_kept_mode_tables_are_read_only_and_cached_per_tau(bc, n, tau, shapes):
+    op = spectral_operator(bc, 2, n)
+    hits = SpectralOperator.modes.cache_info().hits
+    modes = op.modes(tau)
+    assert op.modes(tau) == modes
+    assert SpectralOperator.modes.cache_info().hits > hits
+    tables = (op._sine_tables(modes) if bc == "dirichlet" else ()) + op._inverse_tables(modes)
+    assert [t.shape for t in tables] == shapes
+    assert not any(t.flags.writeable for t in tables)
+    again = (op._sine_tables(op.modes(tau)) if bc == "dirichlet" else ()) + op._inverse_tables(
+        op.modes(tau))
+    assert all(t is u for t, u in zip(tables, again))
