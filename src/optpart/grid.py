@@ -116,10 +116,6 @@ class DomainMask:
     def node_count(self) -> int:
         return int(self.indicator.sum())
 
-    @classmethod
-    def full(cls, grid: GridSpec) -> "DomainMask":
-        return cls(grid, np.ones(grid.shape, dtype=bool))
-
 
 # ---------------------------------------------------------------------------
 # norms

@@ -9,8 +9,9 @@ winner and runner-up in one running pass over the k part rows
 
 ``recover_multipliers`` reconstructs, for diagnostic purposes, multiplier
 fields that certify a projection output as the solution of the implicit
-coupled update it realizes.  The schemes never call it; it exists so tests
-can verify the update identity, sign and complementarity conditions.
+coupled update it realizes; it ranks each node's parts with the same
+``top_two``.  The schemes never call it; it exists so tests can verify the
+update identity, sign and complementarity conditions.
 """
 
 from __future__ import annotations
@@ -22,10 +23,6 @@ import numpy as np
 from .grid import GridSpec, top_two, weighted_norms
 
 DEGENERATE_NORM_TOL = 1e-14
-
-RATIO = "four_step"
-LINEAR = "three_step_linear"
-GEOMETRIC = "three_step_geometric"
 
 
 class DegeneratePart(RuntimeError):
@@ -137,100 +134,6 @@ class MultiplierDiagnostics:
         return float(np.abs(self.residual).max())
 
 
-def _ranked_positive(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    pos = flat > 0.0
-    npos = pos.sum(axis=0)
-    key = np.where(pos, flat, -np.inf)
-    # descending, ties by lower part index; positives always sort first
-    order = np.argsort(-key, axis=0, kind="stable")
-    return pos, npos, order
-
-def _pair_set(eta, rows, cols, nodes, value):
-    eta[rows, cols, nodes] = value
-    eta[cols, rows, nodes] = value
-
-
-def _ortho_ratio_multipliers(b: np.ndarray, tau: float) -> np.ndarray:
-    k, nn = b.shape
-    pos, npos, order = _ranked_positive(b)
-    eta = np.zeros((k, k, nn))
-    if k < 2:
-        return eta
-    nodes = np.arange(nn)
-    two = npos >= 2
-    i1, i2 = order[0], order[1]
-    b1 = b[i1, nodes]
-    b2 = b[i2, nodes]
-    # squared mass of the positive parts ranked third and below, summed
-    # directly (never as total minus leaders, which cancels catastrophically)
-    if k > 2:
-        ranked = np.take_along_axis(b, order[2:], axis=0)
-        live = (np.arange(2, k)[:, None] < npos[None, :])
-        rest = np.where(live, ranked * ranked, 0.0).sum(axis=0)
-    else:
-        rest = np.zeros(nn)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        top_pair = -(2.0 * b2 * b2 - rest) / (2.0 * tau * b1 * b2)
-    sel = nodes[two]
-    _pair_set(eta, i1[sel], i2[sel], sel, top_pair[sel])
-    for r in range(2, k):
-        sel = nodes[npos > r]
-        if not sel.size:
-            break
-        ir = order[r][sel]
-        br = b[ir, sel]
-        _pair_set(eta, i1[sel], ir, sel, -br / (2.0 * tau * b[i1[sel], sel]))
-        _pair_set(eta, i2[sel], ir, sel, -br / (2.0 * tau * b[i2[sel], sel]))
-    return eta
-
-
-def _coupled_multipliers(
-    b: np.ndarray, tau: float, geometric: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pairwise coupling and top index for the gap/geometric projections."""
-    k, nn = b.shape
-    pos, npos, order = _ranked_positive(b)
-    eta = np.zeros((k, k, nn))
-    i1 = order[0]
-    if k >= 2:
-        nodes = np.arange(nn)
-        sel = nodes[npos >= 2]
-        q = order[1][sel]
-        m = i1[sel]
-        if geometric:
-            head = -(2.0 / tau) * np.sqrt(b[m, sel] / b[q, sel])
-        else:
-            head = np.full(sel.shape, -1.0 / tau)
-        _pair_set(eta, m, q, sel, head)
-        # every pair of positive parts below the maximizer couples by the
-        # larger of the two value ratios
-        scale = 2.0 / tau if geometric else 1.0 / tau
-        for r in range(1, k):
-            for s in range(r + 1, k):
-                both = nodes[npos > s]
-                if not both.size:
-                    break
-                ir, js = order[r][both], order[s][both]
-                br, bs = b[ir, both], b[js, both]
-                _pair_set(eta, ir, js, both, -scale * np.maximum(br / bs, bs / br))
-    return eta, pos, i1
-
-
-def _closure_positivity(
-    b: np.ndarray, tau: float, eta_dot: np.ndarray, pos: np.ndarray, i1: np.ndarray
-) -> np.ndarray:
-    """Positivity multipliers that close the update equation exactly.
-
-    Nonpositive inputs get ``-b/tau`` outright; positive non-maximizers get
-    the equation closure, floored at zero so sign holds under roundoff.
-    """
-    k = b.shape[0]
-    lam = np.where(pos, 0.0, -b / tau)
-    closure = np.maximum(-b / tau - eta_dot, 0.0)
-    not_top = np.arange(k)[:, None] != i1[None, :]
-    return np.where(pos & not_top, closure, lam)
-
-
 def recover_multipliers(
     before: np.ndarray,
     after: np.ndarray,
@@ -250,42 +153,62 @@ def recover_multipliers(
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     base = variant.removesuffix("_ed")
-    b3 = np.asarray(before, dtype=float)
-    a3 = np.asarray(after, dtype=float)
+    b3, a3 = np.asarray(before, dtype=float), np.asarray(after, dtype=float)
     if b3.shape != a3.shape:
         raise ValueError("before/after shapes differ")
-    k = b3.shape[0]
-    node_shape = b3.shape[1:]
-    b = b3.reshape(k, -1)
-    a = a3.reshape(k, -1)
-
-    if base == RATIO:
-        eta = _ortho_ratio_multipliers(b, tau)
-        lam = np.zeros_like(b)
-        coupling = np.einsum("ijn,jn->in", eta, b)
-    elif base == LINEAR:
-        eta, pos, i1 = _coupled_multipliers(b, tau, geometric=False)
-        coupling = np.einsum("ijn,jn->in", eta, b)
-        lam = _closure_positivity(b, tau, coupling, pos, i1)
-    elif base == GEOMETRIC:
-        eta, pos, i1 = _coupled_multipliers(b, tau, geometric=True)
-        coupling = np.einsum("ijn,jn->in", eta, (a + b) / 2.0)
-        lam = _closure_positivity(b, tau, coupling, pos, i1)
-    else:
+    if base not in ("four_step", "three_step_linear", "three_step_geometric"):
         raise ValueError(f"unknown projection variant {variant!r}")
+    k, node_shape = b3.shape[0], b3.shape[1:]
+    b, a = b3.reshape(k, -1), a3.reshape(k, -1)
+
+    # each node's winner among its positive parts, and the runner-up where
+    # it has two; ties go to the lower index
+    pos = b > 0.0
+    key = np.where(pos, b, -np.inf)
+    _, second, winner = top_two(key)
+    part = np.arange(k)[:, None]
+    is_top = part == winner
+    runner = np.argmax(np.where(is_top, -np.inf, key), axis=0)
+    is_runner = (part == runner) & (second > 0.0)
+    b_top, b_runner = (np.take_along_axis(b, i[None], axis=0)[0] for i in (winner, runner))
+    head_pair = (is_top[:, None] & is_runner[None]) | (is_runner[:, None] & is_top[None])
+    below = pos & ~is_top  # the positive parts ranked below the winner
+    big, small = np.maximum(b[:, None], b[None]), np.minimum(b[:, None], b[None])
+    geometric = base == "three_step_geometric"
+    # the (k, k, N) pairs that a variant does not couple hold garbage here
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if base == "four_step":
+            rest = below & ~is_runner
+            # squared mass of the parts ranked third and below, summed directly
+            # (never as total minus leaders, which cancels catastrophically)
+            rest_sq = np.where(rest, b * b, 0.0).sum(axis=0)
+            head = -(2.0 * b_runner * b_runner - rest_sq) / (2.0 * tau * b_top * b_runner)
+            # the winner and the runner-up each couple to every part ranked
+            # below them by -(lower value) / (2 tau * higher value)
+            lead = is_top | is_runner
+            couple = (lead[:, None] & rest[None]) | (rest[:, None] & lead[None])
+            value = -small / (2.0 * tau * big)
+        else:
+            head = -(2.0 / tau) * np.sqrt(b_top / b_runner) if geometric else -1.0 / tau
+            # every pair of positive parts below the winner couples by the
+            # larger of the two value ratios
+            couple = below[:, None] & below[None] & ~np.eye(k, dtype=bool)[..., None]
+            value = -(2.0 / tau if geometric else 1.0 / tau) * (big / small)
+    eta = np.where(head_pair, head, np.where(couple, value, 0.0))
+    coupling = np.einsum("ijn,jn->in", eta, (a + b) / 2.0 if geometric else b)
+    if base == "four_step":
+        lam = np.zeros_like(b)
+    else:
+        # nonpositive inputs get -b/tau outright; positive parts below the winner
+        # close the update equation, floored at zero so sign holds under roundoff
+        lam = np.where(below, np.maximum(-b / tau - coupling, 0.0), np.where(pos, 0.0, -b / tau))
 
     # evaluated in this order, closure rows cancel bitwise
     residual = ((a - b) / tau - coupling) - lam
-
-    if grid is not None:
-        norms = weighted_norms(a3, grid)
-    else:
-        norms = np.sqrt(np.sum(a * a, axis=1))
-    norm_mult = (1.0 - norms) / tau
-
+    norms = weighted_norms(a3, grid) if grid is not None else np.sqrt(np.sum(a * a, axis=1))
     return MultiplierDiagnostics(
         ortho=eta.reshape((k, k) + node_shape),
         positivity=lam.reshape((k,) + node_shape),
-        norm=norm_mult,
+        norm=(1.0 - norms) / tau,
         residual=residual.reshape((k,) + node_shape),
     )

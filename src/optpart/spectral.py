@@ -23,9 +23,8 @@ M <= n/4 and M <= ``PERIODIC_MAX_MODES``, runs its inverse as complex
 products on the full axes and one real product on the last (128^2 at
 tau = 0.25 keeps M = 13); otherwise ``irfftn`` of every mode.  A heat step
 allocates one coefficient array and one output, and works in them in place;
-the products add their work buffers.  Nodal values driven into
-``(-1e-12, 0)`` by spectral ringing are snapped to zero; anything more
-negative is left alone so that real sign errors stay visible.  The one
+the products add their work buffers.  Spectral ringing's tiny negative
+values are not snapped to zero: every projection discards them.  The one
 non-spectral piece is the forward-difference energy on a masked domain.
 """
 
@@ -39,8 +38,6 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from .grid import BOUNDARY_CONDITIONS, DomainMask, GridSpec, PartitionState, _trailing_axes
-
-RINGING_TOL = 1e-12
 
 # Caps the sine modes per axis that go through dense products: a heat step
 # that would keep more than SINE_MATRIX_MAX_N - 1 of them keeps every mode
@@ -317,13 +314,6 @@ def _check_mask(mask: DomainMask, grid: GridSpec) -> None:
         raise ValueError("mask grid does not match state grid")
 
 
-def _clamp_ringing(values: np.ndarray) -> np.ndarray:
-    tiny = (values > -RINGING_TOL) & (values < 0.0)
-    if tiny.any():
-        values[tiny] = 0.0
-    return values
-
-
 def _check_boundary_planes(values: np.ndarray, grid: GridSpec) -> None:
     if any(np.any(np.moveaxis(values, ax, 0)[0] != 0.0) for ax in _trailing_axes(values, grid)):
         raise ValueError("dirichlet semigroup requires zero values on the boundary planes")
@@ -346,6 +336,7 @@ def diffuse_stack(
     are implicit zero-Dirichlet images.
     ``coef``, if given, must be the spectral operator's forward transform of
     ``values`` (as computed for their energy), read in place of that transform.
+    Ringing's tiny negative values are kept; the projections discard them.
     """
     tau = _check_tau(tau)
     op = spectral_operator(bc, grid.dim, grid.n)
@@ -359,7 +350,7 @@ def diffuse_stack(
         product *= op.decay(tau)[block]
     else:
         product = coef[block] * op.decay(tau)[block]
-    out = _clamp_ringing(op.inverse(product))
+    out = op.inverse(product)
     if mask is not None:
         _check_mask(mask, grid)
         np.copyto(out, 0.0, where=~mask.indicator)

@@ -44,10 +44,17 @@ REMOVED = {
         "SecantConfig", "step_four", "step_three_linear", "step_three_geometric",
         "_STEP_FUNCTIONS", "_resolve_tau", "residual_F",
     ],
-    optpart.spectral: ["heat_semigroup_periodic", "heat_semigroup_dirichlet", "mask_restrict"],
+    optpart.spectral: [
+        "heat_semigroup_periodic", "heat_semigroup_dirichlet", "mask_restrict",
+        "_clamp_ringing", "RINGING_TOL",
+    ],
     optpart.grid: ["Field", "discrete_l2_norm", "dirichlet_energy", "BoundaryCondition"],
     optpart.initial: ["MAX_SEED_ATTEMPTS", "_node_coordinates"],
-    optpart.projection: ["_flat", "_runner_up", "_scatter_winner"],
+    optpart.projection: [
+        "_flat", "_runner_up", "_scatter_winner", "_ranked_positive", "_pair_set",
+        "_ortho_ratio_multipliers", "_coupled_multipliers", "_closure_positivity",
+        "RATIO", "LINEAR", "GEOMETRIC",
+    ],
 }
 
 
@@ -65,6 +72,11 @@ def test_removed_names_stay_gone(module):
 def test_partition_state_has_no_single_field_accessors():
     for name in ("part", "parts", "from_fields"):
         assert not hasattr(optpart.PartitionState, name)
+
+
+def test_full_mask_has_one_constructor():
+    # make_mask(grid, "full") builds it; a classmethod duplicated that
+    assert not hasattr(optpart.DomainMask, "full")
 
 
 def test_scheme_config_fields():

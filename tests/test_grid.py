@@ -9,6 +9,7 @@ from optpart import (
     PartitionState,
     dirichlet_energy,
     label_map,
+    make_mask,
     max_support_overlap,
     partition_norms,
 )
@@ -86,7 +87,7 @@ def test_domain_mask_validation():
     m = DomainMask(g, np.eye(4))
     assert m.indicator.dtype == bool
     assert m.node_count == 4
-    assert DomainMask.full(g).node_count == 16
+    assert make_mask(g, "full").node_count == 16
 
 
 def test_norm_of_zero_field():
@@ -202,7 +203,7 @@ def test_energy_sine_basis_lowest_mode():
 def test_energy_masked_unit_spike():
     # forward differences of a lone unit node: two unit jumps per axis
     g = GridSpec(dim=2, n=8)
-    mask = DomainMask.full(g)
+    mask = make_mask(g, "full")
     u = np.zeros(g.shape)
     u[3, 4] = 1.0
     s = PartitionState(g, u[None])
@@ -219,7 +220,7 @@ def test_energy_masked_is_bitwise_the_np_diff_sum(dim, n):
         d = np.diff(vals, axis=ax, append=0.0)
         total += float(np.sum(d * d))
     expected = 0.5 * g.spacing ** (dim - 2) * total
-    assert dirichlet_energy(PartitionState(g, vals), "dirichlet", DomainMask.full(g)) == expected
+    assert dirichlet_energy(PartitionState(g, vals), "dirichlet", make_mask(g, "full")) == expected
 
 
 @pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
@@ -241,6 +242,6 @@ def test_energy_rejects_unknown_bc_and_mismatched_mask():
     s = PartitionState(g, np.zeros((1,) + g.shape))
     with pytest.raises(ValueError):
         dirichlet_energy(s, "neumann")
-    other = DomainMask.full(GridSpec(dim=2, n=16))
+    other = make_mask(GridSpec(dim=2, n=16), "full")
     with pytest.raises(ValueError):
         dirichlet_energy(s, "dirichlet", other)

@@ -321,6 +321,20 @@ def test_label_map_and_overlap_match_the_sorting_reference_bitwise(v):
     assert same_bits(v, before)
 
 
+@given(st.integers(1, 9), st.integers(1, 40), st.data())
+@settings(max_examples=300, deadline=None)
+def test_projections_discard_ringing_bitwise(k, nodes, data):
+    # spectral ringing leaves values in (-1e-12, 0) in a diffused stack, which
+    # the heat step does not snap to zero: every projection must give the
+    # bits it gives on the snapped stack
+    pool = st.sampled_from([0.0, -0.0, 0.25, 1.0, 1e-13, -1e-13, -5e-324, -1e-12, -0.5])
+    elements = st.one_of(pool, st.floats(-1e-12, 0.0), st.floats(-2.0, 2.0, width=64))
+    v = data.draw(hnp.arrays(np.float64, (k, nodes), elements=elements))
+    snapped = np.where((v > -1e-12) & (v < 0.0), 0.0, v)
+    for variant, project in optpart.scheme.PROJECTIONS.items():
+        assert same_bits(project(v), project(snapped)), variant
+
+
 def _recorded_run(cfg, init):
     iterates = []
     try:
@@ -375,6 +389,42 @@ def test_multipliers_ratio_worked_example():
     assert d.ortho[0, 1, 0] == pytest.approx(-0.75 / tau, rel=1e-12)
     assert np.all(d.positivity == 0.0)
     assert d.max_residual <= 1e-12
+
+
+def test_multipliers_ratio_worked_example_with_rest():
+    # winner part 1, runner-up part 0, part 2 ranked third; 2 * tau = 1
+    tau = 0.5
+    b = col(0.5, 1.0, 0.25)
+    a = ortho_step_ratio(b)
+    assert np.array_equal(a, col(0.0, 0.75, 0.0))
+    d = recover_multipliers(b, a, tau, "four_step")
+    head = -(2.0 * 0.5**2 - 0.25**2) / (1.0 * 0.5)  # -(2 b_r^2 - rest) / (2 tau b_w b_r)
+    top_rest = -0.25 / 1.0  # -b_rest / (2 tau b_w)
+    runner_rest = -0.25 / 0.5  # -b_rest / (2 tau b_r)
+    want = [[0.0, head, runner_rest], [head, 0.0, top_rest], [runner_rest, top_rest, 0.0]]
+    assert head == -0.875
+    assert np.array_equal(d.ortho[..., 0], want)
+    assert np.all(d.positivity == 0.0)
+    assert d.max_residual == 0.0
+
+
+def test_multipliers_rank_tied_maxima_by_index():
+    # three equal maxima: the winner is part 1, the runner-up part 2, and
+    # part 3 ranks below both; 2 * tau = 1
+    tau = 0.5
+    b = col(0.5, 1.0, 1.0, 1.0)
+    d = recover_multipliers(b, ortho_pos_step_linear(b), tau, "three_step_linear")
+    # head pair -1/tau; the pairs below the winner -max ratio / tau
+    want = [[0.0, 0.0, -4.0, -4.0], [0.0, 0.0, -2.0, 0.0],
+            [-4.0, -2.0, 0.0, -2.0], [-4.0, 0.0, -2.0, 0.0]]
+    assert np.array_equal(d.ortho[..., 0], want)
+    assert d.max_residual == 0.0
+    d = recover_multipliers(b, ortho_step_ratio(b), tau, "four_step")
+    head = -(2.0 * 1.0 - (0.5**2 + 1.0)) / 1.0
+    want = [[0.0, -0.5, -0.5, 0.0], [-0.5, 0.0, head, -1.0],
+            [-0.5, head, 0.0, -1.0], [0.0, -1.0, -1.0, 0.0]]
+    assert np.array_equal(d.ortho[..., 0], want)
+    assert d.max_residual == 0.0
 
 
 def test_multipliers_zero_input_node():

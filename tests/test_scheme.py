@@ -6,7 +6,6 @@ import pytest
 import optpart.scheme
 from optpart import (
     DegeneratePart,
-    DomainMask,
     GridSpec,
     PartitionState,
     SchemeConfig,
@@ -407,7 +406,7 @@ def test_run_rejects_mismatched_inputs():
     init = flat_partition(grid, 2)
     with pytest.raises(ValueError):
         run(SchemeConfig(k=3, tau=0.1), init)
-    other = DomainMask.full(GridSpec(dim=2, n=8))
+    other = make_mask(GridSpec(dim=2, n=8), "full")
     with pytest.raises(ValueError):
         run(SchemeConfig(k=2, tau=0.1, bc="dirichlet", mask=other), init)
 
