@@ -10,6 +10,7 @@ exactly representable norms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -112,6 +113,17 @@ class DomainMask:
             raise ValueError("mask is empty: no node lies inside the domain")
         object.__setattr__(self, "indicator", indicator)
 
+    @cached_property
+    def box(self) -> tuple[slice, ...]:
+        """Per-axis node slices from the first to the last inside node."""
+        (box,) = true_boxes(self.indicator, self.grid.dim)
+        return box
+
+    @cached_property
+    def outside(self) -> np.ndarray:
+        """The indicator's complement (read-only)."""
+        return _frozen_array(~self.indicator, dtype=bool)
+
     @property
     def node_count(self) -> int:
         return int(self.indicator.sum())
@@ -125,6 +137,23 @@ def _trailing_axes(values: np.ndarray, grid: GridSpec) -> tuple[int, ...]:
     return tuple(range(values.ndim - grid.dim, values.ndim))
 
 
+def true_boxes(flags: np.ndarray, dim: int) -> list[tuple[slice, ...] | None]:
+    """Per leading index of ``flags`` (in ``np.ndindex`` order), the box of
+    per-axis slices from its first to its last True over the trailing ``dim``
+    axes, or None if it has no True.  One ``any`` per axis over the stack."""
+    lead = flags.ndim - dim
+    axes = range(lead, flags.ndim)
+    spans = []
+    for ax in axes:
+        hit = np.any(flags, axis=tuple(a for a in axes if a != ax))
+        hit = hit.reshape(-1, hit.shape[-1])
+        stop = hit.shape[-1] - hit[:, ::-1].argmax(axis=1)
+        spans.append(zip(hit.argmax(axis=1).tolist(), stop.tolist()))
+    # a leading index has a True iff its last axis' hits do
+    return [tuple(slice(*span) for span in box) if found else None
+            for found, *box in zip(hit.any(axis=1).tolist(), *spans)]
+
+
 def weighted_norms(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Discrete L2 norms over the trailing grid axes (leading axes kept)."""
     axes = _trailing_axes(values, grid)
@@ -132,8 +161,9 @@ def weighted_norms(values: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def partition_norms(state: PartitionState) -> np.ndarray:
-    """Per-part discrete L2 norms, shape (k,)."""
-    return weighted_norms(state.values, state.grid)
+    """Per-part discrete L2 norms, shape (k,), in one pass over the stack."""
+    flat = state.values.reshape(state.k, -1)
+    return np.sqrt(state.grid.cell_volume * np.einsum("ki,ki->k", flat, flat))
 
 
 def top_two(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

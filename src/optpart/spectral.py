@@ -23,9 +23,13 @@ M <= n/4 and M <= ``PERIODIC_MAX_MODES``, runs its inverse as complex
 products on the full axes and one real product on the last (128^2 at
 tau = 0.25 keeps M = 13); otherwise ``irfftn`` of every mode.  A heat step
 allocates one coefficient array and one output, and works in them in place;
-the products add their work buffers.  Spectral ringing's tiny negative
-values are not snapped to zero: every projection discards them.  The one
-non-spectral piece is the forward-difference energy on a masked domain.
+the products add their work buffers.  Products skip exact zeros: a kept-mode
+Dirichlet forward transforms each part from the box of its nonzero nodes
+(every iterate's parts have disjoint supports), and a masked heat step's
+inverse computes only the nodes in the mask's box.  Spectral ringing's tiny
+negative values are not snapped to zero: every projection discards them.
+The one non-spectral piece is the forward-difference energy on a masked
+domain.
 """
 
 from __future__ import annotations
@@ -37,7 +41,14 @@ from functools import lru_cache
 import numpy as np
 from scipy import fft as sp_fft
 
-from .grid import BOUNDARY_CONDITIONS, DomainMask, GridSpec, PartitionState, _trailing_axes
+from .grid import (
+    BOUNDARY_CONDITIONS,
+    DomainMask,
+    GridSpec,
+    PartitionState,
+    _trailing_axes,
+    true_boxes,
+)
 
 # Caps the sine modes per axis that go through dense products: a heat step
 # that would keep more than SINE_MATRIX_MAX_N - 1 of them keeps every mode
@@ -81,22 +92,30 @@ def _wavenumber_rows(n: int, modes: int) -> np.ndarray:
     return np.r_[0 : modes + 1, n - modes : n]
 
 
-def _left_products(arr: np.ndarray, mat: np.ndarray, axes, buffers) -> np.ndarray:
-    """``mat`` applied along each axis of ``axes`` (all before the last) in turn.
+def _left_products(arr: np.ndarray, mats, axes, buffers) -> np.ndarray:
+    """Each of ``mats`` applied along its axis of ``axes`` (all before the last) in turn.
 
     Each product left-multiplies a (..., m, rest) view, so no axis is moved
-    or copied; a (p, m) ``mat`` turns the axis's length m into p.  The
+    or copied; a (p, m) matrix turns the axis's length m into p.  The
     results alternate between the leading memory of ``buffers``, which must
     hold every result and not share memory with ``arr``.  Returns the last
     result.
     """
-    for ax, buf in zip(axes, itertools.cycle(buffers)):
+    for mat, ax, buf in zip(mats, axes, itertools.cycle(buffers)):
         m, rest = arr.shape[ax], math.prod(arr.shape[ax + 1 :])
         shape = arr.shape[:ax] + (len(mat),) + arr.shape[ax + 1 :]
         out = buf.reshape(-1)[: math.prod(shape)].reshape(shape)
         np.matmul(mat, arr.reshape(-1, m, rest), out=out.reshape(-1, len(mat), rest))
         arr = out
     return arr
+
+
+def _zero_outside(out: np.ndarray, box: tuple[slice, ...]) -> np.ndarray:
+    """``out`` set to 0.0 outside ``box`` along its trailing axes, in place."""
+    for ax, s in zip(range(-len(box), 0), box):
+        np.moveaxis(out, ax, 0)[: s.start] = 0.0
+        np.moveaxis(out, ax, 0)[s.stop :] = 0.0
+    return out
 
 
 class SpectralOperator:
@@ -220,7 +239,9 @@ class SpectralOperator:
 
         With ``modes``, only the block ``block(modes)`` of them; the
         Dirichlet products compute no other.  On Dirichlet grids the index-0
-        boundary planes are not read.
+        boundary planes are not read.  Fewer than every Dirichlet mode are
+        transformed part by part, each from the box of its nonzero nodes:
+        the nodes outside it would only add exact zeros.
         """
         if self.bc == "periodic":
             coef = np.fft.rfftn(values, axes=self.axes)
@@ -231,49 +252,71 @@ class SpectralOperator:
         n = self.shape[0]
         interior = values[(...,) + (slice(1, None),) * self.dim]
         modes = n - 1 if modes is None else modes
+        leading = range(-2, -self.dim - 1, -1)
         if modes == n - 1 and n > SINE_MATRIX_MAX_N:
             coef = sp_fft.dstn(interior, type=1, axes=self.axes)
-        else:
+        elif modes == n - 1:
             cols, rows = self._sine_tables(modes)
             # the last axis first, read straight from the strided interior
             coef = np.matmul(interior, cols)
             if self.dim > 1:
                 first = np.empty(coef.shape[:-2] + (modes, modes))
-                coef = _left_products(coef, rows, range(-2, -self.dim - 1, -1), (first, coef))
+                coef = _left_products(coef, itertools.repeat(rows), leading, (first, coef))
+        else:
+            cols, rows = self._sine_tables(modes)
+            coef = np.zeros(values.shape[: -self.dim] + (modes,) * self.dim)
+            # 3D: the work buffer of the first left product
+            spare = np.empty((n - 1) * modes**2) if self.dim == 3 else None
+            # the whole stack is scanned: its contiguous memory is faster to read
+            boxes = true_boxes(values != 0.0, self.dim)
+            for idx, box in zip(np.ndindex(coef.shape[: -self.dim]), boxes):
+                # sine table row l stands for node l + 1; node 0 is not read
+                box = box and tuple(slice(max(s.start - 1, 0), s.stop - 1) for s in box)
+                if not box or any(s.stop == 0 for s in box):
+                    continue  # no nonzero interior node: +0.0 coefficients
+                out = coef[idx]
+                # the last axis first (straight into this part's coefficients
+                # in 1D); the left products alternate between ``spare`` and
+                # them, ending in the latter
+                part = np.matmul(interior[idx][box], cols[box[-1]],
+                                 out=out if self.dim == 1 else None)
+                _left_products(part, [rows[:, box[ax]] for ax in leading], leading,
+                               (out, spare) if self.dim == 2 else (spare, out))
         coef.setflags(write=False)
         return coef
 
-    def inverse(self, coef: np.ndarray) -> np.ndarray:
+    def inverse(self, coef: np.ndarray, box: tuple[slice, ...] | None = None) -> np.ndarray:
         """Nodal values of full or ``block``-kept coefficients; Dirichlet boundary planes are 0.
 
-        The product paths only read ``coef``.  A full Dirichlet ``coef``
-        above ``SINE_MATRIX_MAX_N`` must be writable: scipy's DST overwrites it.
+        With ``box``, per-axis node slices such as ``DomainMask.box``, the
+        output is +0.0 outside the box, and the products compute only the
+        nodes inside it, from the table rows of those nodes.  The product
+        paths only read ``coef``.  A full Dirichlet ``coef`` above
+        ``SINE_MATRIX_MAX_N`` must be writable: scipy's DST overwrites it.
         """
         n, kept = self.shape[0], coef.shape[-1]
         lead = coef.shape[: coef.ndim - self.dim]
-        if self.bc == "periodic":
-            if kept == n // 2 + 1:
-                return np.fft.irfftn(coef, s=self.shape, axes=self.axes)
-            out = dest = np.empty(lead + self.shape)
-            modes = kept - 1
-        else:
-            out = np.empty(lead + self.shape)
-            for ax in self.axes:
-                np.moveaxis(out, ax, 0)[0] = 0.0
-            dest = out[(...,) + (slice(1, None),) * self.dim]
-            if kept == n - 1 and n > SINE_MATRIX_MAX_N:
-                dest[...] = sp_fft.idstn(coef, type=1, axes=self.axes, overwrite_x=True)
-                return out
-            modes = kept
-        leading, last = self._inverse_tables(modes)
+        # a Dirichlet grid's node 0 is zero, and its tables' row l is node l + 1
+        first = int(self.bc == "dirichlet")
+        box = tuple(slice(max(s.start, first), s.stop) for s in box or (slice(0, n),) * self.dim)
+        if self.bc == "periodic" and kept == n // 2 + 1:
+            return _zero_outside(np.fft.irfftn(coef, s=self.shape, axes=self.axes), box)
+        out = _zero_outside(np.empty(lead + self.shape), box)
+        dest = out[(...,) + box]
+        rows = tuple(slice(s.start - first, s.stop - first) for s in box)
+        if self.bc == "dirichlet" and kept == n - 1 and n > SINE_MATRIX_MAX_N:
+            dest[...] = sp_fft.idstn(coef, type=1, axes=self.axes, overwrite_x=True)[(...,) + rows]
+            return out
+        leading, last = self._inverse_tables(kept if self.bc == "dirichlet" else kept - 1)
         # the leading axes first, so that the last product, along the last
-        # axis, writes straight into the output (its strided interior)
+        # axis, writes straight into the output (its strided box)
         buffers = tuple(np.empty(lead + (len(leading),) * (self.dim - 1) + (kept,), coef.dtype)
                         for _ in range(self.dim - 1))
-        partial = _left_products(coef, leading, range(-self.dim, -1), buffers)
+        partial = _left_products(coef, [leading[r] for r in rows[:-1]], range(-self.dim, -1),
+                                 buffers)
         # a complex partial's interleaved real and imaginary parts meet the
         # real table's rows
-        np.matmul(partial.view(np.float64), last, out=dest)
+        np.matmul(partial.view(np.float64), last[:, rows[-1]], out=dest)
         return out
 
     @lru_cache(maxsize=32)
@@ -286,10 +329,9 @@ class SpectralOperator:
     def energy(self, coef: np.ndarray) -> float:
         """Total gradient energy 0.5 * sum ||grad u||^2 of forward coefficients."""
         if self.bc == "periodic":
-            power = coef.real**2 + coef.imag**2
-        else:
-            power = coef * coef
-        return float(np.sum(self._energy_weights * power))
+            return float(np.sum(self._energy_weights * (coef.real**2 + coef.imag**2)))
+        flat = coef.reshape(-1, self._energy_weights.size)
+        return float(np.einsum("j,kj,kj->", self._energy_weights.reshape(-1), flat, flat))
 
 
 @lru_cache(maxsize=16)
@@ -350,10 +392,12 @@ def diffuse_stack(
         product *= op.decay(tau)[block]
     else:
         product = coef[block] * op.decay(tau)[block]
-    out = op.inverse(product)
-    if mask is not None:
-        _check_mask(mask, grid)
-        np.copyto(out, 0.0, where=~mask.indicator)
+    if mask is None:
+        return op.inverse(product)
+    _check_mask(mask, grid)
+    # the output is +0.0 outside the mask's box; restrict inside it
+    out = op.inverse(product, mask.box)
+    np.copyto(out[(...,) + mask.box], 0.0, where=mask.outside[mask.box])
     return out
 
 

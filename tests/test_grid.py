@@ -13,7 +13,7 @@ from optpart import (
     max_support_overlap,
     partition_norms,
 )
-from optpart.grid import support_labels, weighted_norms
+from optpart.grid import support_labels, true_boxes, weighted_norms
 from optpart.scheme import apply_sigma
 
 
@@ -88,6 +88,35 @@ def test_domain_mask_validation():
     assert m.indicator.dtype == bool
     assert m.node_count == 4
     assert make_mask(g, "full").node_count == 16
+
+
+def test_domain_mask_box_and_complement_are_derived_once():
+    g = GridSpec(dim=3, n=8)
+    indicator = np.zeros(g.shape, dtype=bool)
+    indicator[2, 5, 3] = indicator[4, 1, 3] = True
+    m = DomainMask(g, indicator)
+    assert m.box == (slice(2, 5), slice(1, 6), slice(3, 4))
+    assert np.array_equal(m.outside, ~m.indicator)
+    assert not m.outside.flags.writeable
+    assert m.box is m.box and m.outside is m.outside
+    with pytest.raises(AttributeError):
+        m.box = ()
+    assert make_mask(g, "full").box == (slice(0, 8),) * 3
+    # derived fields stay out of equality and the repr
+    other = DomainMask(g, m.indicator)
+    object.__setattr__(other, "box", ())
+    object.__setattr__(other, "outside", None)
+    assert other == m
+    assert "box" not in repr(m) and "outside" not in repr(m)
+
+
+def test_true_boxes_per_leading_index():
+    flags = np.zeros((3, 5, 6), dtype=bool)
+    flags[0, 1, 4] = flags[0, 3, 2] = True
+    flags[2] = True
+    assert true_boxes(flags, 2) == [(slice(1, 4), slice(2, 5)), None,
+                                    (slice(0, 5), slice(0, 6))]
+    assert true_boxes(flags, 3) == [(slice(0, 3), slice(0, 5), slice(0, 6))]
 
 
 def test_norm_of_zero_field():

@@ -1,5 +1,8 @@
 """The shared spectral operator: half-spectrum energy and reused transforms."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import fft as sp_fft
@@ -15,6 +18,7 @@ from optpart import (
     voronoi_init,
 )
 from optpart import spectral
+from optpart.grid import true_boxes
 from optpart.spectral import (
     PERIODIC_MAX_MODES,
     SINE_MATRIX_MAX_N,
@@ -323,3 +327,117 @@ def test_kept_mode_tables_are_read_only_and_cached_per_tau(bc, n, tau, shapes):
     again = (op._sine_tables(op.modes(tau)) if bc == "dirichlet" else ()) + op._inverse_tables(
         op.modes(tau))
     assert all(t is u for t, u in zip(tables, again))
+
+
+# ---------------------------------------------------------------------------
+# each part transformed from its support box, the masked inverse over the
+# mask's box
+
+
+def batched_forward(op, values, modes):
+    """The kept-mode sine forward of the whole stack in one product per axis:
+    the reference."""
+    cols, rows = op._sine_tables(modes)
+    coef = np.matmul(interior(values, op.dim), cols)
+    for ax in range(-2, -op.dim - 1, -1):
+        shape = coef.shape
+        coef = np.matmul(rows, coef.reshape(-1, shape[ax], math.prod(shape[ax + 1 :])))
+        coef = coef.reshape(shape[:ax] + (modes,) + shape[ax + 1 :])
+    return coef
+
+
+def masked_iterate(dim, n, tau, mask_name, k=6):
+    """A solver iterate on a named mask: nonnegative, pairwise disjoint supports."""
+    g = GridSpec(dim, n)
+    mask = make_mask(g, mask_name)
+    cfg = SchemeConfig(k=k, variant="three_step_linear", tau=tau, bc="dirichlet", mask=mask,
+                       n_max=3)
+    return run(cfg, voronoi_init(g, k, 0, "dirichlet", mask))[0].values, mask
+
+
+@pytest.mark.parametrize("dim,n,tau,mask_name,bitwise", [
+    (2, 192, 0.05, "star5", True),
+    # OpenBLAS multiplies matrices this small in another summation order
+    (2, 64, 0.25, "disk", False),
+    (3, 32, 0.25, "disk", False),
+])
+def test_kept_mode_forward_of_disjoint_parts_is_the_whole_stack_product(
+        dim, n, tau, mask_name, bitwise):
+    vals, _ = masked_iterate(dim, n, tau, mask_name)
+    op = spectral_operator("dirichlet", dim, n)
+    modes = op.modes(tau)
+    assert modes < n - 1
+    # each part's box is a small share of the interior: the products crop
+    boxes = true_boxes(vals != 0.0, dim)
+    assert all(math.prod(s.stop - s.start for s in box) < 0.5 * (n - 1) ** dim for box in boxes)
+    got = op.forward(vals, modes)
+    assert not got.flags.writeable
+    want = batched_forward(op, vals, modes)
+    if n <= SINE_MATRIX_MAX_N:
+        # the J-block of the full forward
+        full = op.forward(vals)[op.block(modes)]
+        assert np.max(np.abs(full - want)) <= 1e-15 * np.max(np.abs(want))
+    # the nodes left out add only exact zeros
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    assert same_bits(got, want) or not bitwise
+
+
+@pytest.mark.parametrize("dim,n,tau", [(2, 64, 0.25), (3, 32, 0.25)])
+def test_kept_mode_forward_of_empty_single_node_and_dense_parts(dim, n, tau):
+    op = spectral_operator("dirichlet", dim, n)
+    modes = op.modes(tau)
+    cols, rows = op._sine_tables(modes)
+    vals = np.zeros((4,) + (n,) * dim)
+    # part 0 is zero; part 1 is nonzero only on a boundary plane, which the
+    # transform does not read
+    vals[1, 0] = 3.0
+    node = (9, 20, 5)[:dim]
+    vals[(2,) + node] = 2.5
+    vals[3] = boundary_zero_stack(dim, n, n, k=1)[0]
+    coef = op.forward(vals, modes)
+    assert positive_zero(coef[:2])
+    # one node: sums of one product each, in the transform's order; a BLAS
+    # sum starts from +0.0, so an exact zero of the sine table gives +0.0
+    single = 2.5 * cols[node[-1] - 1]
+    for l in reversed(node[:-1]):
+        single = np.multiply.outer(rows[:, l - 1], single) + 0.0
+    assert same_bits(coef[2], single)
+    # a dense part's box is the whole interior
+    assert same_bits(coef[3], batched_forward(op, vals[3:], modes)[0])
+
+
+@pytest.mark.parametrize("dim,n,tau,mask_name", [
+    (2, 192, 0.05, "star5"),  # 62 of 191 modes
+    (3, 32, 0.25, "disk"),  # 28 of 31 modes
+    (3, 28, 0.2, "disk"),  # every mode, through the sine matrix
+    (2, 98, 0.01, "disk"),  # every mode, through scipy's DST
+])
+def test_masked_heat_step_is_the_restricted_box_heat_step(dim, n, tau, mask_name):
+    g = GridSpec(dim, n)
+    iterate, mask = masked_iterate(dim, n, tau, mask_name, k=3)
+    # the mask's box leaves nodes out: the inverse crops
+    assert math.prod(s.stop - s.start for s in mask.box) < 0.9 * n**dim
+    dense = np.where(mask.indicator, boundary_zero_stack(dim, n, n), 0.0)
+    for vals in (iterate, dense):
+        got = diffuse_stack(vals, g, tau, "dirichlet", mask)
+        assert got.flags.owndata
+        want = np.where(mask.indicator, diffuse_stack(vals, g, tau, "dirichlet"), 0.0)
+        # 3D: OpenBLAS multiplies the box's shorter axes in another summation order
+        assert same_bits(got, want) if dim == 2 else (
+            np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)))
+        assert positive_zero(got[:, mask.outside])
+
+
+def test_dirichlet_energy_makes_no_stack_sized_temporary():
+    g = GridSpec(3, 28)
+    vals = boundary_zero_stack(3, 28, 28, k=8)
+    op = spectral_operator("dirichlet", 3, 28)
+    coef = op.forward(vals)
+    want = float(np.sum(op._energy_weights * coef * coef))
+    tracemalloc.start()
+    got = op.energy(coef)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < coef.nbytes / 8
+    assert got == pytest.approx(want, rel=1e-14)
+    assert dirichlet_energy(PartitionState(g, vals), "dirichlet") == got
