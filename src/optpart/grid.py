@@ -17,6 +17,13 @@ import numpy as np
 BOUNDARY_CONDITIONS = ("periodic", "dirichlet")
 
 
+def _check_integer(name: str, value) -> int:
+    """``value`` as an ``int``; ValueError unless it is a Python or numpy integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _frozen_array(values, dtype=float) -> np.ndarray:
     """``values`` as a read-only array: frozen in place if it owns its memory,
     else copied, so that writes through a view's base array cannot reach it."""
@@ -35,6 +42,8 @@ class GridSpec:
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _check_integer("dim", self.dim))
+        object.__setattr__(self, "n", _check_integer("n", self.n))
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
         if self.n < 4 or self.n % 2 != 0:
@@ -140,18 +149,20 @@ def _trailing_axes(values: np.ndarray, grid: GridSpec) -> tuple[int, ...]:
 def true_boxes(flags: np.ndarray, dim: int) -> list[tuple[slice, ...] | None]:
     """Per leading index of ``flags`` (in ``np.ndindex`` order), the box of
     per-axis slices from its first to its last True over the trailing ``dim``
-    axes, or None if it has no True.  One ``any`` per axis over the stack."""
-    lead = flags.ndim - dim
-    axes = range(lead, flags.ndim)
-    spans = []
-    for ax in axes:
-        hit = np.any(flags, axis=tuple(a for a in axes if a != ax))
-        hit = hit.reshape(-1, hit.shape[-1])
-        stop = hit.shape[-1] - hit[:, ::-1].argmax(axis=1)
+    axes, or None if it has no True.  Axis by axis, the axes after it are
+    reduced as one contiguous run, then it is folded away: no reduction
+    strides over a short last axis."""
+    shape = flags.shape[flags.ndim - dim :]
+    rest, spans = flags.reshape((-1,) + shape), []
+    for size in shape:
+        rest = rest.reshape(len(rest), size, -1)
+        hit = rest.any(axis=-1)
+        stop = size - hit[:, ::-1].argmax(axis=1)
         spans.append(zip(hit.argmax(axis=1).tolist(), stop.tolist()))
-    # a leading index has a True iff its last axis' hits do
+        rest = rest.any(axis=1)
+    # what is left after the last axis says whether the row has a True
     return [tuple(slice(*span) for span in box) if found else None
-            for found, *box in zip(hit.any(axis=1).tolist(), *spans)]
+            for found, *box in zip(rest[:, 0].tolist(), *spans)]
 
 
 def weighted_norms(values: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -27,6 +27,7 @@ from .grid import (
     BOUNDARY_CONDITIONS,
     DomainMask,
     PartitionState,
+    _check_integer,
     label_map,
     partition_norms,
     support_labels,
@@ -89,6 +90,8 @@ class SchemeConfig:
     n_max: int = 2000
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _check_integer("k", self.k))
+        object.__setattr__(self, "n_max", _check_integer("n_max", self.n_max))
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.variant not in VARIANTS:
@@ -204,8 +207,8 @@ def apply_sigma(state: PartitionState, sigma: float) -> PartitionState:
     if sigma == 0.0:
         return state
     v = state.values
-    keep = (v > 0.0) & (v + sigma > 0.0)
-    shifted = np.where(keep, v + sigma, 0.0)
+    shifted = v + sigma
+    shifted = np.where((v > 0.0) & (shifted > 0.0), shifted, 0.0)
     return state.with_values(norm_step(shifted, state.grid))
 
 

@@ -13,9 +13,9 @@ coefficients, so an iterate transformed once for its energy can be diffused
 without transforming it again.  The heat step goes through only the modes
 that ``SpectralOperator.modes`` keeps: the rest are multiplied by less than
 2**-53 / (2**dim * N) and cannot move any value.  A Dirichlet transform of
-J <= ``SINE_MATRIX_MAX_N`` - 1 modes per axis is one dense product per axis
-with J columns of the sine matrix: the full transforms of grids with n <= 96
-(the energy's, and the heat step's when tau keeps every mode, as on 28^3 at
+J <= ``SINE_MATRIX_MAX_N`` - 1 modes per axis runs as dense products with J
+columns of the sine matrix: the full transforms of grids with n <= 96 (the
+energy's, and the heat step's when tau keeps every mode, as on 28^3 at
 tau = 0.2) and the heat step's on larger grids at the usual tau (192^2 at
 tau = 0.05 keeps 62 modes); a full transform above n = 96 calls
 ``scipy.fft.dstn``.  A periodic heat step that keeps |m| <= M, with
@@ -23,13 +23,13 @@ M <= n/4 and M <= ``PERIODIC_MAX_MODES``, runs its inverse as complex
 products on the full axes and one real product on the last (128^2 at
 tau = 0.25 keeps M = 13); otherwise ``irfftn`` of every mode.  A heat step
 allocates one coefficient array and one output, and works in them in place;
-the products add their work buffers.  Products skip exact zeros: a kept-mode
-Dirichlet forward transforms each part from the box of its nonzero nodes
-(every iterate's parts have disjoint supports), and a masked heat step's
-inverse computes only the nodes in the mask's box.  Spectral ringing's tiny
-negative values are not snapped to zero: every projection discards them.
-The one non-spectral piece is the forward-difference energy on a masked
-domain.
+the products add their work buffers.  Products skip exact zeros: the
+Dirichlet product forward transforms each part from the box of its nonzero
+nodes (every iterate's parts have disjoint supports), and a masked heat
+step's inverse computes only the nodes in the mask's box.  Spectral
+ringing's tiny negative values are not snapped to zero: every projection
+discards them.  The one non-spectral piece is the forward-difference energy
+on a masked domain.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .grid import (
 # that would keep more than SINE_MATRIX_MAX_N - 1 of them keeps every mode
 # (``SpectralOperator.modes``), and only a full transform (J = n-1) with
 # n > SINE_MATRIX_MAX_N calls scipy's DST; every other transform of J modes
-# per axis is one product per axis with J columns of the DST-I matrix.  Full
+# per axis is products with J columns of the DST-I matrix.  Full
 # forward, matrix time over ``dstn`` time (median of 15 calls, one BLAS
 # thread, 2-core VM): 2D k=6 0.26-0.37 at n=32,
 # 0.49-0.62 at 88-92, 0.93-1.23 at 96, 1.45-2.08 at 128; 3D k=8 0.17-0.19 at
@@ -239,9 +239,9 @@ class SpectralOperator:
 
         With ``modes``, only the block ``block(modes)`` of them; the
         Dirichlet products compute no other.  On Dirichlet grids the index-0
-        boundary planes are not read.  Fewer than every Dirichlet mode are
-        transformed part by part, each from the box of its nonzero nodes:
-        the nodes outside it would only add exact zeros.
+        boundary planes are not read, and the products (every transform
+        but a full one above ``SINE_MATRIX_MAX_N``) go part by part, each from
+        the box of its nonzero nodes: the nodes outside it add exact zeros.
         """
         if self.bc == "periodic":
             coef = np.fft.rfftn(values, axes=self.axes)
@@ -252,32 +252,26 @@ class SpectralOperator:
         n = self.shape[0]
         interior = values[(...,) + (slice(1, None),) * self.dim]
         modes = n - 1 if modes is None else modes
-        leading = range(-2, -self.dim - 1, -1)
         if modes == n - 1 and n > SINE_MATRIX_MAX_N:
             coef = sp_fft.dstn(interior, type=1, axes=self.axes)
-        elif modes == n - 1:
-            cols, rows = self._sine_tables(modes)
-            # the last axis first, read straight from the strided interior
-            coef = np.matmul(interior, cols)
-            if self.dim > 1:
-                first = np.empty(coef.shape[:-2] + (modes, modes))
-                coef = _left_products(coef, itertools.repeat(rows), leading, (first, coef))
         else:
             cols, rows = self._sine_tables(modes)
-            coef = np.zeros(values.shape[: -self.dim] + (modes,) * self.dim)
+            leading = range(-2, -self.dim - 1, -1)
+            coef = np.empty(values.shape[: -self.dim] + (modes,) * self.dim)
             # 3D: the work buffer of the first left product
             spare = np.empty((n - 1) * modes**2) if self.dim == 3 else None
             # the whole stack is scanned: its contiguous memory is faster to read
             boxes = true_boxes(values != 0.0, self.dim)
             for idx, box in zip(np.ndindex(coef.shape[: -self.dim]), boxes):
+                out = coef[idx]
                 # sine table row l stands for node l + 1; node 0 is not read
                 box = box and tuple(slice(max(s.start - 1, 0), s.stop - 1) for s in box)
                 if not box or any(s.stop == 0 for s in box):
-                    continue  # no nonzero interior node: +0.0 coefficients
-                out = coef[idx]
+                    out[...] = 0.0  # no nonzero interior node
+                    continue
                 # the last axis first (straight into this part's coefficients
                 # in 1D); the left products alternate between ``spare`` and
-                # them, ending in the latter
+                # them, ending in the latter, so they write its whole block
                 part = np.matmul(interior[idx][box], cols[box[-1]],
                                  out=out if self.dim == 1 else None)
                 _left_products(part, [rows[:, box[ax]] for ax in leading], leading,

@@ -36,10 +36,18 @@ def test_grid_spec_basics():
     assert np.all(xs[:, 0] == xs[:, 3])
 
 
-@pytest.mark.parametrize("dim,n", [(0, 8), (4, 8), (2, 3), (2, 7), (2, 2)])
+@pytest.mark.parametrize("dim,n", [(0, 8), (4, 8), (2, 3), (2, 7), (2, 2),
+                                   # not integers: a float, a bool or a string
+                                   (2, 8.0), (2.0, 8), (True, 8), (2, True), (2, "8")])
 def test_grid_spec_rejects_bad_dimensions(dim, n):
     with pytest.raises(ValueError):
         GridSpec(dim=dim, n=n)
+
+
+def test_grid_spec_stores_numpy_integers_as_int():
+    g = GridSpec(dim=np.int64(2), n=np.uint8(8))
+    assert type(g.dim) is int and type(g.n) is int
+    assert g == GridSpec(2, 8) and hash(g) == hash(GridSpec(2, 8))
 
 
 def test_partition_state_accessors():
@@ -110,6 +118,16 @@ def test_domain_mask_box_and_complement_are_derived_once():
     assert "box" not in repr(m) and "outside" not in repr(m)
 
 
+def nonzero_boxes(flags, dim):
+    """Per leading index, the min/max of ``np.nonzero`` per trailing axis: the oracle."""
+    out = []
+    for idx in np.ndindex(flags.shape[: flags.ndim - dim]):
+        hits = np.nonzero(flags[idx])
+        out.append(tuple(slice(int(h.min()), int(h.max()) + 1) for h in hits)
+                   if hits[0].size else None)
+    return out
+
+
 def test_true_boxes_per_leading_index():
     flags = np.zeros((3, 5, 6), dtype=bool)
     flags[0, 1, 4] = flags[0, 3, 2] = True
@@ -117,6 +135,20 @@ def test_true_boxes_per_leading_index():
     assert true_boxes(flags, 2) == [(slice(1, 4), slice(2, 5)), None,
                                     (slice(0, 5), slice(0, 6))]
     assert true_boxes(flags, 3) == [(slice(0, 3), slice(0, 5), slice(0, 6))]
+    # random stacks in 1D-3D with 0-2 leading axes
+    rng = np.random.default_rng(0)
+    for dim, lead in [(d, lead) for d in (1, 2, 3) for lead in (0, 1, 2)]:
+        for _ in range(60):
+            shape = tuple(rng.integers(1, 4, size=lead)) + tuple(rng.integers(1, 9, size=dim))
+            flags = rng.random(shape) < rng.choice([0.0, 0.02, 0.2, 0.7, 1.0])
+            rows = flags.reshape((-1,) + shape[lead:])
+            # an empty row, a single-True row and a full row among the random ones
+            rows[0] = False
+            if len(rows) > 2:
+                rows[1] = False
+                rows[(1,) + tuple(rng.integers(0, m) for m in shape[lead:])] = True
+                rows[2] = True
+            assert true_boxes(flags, dim) == nonzero_boxes(flags, dim)
 
 
 def test_norm_of_zero_field():

@@ -59,6 +59,13 @@ def test_scheme_config_validation():
     for tau in (np.inf, np.nan, (0.1, np.inf), ()):
         with pytest.raises(ValueError, match="positive and finite"):
             SchemeConfig(k=2, tau=tau)
+    # counts must be integers, not floats or bools; numpy integers become int
+    for kwargs in ({"k": 2.5}, {"k": 2.0}, {"k": True}, {"k": 2, "n_max": 10.5},
+                   {"k": 2, "n_max": True}, {"k": 2, "n_max": "10"}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SchemeConfig(**kwargs)
+    cfg = SchemeConfig(k=np.int64(3), n_max=np.uint16(10))
+    assert type(cfg.k) is int and type(cfg.n_max) is int
 
 
 def test_scheme_config_rejects_mask_on_the_torus():
