@@ -166,9 +166,11 @@ def true_boxes(flags: np.ndarray, dim: int) -> list[tuple[slice, ...] | None]:
 
 
 def weighted_norms(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Discrete L2 norms over the trailing grid axes (leading axes kept)."""
-    axes = _trailing_axes(values, grid)
-    return np.sqrt(grid.cell_volume * np.sum(values * values, axis=axes))
+    """Discrete L2 norms of the parts of a (k, *grid.shape) stack, each part's
+    squares summed through one part-sized temporary."""
+    square = np.empty(grid.shape)
+    sums = [np.sum(np.multiply(part, part, out=square)) for part in values]
+    return np.sqrt(grid.cell_volume * np.array(sums))
 
 
 def partition_norms(state: PartitionState) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import DomainMask, GridSpec, PartitionState
+from .grid import BOUNDARY_CONDITIONS, DomainMask, GridSpec, PartitionState, _check_integer
 
 BOX_PERIOD = 2.0 * np.pi
 
@@ -80,8 +80,11 @@ def voronoi_init(
     the output is nonnegative with pairwise disjoint supports and exact unit
     norms.  The k seeds are distinct domain nodes, drawn once.
     """
+    k = _check_integer("k", k)
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
+    if bc not in BOUNDARY_CONDITIONS:
+        raise ValueError(f"unknown boundary condition {bc!r}")
     candidates = np.flatnonzero(_domain_indicator(grid, bc, mask))
     if candidates.size < k:
         raise InitFailed(

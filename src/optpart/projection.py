@@ -6,6 +6,8 @@ nonzero per node, which is what makes pairwise products of the outputs
 exactly zero in floating point, not just small.  They find each node's
 winner and runner-up in one running pass over the k part rows
 (``grid.top_two``, as the label map does), with no sort along the part axis.
+Like numpy's ufuncs they return a fresh array, or write into ``out``, which
+may be the input itself: they read all of it before they write.
 
 ``recover_multipliers`` reconstructs, for diagnostic purposes, multiplier
 fields that certify a projection output as the solution of the implicit
@@ -35,21 +37,23 @@ class DegeneratePart(RuntimeError):
         super().__init__(f"part {part_index} degenerated (discrete norm {norm:.3e} {why})")
 
 
-def positivity_step(parts: np.ndarray) -> np.ndarray:
+def positivity_step(parts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Clamp negative nodal values to zero, part by part."""
-    return np.maximum(np.asarray(parts, dtype=float), 0.0)
+    return np.maximum(np.asarray(parts, dtype=float), 0.0, out=out)
 
 
-def _winner_rows(k: int, winner: np.ndarray, keep: np.ndarray, value: np.ndarray) -> np.ndarray:
+def _winner_rows(k: int, winner: np.ndarray, keep: np.ndarray, value: np.ndarray,
+                 out: np.ndarray | None) -> np.ndarray:
     """Stack of k parts holding ``value`` in each node's winner row where ``keep``, else 0."""
     won = np.where(keep, winner, -1)
-    out = np.zeros((k,) + won.shape)
+    out = np.empty((k,) + won.shape) if out is None else out
+    out.fill(0.0)
     for i in range(k):
         np.copyto(out[i], value, where=won == i)
     return out
 
 
-def ortho_step_ratio(parts: np.ndarray) -> np.ndarray:
+def ortho_step_ratio(parts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Disjoint-support projection of a nonnegative tuple, ratio form.
 
     At each node the strict maximizer keeps ``(top^2 - second^2) / top`` and
@@ -63,10 +67,10 @@ def ortho_step_ratio(parts: np.ndarray) -> np.ndarray:
     # (top^2 - second^2) / top evaluated as a subtraction from top, so the
     # result stays inside [0, top] in floating point, not just in exact math
     value = top - second * (second / safe)
-    return _winner_rows(arr.shape[0], winner, keep, value)
+    return _winner_rows(arr.shape[0], winner, keep, value, out)
 
 
-def ortho_pos_step_linear(parts: np.ndarray) -> np.ndarray:
+def ortho_pos_step_linear(parts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Combined positivity + disjointness projection, gap form.
 
     The strict maximizer survives with the gap to the runner-up clamped at
@@ -77,10 +81,10 @@ def ortho_pos_step_linear(parts: np.ndarray) -> np.ndarray:
     top, second, winner = top_two(arr)
     keep = (top > second) & (top > 0.0)
     value = top - np.maximum(second, 0.0)
-    return _winner_rows(arr.shape[0], winner, keep, value)
+    return _winner_rows(arr.shape[0], winner, keep, value, out)
 
 
-def ortho_pos_step_geometric(parts: np.ndarray) -> np.ndarray:
+def ortho_pos_step_geometric(parts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Combined positivity + disjointness projection, geometric-mean form.
 
     The lowest-index maximizer survives with ``top - sqrt(top * max(second,
@@ -91,17 +95,17 @@ def ortho_pos_step_geometric(parts: np.ndarray) -> np.ndarray:
     top, second, winner = top_two(arr)
     keep = top > 0.0
     value = np.maximum(top - np.sqrt(top * np.maximum(second, 0.0)), 0.0)
-    return _winner_rows(arr.shape[0], winner, keep, value)
+    return _winner_rows(arr.shape[0], winner, keep, value, out)
 
 
-def norm_step(parts: np.ndarray, grid: GridSpec) -> np.ndarray:
+def norm_step(parts: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
     """Rescale every part to unit discrete L2 norm on the given grid."""
     arr = np.asarray(parts, dtype=float)
     norms = weighted_norms(arr, grid)
     bad = np.nonzero(~(np.isfinite(norms) & (norms > DEGENERATE_NORM_TOL)))[0]
     if bad.size:
         raise DegeneratePart(bad[0], norms[bad[0]])
-    return arr / norms.reshape((-1,) + (1,) * grid.dim)
+    return np.divide(arr, norms.reshape((-1,) + (1,) * grid.dim), out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from typing import Callable
 import numpy as np
 
 from .grid import (
-    BOUNDARY_CONDITIONS,
     DomainMask,
     PartitionState,
     _check_integer,
@@ -41,7 +40,7 @@ from .projection import (
     ortho_step_ratio,
     positivity_step,
 )
-from .spectral import diffuse_stack, dirichlet_energy, spectral_operator
+from .spectral import _check_energy_domain, diffuse_stack, dirichlet_energy, spectral_operator
 
 VARIANTS = (
     "four_step",
@@ -58,10 +57,10 @@ SECANT_RESIDUAL_TOL = 1e-10
 # The projection step of each variant.  The lambdas look the projections up
 # in this module when called, so a wrapper installed over one of these module
 # attributes (a tracer, a call counter) sees every call the schemes make.
-PROJECTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "four_step": lambda v: ortho_step_ratio(positivity_step(v)),
-    "three_step_linear": lambda v: ortho_pos_step_linear(v),
-    "three_step_geometric": lambda v: ortho_pos_step_geometric(v),
+PROJECTIONS: dict[str, Callable[..., np.ndarray]] = {
+    "four_step": lambda v, out=None: ortho_step_ratio(positivity_step(v, out=out), out=out),
+    "three_step_linear": lambda v, out=None: ortho_pos_step_linear(v, out=out),
+    "three_step_geometric": lambda v, out=None: ortho_pos_step_geometric(v, out=out),
 }
 
 
@@ -98,18 +97,12 @@ class SchemeConfig:
             raise ValueError(
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
             )
-        if self.bc not in BOUNDARY_CONDITIONS:
-            raise ValueError(f"unknown boundary condition {self.bc!r}")
+        _check_energy_domain(self.bc, self.mask)
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
         taus = tuple(float(t) for t in np.ravel(self.tau))
         if not taus or not all(0.0 < t < np.inf for t in taus):
             raise ValueError("tau values must be positive and finite")
-        if self.mask is not None and self.bc != "dirichlet":
-            raise ValueError(
-                "a mask requires bc='dirichlet': the masked energy extends by "
-                "zero past the box edge, which is wrong on the periodic torus"
-            )
         object.__setattr__(self, "tau", taus)
 
     @property
@@ -151,11 +144,12 @@ def step(
 
     ``coef``, if given, is the spectral forward transform of ``s.values``
     (computed for its energy); the diffusion reuses it instead of
-    transforming again.
+    transforming again.  The projection and the normalization work in the
+    diffusion's fresh output, which becomes the new state.
     """
     v = diffuse_stack(s.values, s.grid, tau, cfg.bc, cfg.mask, coef)
-    v = PROJECTIONS[cfg.variant.removesuffix("_ed")](v)
-    return s.with_values(norm_step(v, s.grid))
+    v = PROJECTIONS[cfg.variant.removesuffix("_ed")](v, out=v)
+    return s.with_values(norm_step(v, s.grid, out=v))
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +202,8 @@ def apply_sigma(state: PartitionState, sigma: float) -> PartitionState:
         return state
     v = state.values
     shifted = v + sigma
-    shifted = np.where((v > 0.0) & (shifted > 0.0), shifted, 0.0)
-    return state.with_values(norm_step(shifted, state.grid))
+    np.copyto(shifted, 0.0, where=~((v > 0.0) & (shifted > 0.0)))
+    return state.with_values(norm_step(shifted, state.grid, out=shifted))
 
 
 def energy_decrease_wrap(

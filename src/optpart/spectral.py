@@ -22,8 +22,12 @@ tau = 0.05 keeps 62 modes); a full transform above n = 96 calls
 M <= n/4 and M <= ``PERIODIC_MAX_MODES``, runs its inverse as complex
 products on the full axes and one real product on the last (128^2 at
 tau = 0.25 keeps M = 13); otherwise ``irfftn`` of every mode.  A heat step
-allocates one coefficient array and one output, and works in them in place;
-the products add their work buffers.  Products skip exact zeros: the
+allocates its output and the products' work buffers.  Values it transforms
+itself get one coefficient array, decayed in place; read-only coefficients
+handed in by ``run`` are decayed into a 3D product's work buffer, elsewhere
+into one fresh product.  ``scheme.step`` projects and normalizes in the
+output: a 28^3, k=8 step peaks at 2.8 stacks of traced memory, a 2D
+benchmark step at 1.9.  Products skip exact zeros: the
 Dirichlet product forward transforms each part from the box of its nonzero
 nodes (every iterate's parts have disjoint supports), and a masked heat
 step's inverse computes only the nodes in the mask's box.  Spectral
@@ -279,26 +283,39 @@ class SpectralOperator:
         coef.setflags(write=False)
         return coef
 
-    def inverse(self, coef: np.ndarray, box: tuple[slice, ...] | None = None) -> np.ndarray:
+    def inverse(
+        self, coef: np.ndarray, box: tuple[slice, ...] | None = None, decay: np.ndarray | None = None
+    ) -> np.ndarray:
         """Nodal values of full or ``block``-kept coefficients; Dirichlet boundary planes are 0.
 
         With ``box``, per-axis node slices such as ``DomainMask.box``, the
         output is +0.0 outside the box, and the products compute only the
-        nodes inside it, from the table rows of those nodes.  The product
-        paths only read ``coef``.  A full Dirichlet ``coef`` above
-        ``SINE_MATRIX_MAX_N`` must be writable: scipy's DST overwrites it.
+        nodes inside it, from the table rows of those nodes.  With ``decay``,
+        the nodal values of ``coef * decay``: 3D products hold that product
+        in the work buffer their second left product overwrites, and the
+        paths with no second buffer (1D, 2D) or that overwrite their input
+        (the full transforms) in a fresh array.  The product paths only read
+        ``coef``.  A full Dirichlet ``coef`` above ``SINE_MATRIX_MAX_N``
+        without ``decay`` must be writable: scipy's DST overwrites it.
         """
         n, kept = self.shape[0], coef.shape[-1]
         lead = coef.shape[: coef.ndim - self.dim]
         # a Dirichlet grid's node 0 is zero, and its tables' row l is node l + 1
         first = int(self.bc == "dirichlet")
         box = tuple(slice(max(s.start, first), s.stop) for s in box or (slice(0, n),) * self.dim)
-        if self.bc == "periodic" and kept == n // 2 + 1:
+        # every mode goes through irfftn, or above SINE_MATRIX_MAX_N through scipy's DST
+        if self.bc == "periodic":
+            transform = kept == n // 2 + 1
+        else:
+            transform = kept == n - 1 and n > SINE_MATRIX_MAX_N
+        if decay is not None and (transform or self.dim < 3):
+            coef, decay = coef * decay, None
+        if transform and self.bc == "periodic":
             return _zero_outside(np.fft.irfftn(coef, s=self.shape, axes=self.axes), box)
         out = _zero_outside(np.empty(lead + self.shape), box)
         dest = out[(...,) + box]
         rows = tuple(slice(s.start - first, s.stop - first) for s in box)
-        if self.bc == "dirichlet" and kept == n - 1 and n > SINE_MATRIX_MAX_N:
+        if transform:
             dest[...] = sp_fft.idstn(coef, type=1, axes=self.axes, overwrite_x=True)[(...,) + rows]
             return out
         leading, last = self._inverse_tables(kept if self.bc == "dirichlet" else kept - 1)
@@ -306,6 +323,10 @@ class SpectralOperator:
         # axis, writes straight into the output (its strided box)
         buffers = tuple(np.empty(lead + (len(leading),) * (self.dim - 1) + (kept,), coef.dtype)
                         for _ in range(self.dim - 1))
+        if decay is not None:
+            # the first left product reads it, the second overwrites it
+            spare = buffers[1].reshape(-1)[: coef.size].reshape(coef.shape)
+            coef = np.multiply(coef, decay, out=spare)
         partial = _left_products(coef, [leading[r] for r in rows[:-1]], range(-self.dim, -1),
                                  buffers)
         # a complex partial's interleaved real and imaginary parts meet the
@@ -350,6 +371,16 @@ def _check_mask(mask: DomainMask, grid: GridSpec) -> None:
         raise ValueError("mask grid does not match state grid")
 
 
+def _check_energy_domain(bc: str, mask: DomainMask | None) -> None:
+    if bc not in BOUNDARY_CONDITIONS:
+        raise ValueError(f"unknown boundary condition {bc!r}")
+    if mask is not None and bc != "dirichlet":
+        raise ValueError(
+            "a mask requires bc='dirichlet': the masked energy extends by "
+            "zero past the box edge, which is wrong on the periodic torus"
+        )
+
+
 def _check_boundary_planes(values: np.ndarray, grid: GridSpec) -> None:
     if any(np.any(np.moveaxis(values, ax, 0)[0] != 0.0) for ax in _trailing_axes(values, grid)):
         raise ValueError("dirichlet semigroup requires zero values on the boundary planes")
@@ -381,16 +412,17 @@ def diffuse_stack(
     modes = op.modes(tau)
     block = op.block(modes)
     if coef is None:
-        product = op.forward(values, modes)
-        product.setflags(write=True)  # this call's own array: decay it in place
-        product *= op.decay(tau)[block]
+        coef, decay = op.forward(values, modes), None
+        coef.setflags(write=True)  # this call's own array: decay it in place
+        coef *= op.decay(tau)[block]
     else:
-        product = coef[block] * op.decay(tau)[block]
+        # read-only and shared: the inverse multiplies the decay in
+        coef, decay = coef[block], op.decay(tau)[block]
     if mask is None:
-        return op.inverse(product)
+        return op.inverse(coef, None, decay)
     _check_mask(mask, grid)
     # the output is +0.0 outside the mask's box; restrict inside it
-    out = op.inverse(product, mask.box)
+    out = op.inverse(coef, mask.box, decay)
     np.copyto(out[(...,) + mask.box], 0.0, where=mask.outside[mask.box])
     return out
 
@@ -427,10 +459,9 @@ def dirichlet_energy(
 
     ``coef``, if given, must be the spectral operator's forward transform of
     ``state.values``; it saves recomputing that transform.  It is ignored
-    with a mask.
+    with a mask, which requires ``bc="dirichlet"``.
     """
-    if bc not in BOUNDARY_CONDITIONS:
-        raise ValueError(f"unknown boundary condition {bc!r}")
+    _check_energy_domain(bc, mask)
     if mask is not None:
         _check_mask(mask, state.grid)
         return _energy_masked(state.values, state.grid)

@@ -172,6 +172,26 @@ def test_init_requires_at_least_two_parts():
         voronoi_init(GridSpec(dim=2, n=8), 1, rng_seed=0)
 
 
+@pytest.mark.parametrize("k", [2.5, 3.0, "3", True, None])
+def test_init_requires_an_integer_part_count(k):
+    with pytest.raises(ValueError, match="k must be an integer"):
+        voronoi_init(GridSpec(dim=2, n=8), k, rng_seed=0)
+
+
+def test_init_takes_a_numpy_integer_part_count():
+    grid = GridSpec(dim=2, n=8)
+    assert np.array_equal(voronoi_init(grid, np.int64(3), 0).values,
+                          voronoi_init(grid, 3, 0).values)
+
+
+@pytest.mark.parametrize("bc", ["dirchlet", "Dirichlet", "neumann", None])
+def test_init_rejects_an_unknown_boundary_condition(bc):
+    # a misspelt bc once fell back to Euclidean distances and left the
+    # Dirichlet boundary planes nonzero
+    with pytest.raises(ValueError, match="unknown boundary condition"):
+        voronoi_init(GridSpec(dim=2, n=8), 3, rng_seed=0, bc=bc)
+
+
 def test_init_fails_when_domain_is_too_small():
     grid = GridSpec(dim=2, n=8)
     mask = make_mask(grid, "disk", radius=0.5)

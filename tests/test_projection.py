@@ -217,7 +217,8 @@ def test_argmax_scaling_invariance():
 
 # ---------------------------------------------------------------------------
 # the one-pass kernels against the part-axis sort, argmax and scatter they
-# replaced, kept here as the reference
+# replaced, kept here as the reference; the reference projections take the
+# schemes' ``out`` and return a fresh array, as a caller must allow
 
 
 def _ref_top_two(parts):
@@ -236,7 +237,7 @@ def _ref_scatter(shape, winner, keep, value):
     return out.reshape(shape)
 
 
-def ref_ratio(parts):
+def ref_ratio(parts, out=None):
     top, second, winner = _ref_top_two(parts)
     second = np.maximum(second, 0.0)
     keep = top > second
@@ -244,13 +245,13 @@ def ref_ratio(parts):
     return _ref_scatter(np.shape(parts), winner, keep, top - second * (second / safe))
 
 
-def ref_linear(parts):
+def ref_linear(parts, out=None):
     top, second, winner = _ref_top_two(parts)
     keep = (top > second) & (top > 0.0)
     return _ref_scatter(np.shape(parts), winner, keep, top - np.maximum(second, 0.0))
 
 
-def ref_geometric(parts):
+def ref_geometric(parts, out=None):
     top, second, winner = _ref_top_two(parts)
     value = np.maximum(top - np.sqrt(top * np.maximum(second, 0.0)), 0.0)
     return _ref_scatter(np.shape(parts), winner, top > 0.0, value)
@@ -308,7 +309,30 @@ def test_projections_match_the_sorting_reference_bitwise(v):
     for step, ref in REFERENCE.items():
         assert same_bits(step(v), ref(v)), step.__name__
         assert same_bits(step(positivity_step(v)), ref(positivity_step(v))), step.__name__
+    try:
+        norm_step(v, GridSpec(v.ndim - 1, v.shape[-1]))
+    except DegeneratePart:
+        pass
     assert same_bits(v, before)
+
+
+@given(node_stacks())
+@settings(max_examples=200, deadline=None)
+@np.errstate(invalid="ignore")
+def test_out_is_the_input_bitwise(v):
+    # each projection and norm_step, written into a writable copy of its
+    # input, gives the bits of its fresh output
+    grid = GridSpec(v.ndim - 1, v.shape[-1])
+    normalize = lambda u, out=None: norm_step(u, grid, out=out)
+    steps = [positivity_step, *ORTHO_STEPS.values(), normalize]
+    for step in steps:
+        try:
+            want = step(v)
+        except DegeneratePart:
+            continue
+        w = v.copy()
+        assert step(w, out=w) is w
+        assert same_bits(w, want)
 
 
 @given(node_stacks())

@@ -1,5 +1,7 @@
 """Splitting-step drivers, the energy-decrease correction, and the run loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from optpart.grid import support_labels
 from optpart.scheme import (
     SECANT_MAX_ITERS,
     SecantFailed,
+    _evaluate,
     _residual,
     apply_sigma,
     energy_decrease_wrap,
@@ -135,6 +138,28 @@ def test_identical_parts_degenerate_with_iteration_index():
     assert err.value.part_index == 0
     # the rows before the failed iteration travel with the exception
     assert [row.iteration for row in err.value.trace] == [0]
+
+
+@pytest.mark.parametrize("dim,n,k,variant,bc,mask_name,tau,bound", [
+    (3, 28, 8, "four_step", "dirichlet", None, 0.2, 3.0),
+    (2, 192, 6, "three_step_linear", "dirichlet", "star5", 0.05, 2.0),
+    (2, 128, 6, "three_step_geometric", "periodic", None, 0.25, 2.0),
+])
+def test_step_allocates_little_beyond_the_new_state(dim, n, k, variant, bc, mask_name, tau,
+                                                    bound):
+    # the projection and the normalization work in the diffusion's output;
+    # the 3D inverse decays shared coefficients into its own work buffer
+    grid = GridSpec(dim, n)
+    mask = make_mask(grid, mask_name) if mask_name else None
+    cfg = SchemeConfig(k=k, variant=variant, tau=tau, bc=bc, mask=mask)
+    state = voronoi_init(grid, k, 0, bc, mask)
+    state = step(state, cfg, tau, _evaluate(state, cfg)[1])  # warm-up: tables and caches
+    coef = _evaluate(state, cfg)[1]
+    tracemalloc.start()
+    step(state, cfg, tau, coef)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak / state.values.nbytes <= bound
 
 
 # ---------------------------------------------------------------------------

@@ -73,12 +73,13 @@ def test_one_cached_operator_per_grid():
         spectral_operator("neumann", 2, 16)
 
 
+@pytest.mark.parametrize("dim", [2, 3])  # 3D decays given coefficients in a work buffer
 @pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
-def test_diffusion_from_given_coefficients_is_bitwise_the_same(bc):
-    g = GridSpec(dim=2, n=16)
+def test_diffusion_from_given_coefficients_is_bitwise_the_same(bc, dim):
+    g = GridSpec(dim=dim, n=16)
     vals = np.random.default_rng(3).random((3,) + g.shape)
-    vals[:, 0, :] = 0.0
-    vals[:, :, 0] = 0.0
+    for ax in range(1, dim + 1):
+        np.moveaxis(vals, ax, 0)[0] = 0.0
     op = spectral_operator(bc, g.dim, g.n)
     coef = op.forward(vals)
     assert not coef.flags.writeable
@@ -89,6 +90,20 @@ def test_diffusion_from_given_coefficients_is_bitwise_the_same(bc):
     assert dirichlet_energy(PartitionState(g, vals), bc, coef=coef) == dirichlet_energy(
         PartitionState(g, vals), bc
     )
+
+
+def test_masked_energy_requires_the_dirichlet_box():
+    # the masked energy extends by zero past the box edge, as SchemeConfig says
+    g = GridSpec(dim=2, n=16)
+    mask = make_mask(g, "disk")
+    state = voronoi_init(g, 3, 0, "dirichlet", mask)
+    with pytest.raises(ValueError, match="a mask requires bc='dirichlet'"):
+        dirichlet_energy(state, "periodic", mask)
+    with pytest.raises(ValueError, match="a mask requires bc='dirichlet'"):
+        SchemeConfig(k=3, bc="periodic", mask=mask)
+    with pytest.raises(ValueError, match="unknown boundary condition"):
+        dirichlet_energy(state, "dirchlet", mask)
+    assert dirichlet_energy(state, "dirichlet", mask) > 0.0
 
 
 def test_dirichlet_boundary_check_holds_with_given_coefficients():
