@@ -168,15 +168,15 @@ def true_boxes(flags: np.ndarray, dim: int) -> list[tuple[slice, ...] | None]:
 def weighted_norms(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Discrete L2 norms of the parts of a (k, *grid.shape) stack, each part's
     squares summed through one part-sized temporary."""
-    square = np.empty(grid.shape)
-    sums = [np.sum(np.multiply(part, part, out=square)) for part in values]
+    flat = values.reshape(len(values), -1)  # one run per part: the same sum, cheaper
+    square = np.empty(flat.shape[1])
+    sums = [np.add.reduce(np.multiply(part, part, out=square)) for part in flat]
     return np.sqrt(grid.cell_volume * np.array(sums))
 
 
 def partition_norms(state: PartitionState) -> np.ndarray:
-    """Per-part discrete L2 norms, shape (k,), in one pass over the stack."""
-    flat = state.values.reshape(state.k, -1)
-    return np.sqrt(state.grid.cell_volume * np.einsum("ki,ki->k", flat, flat))
+    """Per-part discrete L2 norms, shape (k,): the sums ``norm_step`` divides by."""
+    return weighted_norms(state.values, state.grid)
 
 
 def top_two(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -265,12 +265,10 @@ def energy_decrease_wrap(
     raise SecantFailed(message, sigma=sig_b, iterations=iters)
 
 
-def stopping_check(
-    prev_labels: np.ndarray, state: PartitionState, frozen: bool = False
-) -> tuple[bool, np.ndarray]:
+def stopping_check(prev_labels: np.ndarray, state: PartitionState) -> tuple[bool, np.ndarray]:
     """An iterate's label map, one scan of its disjoint supports, and whether it
-    equals ``prev_labels``; a ``frozen`` iterate's map is ``prev_labels``."""
-    labels = prev_labels if frozen else support_labels(state)
+    equals ``prev_labels``."""
+    labels = support_labels(state)
     return bool(np.array_equal(prev_labels, labels)), labels
 
 
@@ -307,10 +305,10 @@ def run(
     The loop ends when consecutive label maps agree or after ``cfg.n_max``
     iterations.  The trace gets one row for the initial state and one per
     iteration.  For energy-decreasing variants a failed correction freezes
-    the iterate at the previous state (recorded in the trace via the label
-    check firing) rather than accepting an energy increase.  A
-    ``DegeneratePart`` raised by an iteration carries its index as
-    ``iteration`` and the rows before it as ``trace``.
+    the iterate at the previous state, rather than accepting an energy
+    increase, and stops the run.  A ``DegeneratePart`` raised by an
+    iteration carries its index as ``iteration`` and the rows before it as
+    ``trace``.
     """
     if init.k != cfg.k:
         raise ValueError(f"config expects k={cfg.k}, initial state has k={init.k}")
@@ -333,7 +331,7 @@ def run(
 
     for n in range(cfg.n_max):
         tau = cfg.tau_at(n)
-        previous = state
+        previous, stopped = state, False
         try:
             candidate = step(previous, cfg, tau, coef)
             if cfg.energy_decreasing:
@@ -342,9 +340,9 @@ def run(
                         candidate, previous, cfg, tau, trace[-1].energy
                     )
                 except SecantFailed as err:
-                    # freeze: keep the previous iterate (and its energy and
-                    # coefficients), never raise the energy
-                    state, sigma, secant_iters = previous, err.sigma, err.iterations
+                    # freeze the previous iterate, energy, coefficients and labels, and
+                    # stop: a false stop (ROADMAP item 3), settled labels never reached
+                    state, sigma, secant_iters, stopped = previous, err.sigma, err.iterations, True
             else:
                 state, sigma, secant_iters = candidate, None, 0
                 energy, coef = _evaluate(state, cfg)
@@ -352,7 +350,8 @@ def run(
             err.iteration = n + 1
             err.trace = trace
             raise
-        stopped, labels = stopping_check(labels, state, frozen=state is previous)
+        if not stopped:
+            stopped, labels = stopping_check(labels, state)
         row = _trace_row(state, n + 1, energy, sigma, secant_iters, stopped)
         trace.append(row)
         if on_iteration is not None:

@@ -22,15 +22,15 @@ tau = 0.05 keeps 62 modes); a full transform above n = 96 calls
 M <= n/4 and M <= ``PERIODIC_MAX_MODES``, runs its inverse as complex
 products on the full axes and one real product on the last (128^2 at
 tau = 0.25 keeps M = 13); otherwise ``irfftn`` of every mode.  A heat step
-allocates its output and the products' work buffers.  Values it transforms
-itself get one coefficient array, decayed in place; read-only coefficients
-handed in by ``run`` are decayed into a 3D product's work buffer, elsewhere
-into one fresh product.  ``scheme.step`` projects and normalizes in the
-output: a 28^3, k=8 step peaks at 2.8 stacks of traced memory, a 2D
-benchmark step at 1.9.  Products skip exact zeros: the
-Dirichlet product forward transforms each part from the box of its nonzero
-nodes (every iterate's parts have disjoint supports), and a masked heat
-step's inverse computes only the nodes in the mask's box.  Spectral
+allocates its output, one work buffer, and one coefficient array when it
+transforms the values itself.  It never writes coefficients: 2D and 3D
+products decay them into memory of their own, 1D products and the full
+transforms into one fresh array.  ``scheme.step`` projects and normalizes
+in the output: a 28^3, k=8 step and a 2D benchmark step peak at 1.9 stacks
+of traced memory.  Products skip exact zeros: the Dirichlet product forward
+transforms each part from the box of its nonzero nodes (every iterate's
+parts have disjoint supports), and a masked heat step's inverse computes
+only the nodes in the mask's box.  Spectral
 ringing's tiny negative values are not snapped to zero: every projection
 discards them.  The one non-spectral piece is the forward-difference energy
 on a masked domain.
@@ -102,8 +102,8 @@ def _left_products(arr: np.ndarray, mats, axes, buffers) -> np.ndarray:
     Each product left-multiplies a (..., m, rest) view, so no axis is moved
     or copied; a (p, m) matrix turns the axis's length m into p.  The
     results alternate between the leading memory of ``buffers``, which must
-    hold every result and not share memory with ``arr``.  Returns the last
-    result.
+    hold every result; the first must not share memory with ``arr``.
+    Returns the last result.
     """
     for mat, ax, buf in zip(mats, axes, itertools.cycle(buffers)):
         m, rest = arr.shape[ax], math.prod(arr.shape[ax + 1 :])
@@ -291,12 +291,13 @@ class SpectralOperator:
         With ``box``, per-axis node slices such as ``DomainMask.box``, the
         output is +0.0 outside the box, and the products compute only the
         nodes inside it, from the table rows of those nodes.  With ``decay``,
-        the nodal values of ``coef * decay``: 3D products hold that product
-        in the work buffer their second left product overwrites, and the
-        paths with no second buffer (1D, 2D) or that overwrite their input
-        (the full transforms) in a fresh array.  The product paths only read
-        ``coef``.  A full Dirichlet ``coef`` above ``SINE_MATRIX_MAX_N``
-        without ``decay`` must be writable: scipy's DST overwrites it.
+        the nodal values of ``coef * decay``: 2D and 3D products write that
+        product into memory of their own (the output's in 2D, their work
+        buffer's in 3D), which their first product reads before anything
+        overwrites it; 1D products and the full transforms take it in a
+        fresh array.  ``coef`` is only read, but a full Dirichlet ``coef``
+        above ``SINE_MATRIX_MAX_N`` without ``decay`` must be writable:
+        scipy's DST overwrites it.
         """
         n, kept = self.shape[0], coef.shape[-1]
         lead = coef.shape[: coef.ndim - self.dim]
@@ -308,27 +309,30 @@ class SpectralOperator:
             transform = kept == n // 2 + 1
         else:
             transform = kept == n - 1 and n > SINE_MATRIX_MAX_N
-        if decay is not None and (transform or self.dim < 3):
+        if decay is not None and (transform or self.dim == 1):
             coef, decay = coef * decay, None
         if transform and self.bc == "periodic":
             return _zero_outside(np.fft.irfftn(coef, s=self.shape, axes=self.axes), box)
-        out = _zero_outside(np.empty(lead + self.shape), box)
+        out = np.empty(lead + self.shape)
         dest = out[(...,) + box]
         rows = tuple(slice(s.start - first, s.stop - first) for s in box)
         if transform:
             dest[...] = sp_fft.idstn(coef, type=1, axes=self.axes, overwrite_x=True)[(...,) + rows]
-            return out
+            return _zero_outside(out, box)
         leading, last = self._inverse_tables(kept if self.bc == "dirichlet" else kept - 1)
         # the leading axes first, so that the last product, along the last
-        # axis, writes straight into the output (its strided box)
-        buffers = tuple(np.empty(lead + (len(leading),) * (self.dim - 1) + (kept,), coef.dtype)
-                        for _ in range(self.dim - 1))
-        if decay is not None:
-            # the first left product reads it, the second overwrites it
-            spare = buffers[1].reshape(-1)[: coef.size].reshape(coef.shape)
-            coef = np.multiply(coef, decay, out=spare)
+        # axis, writes straight into the output (its strided box); the left
+        # products alternate between the output's memory (J <= n-1 and
+        # M <= n/4 leave room) and one work buffer, ending in the buffer
+        spare = np.empty(lead + (len(leading),) * (self.dim - 1) + (kept,), coef.dtype)
+        room = out.reshape(-1).view(coef.dtype)
+        buffers = (spare, room) if self.dim == 2 else (room, spare)
+        if decay is not None:  # where the first left product does not write
+            coef = np.multiply(coef, decay, out=buffers[-1].reshape(-1)[: coef.size]
+                               .reshape(coef.shape))
         partial = _left_products(coef, [leading[r] for r in rows[:-1]], range(-self.dim, -1),
                                  buffers)
+        _zero_outside(out, box)  # the left products are done with its memory
         # a complex partial's interleaved real and imaginary parts meet the
         # real table's rows
         np.matmul(partial.view(np.float64), last[:, rows[-1]], out=dest)
@@ -366,8 +370,8 @@ def _check_tau(tau: float) -> float:
     return tau
 
 
-def _check_mask(mask: DomainMask, grid: GridSpec) -> None:
-    if mask.grid != grid:
+def _check_mask(mask: DomainMask | None, grid: GridSpec) -> None:
+    if mask is not None and mask.grid != grid:
         raise ValueError("mask grid does not match state grid")
 
 
@@ -376,8 +380,8 @@ def _check_energy_domain(bc: str, mask: DomainMask | None) -> None:
         raise ValueError(f"unknown boundary condition {bc!r}")
     if mask is not None and bc != "dirichlet":
         raise ValueError(
-            "a mask requires bc='dirichlet': the masked energy extends by "
-            "zero past the box edge, which is wrong on the periodic torus"
+            "a mask requires bc='dirichlet': the masked heat step and energy extend "
+            "by zero past the box edge, which is wrong on the periodic torus"
         )
 
 
@@ -398,32 +402,28 @@ def diffuse_stack(
 
     Transforms run over the trailing grid axes so all parts go through one
     transform call, which carries only the modes ``SpectralOperator.modes``
-    keeps at ``tau``.  With ``bc="dirichlet"`` the parts must vanish on the
-    stored boundary planes (index 0 along every axis); the opposite faces
-    are implicit zero-Dirichlet images.
+    keeps at ``tau``.  With ``bc="dirichlet"``, which a mask requires, the
+    parts must vanish on the stored boundary planes (index 0 along every
+    axis); the opposite faces are implicit zero-Dirichlet images.
     ``coef``, if given, must be the spectral operator's forward transform of
     ``values`` (as computed for their energy), read in place of that transform.
     Ringing's tiny negative values are kept; the projections discard them.
     """
     tau = _check_tau(tau)
+    _check_energy_domain(bc, mask)
     op = spectral_operator(bc, grid.dim, grid.n)
     if bc == "dirichlet":
         _check_boundary_planes(values, grid)
+    _check_mask(mask, grid)
     modes = op.modes(tau)
     block = op.block(modes)
-    if coef is None:
-        coef, decay = op.forward(values, modes), None
-        coef.setflags(write=True)  # this call's own array: decay it in place
-        coef *= op.decay(tau)[block]
-    else:
-        # read-only and shared: the inverse multiplies the decay in
-        coef, decay = coef[block], op.decay(tau)[block]
-    if mask is None:
-        return op.inverse(coef, None, decay)
-    _check_mask(mask, grid)
-    # the output is +0.0 outside the mask's box; restrict inside it
-    out = op.inverse(coef, mask.box, decay)
-    np.copyto(out[(...,) + mask.box], 0.0, where=mask.outside[mask.box])
+    # the inverse multiplies the decay into read-only coefficients; as no name
+    # here holds them, a fresh product there frees the array it replaces
+    out = op.inverse(op.forward(values, modes) if coef is None else coef[block],
+                     None if mask is None else mask.box, op.decay(tau)[block])
+    if mask is not None:
+        # the output is +0.0 outside the mask's box; restrict inside it
+        np.copyto(out[(...,) + mask.box], 0.0, where=mask.outside[mask.box])
     return out
 
 

@@ -26,9 +26,9 @@ from optpart.projection import (
     ortho_pos_step_geometric,
     ortho_pos_step_linear,
     ortho_step_ratio,
-    recover_multipliers,
 )
 
+from multipliers import recover_multipliers
 from test_diffusion import dense_dirichlet_kernel, dense_periodic_kernel, heat
 
 NORM_TOL = 1e-12

@@ -53,7 +53,7 @@ REMOVED = {
     optpart.projection: [
         "_flat", "_runner_up", "_scatter_winner", "_ranked_positive", "_pair_set",
         "_ortho_ratio_multipliers", "_coupled_multipliers", "_closure_positivity",
-        "RATIO", "LINEAR", "GEOMETRIC",
+        "RATIO", "LINEAR", "GEOMETRIC", "recover_multipliers", "MultiplierDiagnostics",
     ],
 }
 
@@ -82,6 +82,12 @@ def test_full_mask_has_one_constructor():
 def test_scheme_config_fields():
     names = [f.name for f in dataclasses.fields(SchemeConfig)]
     assert names == ["k", "variant", "tau", "bc", "mask", "n_max"]
+
+
+def test_stopping_check_only_compares_label_maps():
+    # run stops a frozen iterate itself; the label check has no flag for it
+    assert list(inspect.signature(optpart.scheme.stopping_check).parameters) == [
+        "prev_labels", "state"]
 
 
 def test_every_plain_variant_has_a_projection():

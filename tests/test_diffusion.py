@@ -149,14 +149,26 @@ def test_mask_restrict():
     mask = DomainMask(g, ind)
     rng = np.random.default_rng(16)
     f = rng.normal(size=(1,) + g.shape)
-    plain = diffuse_stack(f, g, 0.1, "periodic")
-    out = diffuse_stack(f, g, 0.1, "periodic", mask)
+    f[:, 0], f[:, :, 0] = 0.0, 0.0  # the Dirichlet boundary planes
+    plain = diffuse_stack(f, g, 0.1, "dirichlet")
+    out = diffuse_stack(f, g, 0.1, "dirichlet", mask)
     assert np.all(out[:, ~ind] == 0.0)
     assert np.array_equal(out[:, ind], plain[:, ind])
-    full = diffuse_stack(f, g, 0.1, "periodic", make_mask(g, "full"))
+    full = diffuse_stack(f, g, 0.1, "dirichlet", make_mask(g, "full"))
     assert np.array_equal(full, plain)
     with pytest.raises(ValueError):
-        diffuse_stack(f, g, 0.1, "periodic", make_mask(GridSpec(dim=2, n=16), "full"))
+        diffuse_stack(f, g, 0.1, "dirichlet", make_mask(GridSpec(dim=2, n=16), "full"))
+
+
+def test_masked_diffusion_requires_the_dirichlet_box():
+    # as the masked energy and SchemeConfig do: the masked heat step runs the
+    # box's semigroup and zeroes outside the mask, which is wrong on the torus
+    g = GridSpec(dim=2, n=32)
+    mask = make_mask(g, "disk")
+    f = np.where(mask.indicator, 1.0, 0.0)[None]
+    with pytest.raises(ValueError, match="a mask requires bc='dirichlet'"):
+        diffuse_stack(f, g, 0.1, "periodic", mask)
+    assert np.all(diffuse_stack(f, g, 0.1, "dirichlet", mask)[:, ~mask.indicator] == 0.0)
 
 
 def test_diffuse_stack_matches_fieldwise_calls():

@@ -25,8 +25,8 @@ from optpart.projection import (
     ortho_pos_step_linear,
     ortho_step_ratio,
     positivity_step,
-    recover_multipliers,
 )
+from multipliers import recover_multipliers
 
 ORTHO_STEPS = {
     "four_step": ortho_step_ratio,

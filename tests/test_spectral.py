@@ -73,23 +73,52 @@ def test_one_cached_operator_per_grid():
         spectral_operator("neumann", 2, 16)
 
 
-@pytest.mark.parametrize("dim", [2, 3])  # 3D decays given coefficients in a work buffer
+@pytest.mark.parametrize("dim,n,tau", [(1, 32, 0.2), (1, 32, 1.0), (2, 16, 0.2), (2, 32, 1.0),
+                                       (2, 98, 0.01), (3, 16, 0.2), (3, 32, 1.0)])
 @pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
-def test_diffusion_from_given_coefficients_is_bitwise_the_same(bc, dim):
-    g = GridSpec(dim=dim, n=16)
-    vals = np.random.default_rng(3).random((3,) + g.shape)
-    for ax in range(1, dim + 1):
-        np.moveaxis(vals, ax, 0)[0] = 0.0
+@pytest.mark.parametrize("boxed", [False, True])
+def test_diffusion_from_given_coefficients_is_bitwise_the_same(bc, dim, n, tau, boxed):
+    # every coefficient path: 1D products, 2D and 3D products (which decay
+    # into the output's memory), irfftn and scipy's DST of every mode
+    g = GridSpec(dim=dim, n=n)
+    vals = boundary_zero_stack(dim, n, 3)
     op = spectral_operator(bc, g.dim, g.n)
     coef = op.forward(vals)
     assert not coef.flags.writeable
     kept = coef.copy()
-    out = diffuse_stack(vals, g, 0.2, bc, coef=coef)
-    assert np.array_equal(out, diffuse_stack(vals, g, 0.2, bc))
-    assert np.array_equal(coef, kept)
+    out = diffuse_stack(vals, g, tau, bc, coef=coef)
+    assert same_bits(out, diffuse_stack(vals, g, tau, bc))
+    assert same_bits(coef, kept)
+    assert not coef.flags.writeable
     assert dirichlet_energy(PartitionState(g, vals), bc, coef=coef) == dirichlet_energy(
         PartitionState(g, vals), bc
     )
+    # the inverse multiplies the decay in, and only reads the coefficients
+    block = op.block(op.modes(tau))
+    coef, decay = coef[block], op.decay(tau)[block]
+    box = (slice(3, n - 5),) * dim if boxed else None
+    assert same_bits(op.inverse(coef, box, decay), op.inverse(coef * decay, box))
+    assert same_bits(coef, kept[block])
+
+
+def test_masked_diffusion_from_given_coefficients_is_bitwise_the_same(monkeypatch):
+    # a masked2d-ed iterate (star5, k=6, tau=0.05 keeps 61 sine modes) at
+    # 96^2, the largest grid whose full forward, like the kept-mode one, is
+    # products; run carries no coefficients on a mask
+    g = GridSpec(dim=2, n=96)
+    mask = make_mask(g, "star5")
+    cfg = SchemeConfig(k=6, variant="three_step_linear_ed", tau=0.05, bc="dirichlet", mask=mask,
+                       n_max=3)
+    state, _ = run(cfg, voronoi_init(g, 6, 0, "dirichlet", mask))
+    coef = spectral_operator("dirichlet", 2, 96).forward(state.values)
+    out = diffuse_stack(state.values, g, 0.05, "dirichlet", mask, coef)
+    made, forward = [], SpectralOperator.forward
+    monkeypatch.setattr(SpectralOperator, "forward",
+                        lambda self, *args: made.append(forward(self, *args)) or made[-1])
+    assert same_bits(out, diffuse_stack(state.values, g, 0.05, "dirichlet", mask))
+    # the heat step's own forward transform stays read-only too
+    assert len(made) == 1 and not made[0].flags.writeable
+    assert not coef.flags.writeable
 
 
 def test_masked_energy_requires_the_dirichlet_box():
