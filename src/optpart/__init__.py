@@ -6,7 +6,7 @@ norm, and supported on pairwise disjoint node sets at every iteration.
 
 The package exports what a caller of ``run`` needs; the building blocks
 (``scheme.step``, ``scheme.PROJECTIONS``, ``spectral.diffuse_stack``, the
-projections and multiplier recovery in ``projection``) live in their modules.
+projections in ``projection``) live in their modules.
 """
 
 from .grid import (

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import DomainMask, GridSpec, PartitionState, label_map
+from .grid import BOUNDARY_CONDITIONS, DIMENSIONS, DomainMask, GridSpec, PartitionState, label_map
 from .initial import InitFailed, make_mask, voronoi_init
 from .projection import DegeneratePart
 from .scheme import EnergyTrace, SchemeConfig, TraceRow, run
@@ -102,12 +102,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="time step, or a comma list of warm-up steps then the steady one; fractions allowed",
     )
     p.add_argument("--grid", type=int, default=256, help="nodes per axis")
-    p.add_argument("--dim", type=int, choices=(2, 3), default=2, help="space dimension")
+    p.add_argument("--dim", type=int, choices=DIMENSIONS, default=2, help="space dimension")
     p.add_argument(
         "--algorithm", choices=sorted(ALGORITHM_NAMES), default="four-step", help="splitting scheme"
     )
     p.add_argument(
-        "--bc", choices=("periodic", "dirichlet"), default="periodic", help="boundary condition"
+        "--bc", choices=BOUNDARY_CONDITIONS, default="periodic", help="boundary condition"
     )
     p.add_argument(
         "--mask",
@@ -252,14 +252,6 @@ def write_energy_csv(trace: EnergyTrace, path: Path | str):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _spread_labels(labels: np.ndarray, k: int) -> np.ndarray:
-    if k > 1:
-        spread = np.round(labels * (255.0 / (k - 1)))
-    else:
-        spread = np.zeros_like(labels, dtype=float)
-    return spread.astype(np.uint8)
-
-
 def write_pgm(image: np.ndarray, path: Path | str):
     """Binary P5 PGM, maxval 255; rows are the second array axis."""
     img = np.asarray(image, dtype=np.uint8)
@@ -329,12 +321,10 @@ def export_tiling(state: PartitionState, reps: int, path: Path | str):
     if reps < 1:
         raise ValueError("reps must be >= 1")
     labels = np.tile(label_map(state), (reps,) * state.grid.dim)
-    if labels.ndim == 2:
-        write_pgm(_spread_labels(labels.T, state.k), path)
-    elif labels.ndim == 3:
-        write_vtk_labels(labels, GridSpec(3, labels.shape[0]), path)
+    if labels.ndim == 2:  # the k labels spread over the gray levels 0..255
+        write_pgm(np.round(labels.T * (255.0 / (state.k - 1))).astype(np.uint8), path)
     else:
-        raise ValueError("label export supports 2D and 3D states only")
+        write_vtk_labels(labels, GridSpec(3, labels.shape[0]), path)
 
 
 def dump_fields(state: PartitionState, out_dir: Path):

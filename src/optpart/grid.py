@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 BOUNDARY_CONDITIONS = ("periodic", "dirichlet")
+DIMENSIONS = (2, 3)
 
 
 def _check_integer(name: str, value) -> int:
@@ -34,6 +35,44 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return out
 
 
+# ---------------------------------------------------------------------------
+# configuration rules: one check each, which every entry point taking the
+# setting calls (the dimension rule is GridSpec's own)
+
+
+def check_k(k) -> int:
+    """``k`` as an ``int``; ValueError unless it is an integer >= 2."""
+    k = _check_integer("k", k)
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    return k
+
+
+def check_tau(tau) -> float:
+    """``tau`` as a ``float``; ValueError unless it is positive and finite."""
+    tau = float(tau)
+    if not 0.0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+    return tau
+
+
+def check_domain(bc: str, mask: DomainMask | None = None) -> None:
+    """ValueError unless ``bc`` is in BOUNDARY_CONDITIONS and a mask comes with dirichlet."""
+    if bc not in BOUNDARY_CONDITIONS:
+        raise ValueError(f"unknown boundary condition {bc!r}")
+    if mask is not None and bc != "dirichlet":
+        raise ValueError(
+            "a mask requires bc='dirichlet': the masked heat step and energy extend "
+            "by zero past the box edge, which is wrong on the periodic torus"
+        )
+
+
+def check_mask(mask: DomainMask | None, grid: GridSpec) -> None:
+    """ValueError unless ``mask`` is None or lies on ``grid``, the state's grid."""
+    if mask is not None and mask.grid != grid:
+        raise ValueError(f"mask grid {mask.grid} does not match state grid {grid}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform tensor-product grid on [-pi, pi]^dim with n nodes per axis."""
@@ -44,8 +83,8 @@ class GridSpec:
     def __post_init__(self):
         object.__setattr__(self, "dim", _check_integer("dim", self.dim))
         object.__setattr__(self, "n", _check_integer("n", self.n))
-        if self.dim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
+        if self.dim not in DIMENSIONS:
+            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         if self.n < 4 or self.n % 2 != 0:
             raise ValueError(f"n must be even and >= 4, got {self.n}")
 
@@ -88,8 +127,7 @@ class PartitionState:
                 f"expected shape (k, {', '.join(map(str, self.grid.shape))}), "
                 f"got {values.shape}"
             )
-        if values.shape[0] < 1:
-            raise ValueError("need at least one part")
+        check_k(values.shape[0])
         object.__setattr__(self, "values", values)
 
     @property
@@ -182,12 +220,13 @@ def partition_norms(state: PartitionState) -> np.ndarray:
 def top_two(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodewise largest value, runner-up and lowest-index winner over the leading axis.
 
-    The runner-up is the second order statistic, ties counted (-inf for a
-    single row).  One running pass over the k contiguous rows, instead of a
-    sort along the strided leading axis; values must not be NaN.
+    The runner-up is the second order statistic, ties counted, floored at 0:
+    an empty competitor set counts as 0, as it does in every projection.
+    One running pass over the k contiguous rows, instead of a sort along the
+    strided leading axis; values must not be NaN.
     """
     top = np.array(values[0], dtype=float)
-    second = np.full(top.shape, -np.inf)
+    second = np.zeros(top.shape)
     # the narrowest unsigned type that holds k - 1 keeps the winner updates cheap
     winner = np.zeros(top.shape, dtype=np.min_scalar_type(len(values) - 1))
     low, won = np.empty_like(top), np.empty_like(winner)
@@ -202,8 +241,6 @@ def top_two(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def max_support_overlap(state: PartitionState) -> float:
     """Largest second-place |value| over all nodes: 0.0 iff supports are disjoint."""
-    if state.k < 2:
-        return 0.0
     return float(top_two(np.abs(state.values))[1].max())
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import BOUNDARY_CONDITIONS, DomainMask, GridSpec, PartitionState, _check_integer
+from .grid import DomainMask, GridSpec, PartitionState, check_domain, check_k, check_mask
 
 BOX_PERIOD = 2.0 * np.pi
 
@@ -21,9 +21,9 @@ class InitFailed(RuntimeError):
     """Could not produce k nonempty Voronoi cells inside the domain."""
 
 
-def _domain_indicator(
-    grid: GridSpec, bc: str, mask: DomainMask | None
-) -> np.ndarray:
+def _domain_indicator(grid: GridSpec, bc: str, mask: DomainMask | None) -> np.ndarray:
+    check_domain(bc, mask)
+    check_mask(mask, grid)
     inside = np.ones(grid.shape, dtype=bool)
     if bc == "dirichlet":
         for ax in range(grid.dim):
@@ -31,8 +31,6 @@ def _domain_indicator(
             sl[ax] = 0
             inside[tuple(sl)] = False
     if mask is not None:
-        if mask.grid != grid:
-            raise ValueError("mask grid does not match grid")
         inside &= mask.indicator
     return inside
 
@@ -80,11 +78,7 @@ def voronoi_init(
     the output is nonnegative with pairwise disjoint supports and exact unit
     norms.  The k seeds are distinct domain nodes, drawn once.
     """
-    k = _check_integer("k", k)
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if bc not in BOUNDARY_CONDITIONS:
-        raise ValueError(f"unknown boundary condition {bc!r}")
+    k = check_k(k)
     candidates = np.flatnonzero(_domain_indicator(grid, bc, mask))
     if candidates.size < k:
         raise InitFailed(

@@ -55,8 +55,7 @@ def ortho_step_ratio(parts: np.ndarray, out: np.ndarray | None = None) -> np.nda
     """
     arr = np.asarray(parts, dtype=float)
     top, second, winner = top_two(arr)
-    second = np.maximum(second, 0.0)  # empty competitor set counts as 0
-    keep = top > second  # strict maximizer exists; implies top > 0 for inputs >= 0
+    keep = top > second  # strict maximizer exists; top > 0, as second >= 0
     safe = np.where(keep, top, 1.0)
     # (top^2 - second^2) / top evaluated as a subtraction from top, so the
     # result stays inside [0, top] in floating point, not just in exact math
@@ -73,8 +72,8 @@ def ortho_pos_step_linear(parts: np.ndarray, out: np.ndarray | None = None) -> n
     """
     arr = np.asarray(parts, dtype=float)
     top, second, winner = top_two(arr)
-    keep = (top > second) & (top > 0.0)
-    value = top - np.maximum(second, 0.0)
+    keep = top > second  # strict maximizer exists; top > 0, as second >= 0
+    value = top - second
     return _winner_rows(arr.shape[0], winner, keep, value, out)
 
 
@@ -88,7 +87,7 @@ def ortho_pos_step_geometric(parts: np.ndarray, out: np.ndarray | None = None) -
     arr = np.asarray(parts, dtype=float)
     top, second, winner = top_two(arr)
     keep = top > 0.0
-    value = np.maximum(top - np.sqrt(top * np.maximum(second, 0.0)), 0.0)
+    value = np.maximum(top - np.sqrt(top * second), 0.0)
     return _winner_rows(arr.shape[0], winner, keep, value, out)
 
 

@@ -27,6 +27,10 @@ from .grid import (
     DomainMask,
     PartitionState,
     _check_integer,
+    check_domain,
+    check_k,
+    check_mask,
+    check_tau,
     label_map,
     partition_norms,
     support_labels,
@@ -40,7 +44,7 @@ from .projection import (
     ortho_step_ratio,
     positivity_step,
 )
-from .spectral import _check_energy_domain, diffuse_stack, dirichlet_energy, spectral_operator
+from .spectral import diffuse_stack, dirichlet_energy, spectral_operator
 
 VARIANTS = (
     "four_step",
@@ -89,20 +93,18 @@ class SchemeConfig:
     n_max: int = 2000
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _check_integer("k", self.k))
+        object.__setattr__(self, "k", check_k(self.k))
         object.__setattr__(self, "n_max", _check_integer("n_max", self.n_max))
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
         if self.variant not in VARIANTS:
             raise ValueError(
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
             )
-        _check_energy_domain(self.bc, self.mask)
+        check_domain(self.bc, self.mask)
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        taus = tuple(float(t) for t in np.ravel(self.tau))
-        if not taus or not all(0.0 < t < np.inf for t in taus):
-            raise ValueError("tau values must be positive and finite")
+        taus = tuple(check_tau(t) for t in np.ravel(self.tau))
+        if not taus:
+            raise ValueError("tau needs at least one value")
         object.__setattr__(self, "tau", taus)
 
     @property
@@ -144,9 +146,12 @@ def step(
 
     ``coef``, if given, is the spectral forward transform of ``s.values``
     (computed for its energy); the diffusion reuses it instead of
-    transforming again.  The projection and the normalization work in the
-    diffusion's fresh output, which becomes the new state.
+    transforming again, and without it the step computes the one ``run``
+    passes.  The projection and the normalization work in the diffusion's
+    fresh output, which becomes the new state.
     """
+    if coef is None and cfg.mask is None:
+        coef = _evaluate(s, cfg)[1]
     v = diffuse_stack(s.values, s.grid, tau, cfg.bc, cfg.mask, coef)
     v = PROJECTIONS[cfg.variant.removesuffix("_ed")](v, out=v)
     return s.with_values(norm_step(v, s.grid, out=v))
@@ -312,8 +317,7 @@ def run(
     """
     if init.k != cfg.k:
         raise ValueError(f"config expects k={cfg.k}, initial state has k={init.k}")
-    if cfg.mask is not None and cfg.mask.grid != init.grid:
-        raise ValueError("mask grid does not match initial state grid")
+    check_mask(cfg.mask, init.grid)
     if not np.isfinite(init.values).all():
         raise ValueError("initial state has non-finite values")
 

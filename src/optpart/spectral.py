@@ -23,11 +23,10 @@ M <= n/4 and M <= ``PERIODIC_MAX_MODES``, runs its inverse as complex
 products on the full axes and one real product on the last (128^2 at
 tau = 0.25 keeps M = 13); otherwise ``irfftn`` of every mode.  A heat step
 allocates its output, one work buffer, and one coefficient array when it
-transforms the values itself.  It never writes coefficients: 2D and 3D
-products decay them into memory of their own, 1D products and the full
-transforms into one fresh array.  ``scheme.step`` projects and normalizes
-in the output: a 28^3, k=8 step and a 2D benchmark step peak at 1.9 stacks
-of traced memory.  Products skip exact zeros: the Dirichlet product forward
+transforms the values itself.  It never writes coefficients: the products
+decay them into memory of their own, the full transforms into one fresh
+array.  ``scheme.step`` projects and normalizes in the output: a 28^3, k=8
+step and a 2D benchmark step peak at 1.9 stacks of traced memory.  Products skip exact zeros: the Dirichlet product forward
 transforms each part from the box of its nonzero nodes (every iterate's
 parts have disjoint supports), and a masked heat step's inverse computes
 only the nodes in the mask's box.  Spectral
@@ -46,11 +45,13 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from .grid import (
-    BOUNDARY_CONDITIONS,
     DomainMask,
     GridSpec,
     PartitionState,
     _trailing_axes,
+    check_domain,
+    check_mask,
+    check_tau,
     true_boxes,
 )
 
@@ -75,8 +76,6 @@ SINE_MATRIX_MAX_N = 96
 # The products' cost grows with M, irfftn's does not.  Kept-mode inverse over
 # ``irfftn`` of every mode, from given coefficients at the tau that keeps M
 # (median of 5-11 calls, one BLAS thread, 2-core VM, three runs):
-#   1D k=8: M=32 0.73-0.81 at n=256, 0.52-0.64 at 1024, 0.78-0.83 at 4096;
-#           M=48 0.73-1.23
 #   2D k=6: n=64 0.51-0.58 at M=16, 0.86-1.10 at 24, 1.30-2.78 at 31;
 #           n=128 0.35-0.42 at M=32, 0.91-0.99 at 40;
 #           n=256 0.18-0.19 at M=32, 0.90-0.93 at 64;
@@ -143,8 +142,9 @@ class SpectralOperator:
     """
 
     def __init__(self, bc: str, dim: int, n: int):
+        check_domain(bc)
         self.bc, self.dim = bc, dim
-        self.shape = (n,) * dim
+        self.shape = GridSpec(dim, n).shape
         self.axes = tuple(range(-dim, 0))
         if bc == "periodic":
             m_full = np.fft.fftfreq(n, d=1.0 / n)
@@ -158,15 +158,13 @@ class SpectralOperator:
             weight[[0, -1]] = 1.0
             vol = (2.0 * np.pi) ** dim
             energy_scale = 0.5 * vol / float(n**dim) ** 2
-        elif bc == "dirichlet":
+        else:
             j = np.arange(1, n)
             self._axis_eigenvalues = (j / 2.0) ** 2
             self.eigenvalues = _axis_sum([self._axis_eigenvalues] * dim)
             self._nodes = (n - 1) ** dim
             weight = 1.0
             energy_scale = 0.5 * np.pi**dim / float(n**dim) ** 2
-        else:
-            raise ValueError(f"unknown boundary condition {bc!r}")
         self.eigenvalues.setflags(write=False)
         self._energy_weights = energy_scale * weight * self.eigenvalues
         self._energy_weights.setflags(write=False)
@@ -273,31 +271,27 @@ class SpectralOperator:
                 if not box or any(s.stop == 0 for s in box):
                     out[...] = 0.0  # no nonzero interior node
                     continue
-                # the last axis first (straight into this part's coefficients
-                # in 1D); the left products alternate between ``spare`` and
-                # them, ending in the latter, so they write its whole block
-                part = np.matmul(interior[idx][box], cols[box[-1]],
-                                 out=out if self.dim == 1 else None)
+                # the last axis first; the left products alternate between
+                # ``spare`` and this part's coefficients, ending in the
+                # latter, so they write its whole block
+                part = np.matmul(interior[idx][box], cols[box[-1]])
                 _left_products(part, [rows[:, box[ax]] for ax in leading], leading,
                                (out, spare) if self.dim == 2 else (spare, out))
         coef.setflags(write=False)
         return coef
 
     def inverse(
-        self, coef: np.ndarray, box: tuple[slice, ...] | None = None, decay: np.ndarray | None = None
+        self, coef: np.ndarray, decay: np.ndarray | float, box: tuple[slice, ...] | None = None
     ) -> np.ndarray:
-        """Nodal values of full or ``block``-kept coefficients; Dirichlet boundary planes are 0.
+        """Nodal values of full or ``block``-kept coefficients times ``decay``;
+        Dirichlet boundary planes are 0.
 
         With ``box``, per-axis node slices such as ``DomainMask.box``, the
         output is +0.0 outside the box, and the products compute only the
-        nodes inside it, from the table rows of those nodes.  With ``decay``,
-        the nodal values of ``coef * decay``: 2D and 3D products write that
-        product into memory of their own (the output's in 2D, their work
-        buffer's in 3D), which their first product reads before anything
-        overwrites it; 1D products and the full transforms take it in a
-        fresh array.  ``coef`` is only read, but a full Dirichlet ``coef``
-        above ``SINE_MATRIX_MAX_N`` without ``decay`` must be writable:
-        scipy's DST overwrites it.
+        nodes inside it, from the table rows of those nodes.  ``coef`` is only
+        read: the products write ``coef * decay`` into the buffer that their
+        first left product does not write (the output's memory in 2D, their
+        work buffer in 3D), the full transforms into one fresh array.
         """
         n, kept = self.shape[0], coef.shape[-1]
         lead = coef.shape[: coef.ndim - self.dim]
@@ -309,8 +303,8 @@ class SpectralOperator:
             transform = kept == n // 2 + 1
         else:
             transform = kept == n - 1 and n > SINE_MATRIX_MAX_N
-        if decay is not None and (transform or self.dim == 1):
-            coef, decay = coef * decay, None
+        if transform:  # rebinding frees coefficients that no caller's name holds
+            coef = coef * decay
         if transform and self.bc == "periodic":
             return _zero_outside(np.fft.irfftn(coef, s=self.shape, axes=self.axes), box)
         out = np.empty(lead + self.shape)
@@ -327,9 +321,9 @@ class SpectralOperator:
         spare = np.empty(lead + (len(leading),) * (self.dim - 1) + (kept,), coef.dtype)
         room = out.reshape(-1).view(coef.dtype)
         buffers = (spare, room) if self.dim == 2 else (room, spare)
-        if decay is not None:  # where the first left product does not write
-            coef = np.multiply(coef, decay, out=buffers[-1].reshape(-1)[: coef.size]
-                               .reshape(coef.shape))
+        # where the first left product does not write
+        coef = np.multiply(coef, decay, out=buffers[-1].reshape(-1)[: coef.size]
+                           .reshape(coef.shape))
         partial = _left_products(coef, [leading[r] for r in rows[:-1]], range(-self.dim, -1),
                                  buffers)
         _zero_outside(out, box)  # the left products are done with its memory
@@ -363,28 +357,6 @@ def spectral_operator(bc: str, dim: int, n: int) -> SpectralOperator:
 # heat step
 
 
-def _check_tau(tau: float) -> float:
-    tau = float(tau)
-    if not 0.0 < tau < np.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
-    return tau
-
-
-def _check_mask(mask: DomainMask | None, grid: GridSpec) -> None:
-    if mask is not None and mask.grid != grid:
-        raise ValueError("mask grid does not match state grid")
-
-
-def _check_energy_domain(bc: str, mask: DomainMask | None) -> None:
-    if bc not in BOUNDARY_CONDITIONS:
-        raise ValueError(f"unknown boundary condition {bc!r}")
-    if mask is not None and bc != "dirichlet":
-        raise ValueError(
-            "a mask requires bc='dirichlet': the masked heat step and energy extend "
-            "by zero past the box edge, which is wrong on the periodic torus"
-        )
-
-
 def _check_boundary_planes(values: np.ndarray, grid: GridSpec) -> None:
     if any(np.any(np.moveaxis(values, ax, 0)[0] != 0.0) for ax in _trailing_axes(values, grid)):
         raise ValueError("dirichlet semigroup requires zero values on the boundary planes")
@@ -409,18 +381,18 @@ def diffuse_stack(
     ``values`` (as computed for their energy), read in place of that transform.
     Ringing's tiny negative values are kept; the projections discard them.
     """
-    tau = _check_tau(tau)
-    _check_energy_domain(bc, mask)
+    tau = check_tau(tau)
+    check_domain(bc, mask)
+    check_mask(mask, grid)
     op = spectral_operator(bc, grid.dim, grid.n)
     if bc == "dirichlet":
         _check_boundary_planes(values, grid)
-    _check_mask(mask, grid)
     modes = op.modes(tau)
     block = op.block(modes)
     # the inverse multiplies the decay into read-only coefficients; as no name
     # here holds them, a fresh product there frees the array it replaces
     out = op.inverse(op.forward(values, modes) if coef is None else coef[block],
-                     None if mask is None else mask.box, op.decay(tau)[block])
+                     op.decay(tau)[block], None if mask is None else mask.box)
     if mask is not None:
         # the output is +0.0 outside the mask's box; restrict inside it
         np.copyto(out[(...,) + mask.box], 0.0, where=mask.outside[mask.box])
@@ -461,9 +433,9 @@ def dirichlet_energy(
     ``state.values``; it saves recomputing that transform.  It is ignored
     with a mask, which requires ``bc="dirichlet"``.
     """
-    _check_energy_domain(bc, mask)
+    check_domain(bc, mask)
+    check_mask(mask, state.grid)
     if mask is not None:
-        _check_mask(mask, state.grid)
         return _energy_masked(state.values, state.grid)
     op = spectral_operator(bc, state.grid.dim, state.grid.n)
     return op.energy(op.forward(state.values) if coef is None else coef)

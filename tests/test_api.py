@@ -8,6 +8,7 @@ import inspect
 import pytest
 
 import optpart
+import optpart.cli
 import optpart.grid
 import optpart.initial
 import optpart.projection
@@ -46,8 +47,9 @@ REMOVED = {
     ],
     optpart.spectral: [
         "heat_semigroup_periodic", "heat_semigroup_dirichlet", "mask_restrict",
-        "_clamp_ringing", "RINGING_TOL",
+        "_clamp_ringing", "RINGING_TOL", "_check_tau", "_check_mask", "_check_energy_domain",
     ],
+    optpart.cli: ["_spread_labels"],
     optpart.grid: ["Field", "discrete_l2_norm", "dirichlet_energy", "BoundaryCondition"],
     optpart.initial: ["MAX_SEED_ATTEMPTS", "_node_coordinates"],
     optpart.projection: [

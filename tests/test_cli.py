@@ -323,7 +323,7 @@ def test_export_labels_3d_vtk(tmp_path):
     assert np.array_equal(flat.reshape(grid.shape, order="F"), label_map(state))
 
 
-def test_export_tiling_3d_and_unsupported_dimensions(tmp_path):
+def test_export_tiling_3d(tmp_path):
     state = voronoi_init(GridSpec(dim=3, n=4), 2, rng_seed=0)
     export_tiling(state, 2, tmp_path / "two.vtk")
     text = (tmp_path / "two.vtk").read_text().splitlines()
@@ -331,10 +331,6 @@ def test_export_tiling_3d_and_unsupported_dimensions(tmp_path):
     assert f"SPACING {np.pi / 4:.17g} {np.pi / 4:.17g} {np.pi / 4:.17g}" in text
     flat = np.array(" ".join(text[text.index("LOOKUP_TABLE default") + 1 :]).split(), dtype=int)
     assert np.array_equal(flat.reshape((8, 8, 8), order="F"), np.tile(label_map(state), (2, 2, 2)))
-    line = voronoi_init(GridSpec(dim=1, n=8), 2, rng_seed=0)
-    for export in (lambda path: export_labels(line, path), lambda path: export_tiling(line, 1, path)):
-        with pytest.raises(ValueError, match="2D and 3D"):
-            export(tmp_path / "line.out")
 
 
 def old_write_vtk_labels(labels, grid, path):

@@ -197,8 +197,8 @@ def test_diffuse_stack_applies_mask():
 def test_pure_diffusion_decreases_energy():
     g = GridSpec(dim=2, n=32)
     rng = np.random.default_rng(18)
-    f = rng.normal(size=g.shape)
-    before = dirichlet_energy(PartitionState(g, f[None]), "periodic")
-    g_out = heat(f, g, 0.05, "periodic")
-    after = dirichlet_energy(PartitionState(g, g_out[None]), "periodic")
+    vals = rng.normal(size=(2,) + g.shape)
+    before = dirichlet_energy(PartitionState(g, vals), "periodic")
+    diffused = diffuse_stack(vals, g, 0.05, "periodic")
+    after = dirichlet_energy(PartitionState(g, diffused), "periodic")
     assert after <= before + 1e-12

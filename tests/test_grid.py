@@ -22,6 +22,18 @@ def norm(values: np.ndarray, grid: GridSpec) -> float:
     return float(weighted_norms(values[None], grid)[0])
 
 
+def with_zero_part(u: np.ndarray, grid: GridSpec) -> PartitionState:
+    """The two-part state of one field and a zero part, which adds no energy."""
+    return PartitionState(grid, np.stack([u, np.zeros_like(u)]))
+
+
+def columns(rows) -> PartitionState:
+    """A state on the 4x4 grid whose parts take ``rows`` (k, 4) along the
+    first axis and are constant along the second."""
+    values = np.repeat(np.asarray(rows, dtype=float)[..., None], 4, axis=-1)
+    return PartitionState(GridSpec(dim=2, n=4), values)
+
+
 def test_grid_spec_basics():
     g = GridSpec(dim=2, n=8)
     assert g.shape == (8, 8)
@@ -36,7 +48,7 @@ def test_grid_spec_basics():
     assert np.all(xs[:, 0] == xs[:, 3])
 
 
-@pytest.mark.parametrize("dim,n", [(0, 8), (4, 8), (2, 3), (2, 7), (2, 2),
+@pytest.mark.parametrize("dim,n", [(0, 8), (1, 8), (4, 8), (2, 3), (2, 7), (2, 2),
                                    # not integers: a float, a bool or a string
                                    (2, 8.0), (2.0, 8), (True, 8), (2, True), (2, "8")])
 def test_grid_spec_rejects_bad_dimensions(dim, n):
@@ -51,31 +63,32 @@ def test_grid_spec_stores_numpy_integers_as_int():
 
 
 def test_partition_state_accessors():
-    g = GridSpec(dim=1, n=4)
-    s = PartitionState(g, np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]))
+    s = columns([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
+    g = s.grid
     assert s.k == 2
     with pytest.raises(ValueError):
-        s.values[0, 0] = 2.0
+        s.values[0, 0, 0] = 2.0
     moved = s.with_values(s.values[::-1])
     assert moved.grid == g
-    assert moved.values[0, 1] == 1.0
+    assert moved.values[0, 1, 0] == 1.0
     with pytest.raises(ValueError):
-        PartitionState(g, np.zeros((2, 5)))
-    with pytest.raises(ValueError):
-        PartitionState(g, np.zeros((0, 4)))
+        PartitionState(g, np.zeros((2, 4, 5)))
+    for k in (0, 1):
+        with pytest.raises(ValueError, match=f"k must be >= 2, got {k}"):
+            PartitionState(g, np.zeros((k, 4, 4)))
 
 
 def test_states_freeze_owned_arrays_and_copy_views():
-    g = GridSpec(dim=1, n=4)
-    owned = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
+    g = GridSpec(dim=2, n=4)
+    owned = np.stack([np.eye(4), np.eye(4)[::-1]])
     s = PartitionState(g, owned)
     assert np.shares_memory(s.values, owned)
     assert not owned.flags.writeable
-    base = np.eye(4)
+    base = np.stack([np.eye(4)] * 3)
     view = PartitionState(g, base[:2])
     assert not np.shares_memory(view.values, base)
-    base[0, 0] = 5.0
-    assert view.values[0, 0] == 1.0
+    base[0, 0, 0] = 5.0
+    assert view.values[0, 0, 0] == 1.0
     indicator = np.eye(4, dtype=bool)
     assert np.shares_memory(DomainMask(GridSpec(dim=2, n=4), indicator).indicator, indicator)
     padded = np.ones((5, 4), dtype=bool)
@@ -188,52 +201,44 @@ def test_partition_norms_match_fieldwise_norm():
 
 
 def test_max_support_overlap():
-    g = GridSpec(dim=1, n=4)
-    disjoint = PartitionState(g, np.array([[1.0, 0, 0, 0], [0, 2.0, 0, 0]]))
-    assert max_support_overlap(disjoint) == 0.0
-    touching = PartitionState(g, np.array([[1.0, 0.5, 0, 0], [0, 0.25, 0, 0]]))
-    assert max_support_overlap(touching) == 0.25
-    single = PartitionState(g, np.array([[1.0, -1.0, 0, 0]]))
-    assert max_support_overlap(single) == 0.0
+    assert max_support_overlap(columns([[1.0, 0, 0, 0], [0, 2.0, 0, 0]])) == 0.0
+    assert max_support_overlap(columns([[1.0, 0.5, 0, 0], [0, 0.25, 0, 0]])) == 0.25
+    # a node with one nonzero part, however negative, overlaps nothing
+    assert max_support_overlap(columns([[1.0, -1.0, 0, 0], [0, 0, 0, 0]])) == 0.0
 
 
 def test_label_map_breaks_ties_at_lowest_index():
-    g = GridSpec(dim=1, n=4)
-    s = PartitionState(g, np.array([[0.5, 0.1, 0.0, 0.2], [0.5, 0.7, 0.0, 0.1]]))
-    assert np.array_equal(label_map(s), [0, 1, 0, 0])
+    s = columns([[0.5, 0.1, 0.0, 0.2], [0.5, 0.7, 0.0, 0.1]])
+    assert np.array_equal(label_map(s), np.transpose([[0, 1, 0, 0]] * 4))
 
 
 def test_support_labels_of_disjoint_supports():
-    g = GridSpec(dim=1, n=4)
-    # node 2 is zero in every part; the map of the stack is that of label_map
-    s = PartitionState(g, np.array([[0.5, 0.0, 0.0, 0.0], [0.0, 0.7, 0.0, 0.2]]))
+    # node row 2 is zero in every part; the map of the stack is that of label_map
+    s = columns([[0.5, 0.0, 0.0, 0.0], [0.0, 0.7, 0.0, 0.2]])
     assert support_labels(s).dtype == np.uint8
     for got in (support_labels(s), label_map(s)):
-        assert np.array_equal(got, [0, 1, 0, 1])
-    one = PartitionState(g, np.array([[0.0, 1.0, 0.0, 2.0]]))
-    assert np.array_equal(support_labels(one), [0, 0, 0, 0])
-    assert np.array_equal(label_map(one), support_labels(one))
+        assert np.array_equal(got, np.transpose([[0, 1, 0, 1]] * 4))
 
 
 @pytest.mark.parametrize("k,dtype", [(255, np.uint8), (256, np.uint8), (257, np.uint16)])
 def test_support_labels_past_the_narrow_dtype(k, dtype):
     # k = 256 is the last k whose labels fit one byte
-    g = GridSpec(dim=1, n=k + 1 + (k + 1) % 2)
-    vals = np.zeros((k, g.n))
+    g = GridSpec(dim=2, n=18)
+    vals = np.zeros((k, g.num_nodes))
     vals[np.arange(k), np.arange(k)[::-1] + 1] = 1.0
-    s = PartitionState(g, vals)
+    s = PartitionState(g, vals.reshape((k,) + g.shape))
     got = support_labels(s)
     assert got.dtype == dtype
-    assert got[1] == k - 1 and got[k] == 0 and got[0] == 0
+    flat = got.reshape(-1)
+    assert flat[1] == k - 1 and flat[k] == 0 and flat[0] == 0
     assert np.array_equal(got, label_map(s))
 
 
 def test_support_labels_where_a_shift_zeroes_the_winner():
-    g = GridSpec(dim=1, n=4)
-    s = PartitionState(g, np.array([[0.9, 0.1, 0.0, 0.0], [0.0, 0.0, 0.6, 0.05]]))
+    s = columns([[0.9, 0.1, 0.0, 0.0], [0.0, 0.0, 0.6, 0.05]])
     shifted = apply_sigma(s, -0.2)
-    # the shift cuts part 0 at node 1 and part 1 at node 3: no part is left there
-    assert np.array_equal(support_labels(shifted), [0, 0, 1, 0])
+    # the shift cuts part 0 at node row 1 and part 1 at row 3: no part is left there
+    assert np.array_equal(support_labels(shifted), np.transpose([[0, 0, 1, 0]] * 4))
     assert np.array_equal(support_labels(shifted), label_map(shifted))
 
 
@@ -248,7 +253,7 @@ def test_energy_of_unit_sine_mode():
     g = GridSpec(dim=2, n=64)
     x, _ = g.meshgrid()
     u = np.sin(x) / np.sqrt(2.0 * np.pi**2)
-    s = PartitionState(g, u[None])
+    s = with_zero_part(u, g)
     assert dirichlet_energy(s, "periodic") == pytest.approx(0.5, abs=1e-10)
 
 
@@ -257,7 +262,7 @@ def test_energy_sine_basis_lowest_mode():
     g = GridSpec(dim=2, n=32)
     x, y = g.meshgrid()
     u = np.sin((x + np.pi) / 2.0) * np.sin((y + np.pi) / 2.0)
-    s = PartitionState(g, u[None])
+    s = with_zero_part(u, g)
     assert dirichlet_energy(s, "dirichlet") == pytest.approx(np.pi**2 / 4.0, abs=1e-10)
 
 
@@ -267,11 +272,11 @@ def test_energy_masked_unit_spike():
     mask = make_mask(g, "full")
     u = np.zeros(g.shape)
     u[3, 4] = 1.0
-    s = PartitionState(g, u[None])
+    s = with_zero_part(u, g)
     assert dirichlet_energy(s, "dirichlet", mask) == pytest.approx(2.0, rel=1e-15)
 
 
-@pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (3, 8)])
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
 def test_energy_masked_is_bitwise_the_np_diff_sum(dim, n):
     # the reference: np.diff with a zero plane appended, one axis at a time
     g = GridSpec(dim=dim, n=n)
@@ -300,7 +305,7 @@ def test_energy_is_permutation_invariant_and_nonnegative(bc):
 
 def test_energy_rejects_unknown_bc_and_mismatched_mask():
     g = GridSpec(dim=2, n=8)
-    s = PartitionState(g, np.zeros((1,) + g.shape))
+    s = PartitionState(g, np.zeros((2,) + g.shape))
     with pytest.raises(ValueError):
         dirichlet_energy(s, "neumann")
     other = make_mask(GridSpec(dim=2, n=16), "full")

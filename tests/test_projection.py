@@ -19,6 +19,7 @@ from optpart import (
     run,
     voronoi_init,
 )
+from optpart.grid import top_two
 from optpart.projection import (
     norm_step,
     ortho_pos_step_geometric,
@@ -262,8 +263,6 @@ def ref_label_map(state):
 
 
 def ref_max_support_overlap(state):
-    if state.k < 2:
-        return 0.0
     a = np.abs(state.values)
     return float(np.partition(a, state.k - 2, axis=0)[state.k - 2].max())
 
@@ -285,10 +284,11 @@ def same_bits(a, b) -> bool:
 
 
 @st.composite
-def node_stacks(draw):
-    """(k, n, ...) stacks, k = 1..9 and 1D-3D, rich in signed zeros and exact
-    ties, sometimes sliced (non-contiguous) and sometimes read-only."""
-    k, dim, n = draw(st.integers(1, 9)), draw(st.integers(1, 3)), draw(st.sampled_from([4, 6]))
+def node_stacks(draw, min_k=1):
+    """(k, n, ...) stacks, k = min_k..9 on 2D and 3D grids, rich in signed
+    zeros and exact ties, sometimes sliced (non-contiguous) and sometimes
+    read-only."""
+    k, dim, n = draw(st.integers(min_k, 9)), draw(st.integers(2, 3)), draw(st.sampled_from([4, 6]))
     layout = draw(st.sampled_from(["contiguous", "parts reversed", "nodes strided", "fortran"]))
     shape = (k,) + (2 * n if layout == "nodes strided" else n,) + (n,) * (dim - 1)
     pool = st.sampled_from([0.0, -0.0, 0.25, 0.5, -0.5, 1.0, -np.inf])
@@ -336,6 +336,18 @@ def test_out_is_the_input_bitwise(v):
 
 
 @given(node_stacks())
+@settings(max_examples=150, deadline=None)
+def test_top_two_floors_the_runner_up_at_zero(v):
+    # an empty competitor set (k = 1) or negative ones count as 0, so that
+    # no projection clamps the runner-up itself
+    top, second, winner = top_two(v)
+    ref_top, ref_second, ref_winner = _ref_top_two(v)
+    assert np.array_equal(top.ravel(), ref_top)
+    assert np.array_equal(second.ravel(), np.maximum(ref_second, 0.0))
+    assert np.array_equal(winner.ravel(), ref_winner)
+
+
+@given(node_stacks(min_k=2))
 @settings(max_examples=200, deadline=None)
 def test_label_map_and_overlap_match_the_sorting_reference_bitwise(v):
     before = v.copy()

@@ -33,6 +33,7 @@ from optpart.scheme import (
     step,
     stopping_check,
 )
+from test_projection import same_bits
 
 PLAIN_VARIANTS = [v for v in VARIANTS if not v.endswith("_ed")]
 
@@ -47,8 +48,9 @@ def flat_partition(grid: GridSpec, k: int, seed: int = 0) -> PartitionState:
 
 def test_scheme_config_validation():
     SchemeConfig(k=2)
-    with pytest.raises(ValueError):
-        SchemeConfig(k=0)
+    for k in (0, 1):
+        with pytest.raises(ValueError, match=f"k must be >= 2, got {k}"):
+            SchemeConfig(k=k)
     with pytest.raises(ValueError):
         SchemeConfig(k=2, variant="five_step")
     with pytest.raises(ValueError):
@@ -59,9 +61,11 @@ def test_scheme_config_validation():
         SchemeConfig(k=2, tau=0.0)
     with pytest.raises(ValueError):
         SchemeConfig(k=2, tau=(0.1, -0.1))
-    for tau in (np.inf, np.nan, (0.1, np.inf), ()):
+    for tau in (np.inf, np.nan, (0.1, np.inf)):
         with pytest.raises(ValueError, match="positive and finite"):
             SchemeConfig(k=2, tau=tau)
+    with pytest.raises(ValueError, match="at least one value"):
+        SchemeConfig(k=2, tau=())
     # counts must be integers, not floats or bools; numpy integers become int
     for kwargs in ({"k": 2.5}, {"k": 2.0}, {"k": True}, {"k": 2, "n_max": 10.5},
                    {"k": 2, "n_max": True}, {"k": 2, "n_max": "10"}):
@@ -114,16 +118,6 @@ def test_one_step_preserves_all_constraints(name):
     twice = step(out, cfg, 0.1)
     assert twice.values.min() >= 0.0
     assert max_support_overlap(twice) == 0.0
-
-
-def test_step_four_single_part():
-    grid = GridSpec(dim=2, n=16)
-    vals = np.zeros((1,) + grid.shape)
-    vals[0, 4:12, 4:12] = 1.0
-    state = PartitionState(grid, vals / np.sqrt(grid.cell_volume * 64))
-    out = step(state, SchemeConfig(k=1, tau=0.2), 0.2)
-    assert abs(partition_norms(out)[0] - 1.0) <= 1e-12
-    assert out.values.min() >= 0.0
 
 
 def test_identical_parts_degenerate_with_iteration_index():
@@ -512,7 +506,7 @@ def audit_trace_energies(variant, bc, mask_name, n, tau, seed) -> tuple[int, int
     Every row must carry the energy of the iterate it follows, and a frozen
     row (the previous iterate kept after a failed correction) the previous
     row's energy bit for bit.  Every other iterate must equal a step taken
-    from the previous one without reused coefficients, shifted by the row's
+    from the previous one without given coefficients, shifted by the row's
     sigma if it was corrected.
     """
     grid = GridSpec(dim=2, n=n)
@@ -546,6 +540,18 @@ def test_trace_energies_are_those_of_the_iterates(variant, bc, mask_name):
     assert frozen == 0
     if variant in ED_VARIANTS:
         assert accepted > 0
+
+
+def test_step_without_coefficients_is_the_run_step():
+    # a step computes the coefficients run passes it: from the full forward
+    # transform, not the kept-mode one, which rounds 1e-15 apart on this grid
+    grid = GridSpec(dim=2, n=128)
+    cfg = SchemeConfig(k=6, variant="four_step", tau=0.05, bc="dirichlet", n_max=4)
+    iterates = []
+    run(cfg, voronoi_init(grid, 6, 0, "dirichlet"), on_iteration=lambda s, r: iterates.append(s))
+    assert len(iterates) == 5
+    for previous, state in zip(iterates, iterates[1:]):
+        assert same_bits(step(previous, cfg, 0.05).values, state.values)
 
 
 @pytest.mark.parametrize("bc,mask_name", DOMAINS)
