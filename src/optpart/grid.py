@@ -137,6 +137,15 @@ class PartitionState:
     def with_values(self, values: np.ndarray) -> "PartitionState":
         return PartitionState(self.grid, values)
 
+    @cached_property
+    def boxes(self) -> tuple[tuple[slice, ...] | None, ...]:
+        """Per part, the box of its nonzero nodes (``true_boxes``), or None if it has none.
+
+        Found on first use and kept: a masked iterate's energy and its next
+        heat step's sine forward read the same boxes.
+        """
+        return tuple(true_boxes(self.values != 0.0, self.grid.dim))
+
 
 @dataclass(frozen=True)
 class DomainMask:

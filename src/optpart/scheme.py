@@ -147,12 +147,15 @@ def step(
     ``coef``, if given, is the spectral forward transform of ``s.values``
     (computed for its energy); the diffusion reuses it instead of
     transforming again, and without it the step computes the one ``run``
-    passes.  The projection and the normalization work in the diffusion's
+    passes.  On a mask, which has no coefficients to pass, the diffusion's
+    forward transform reads ``s.boxes``, which the masked energy of ``s``
+    has found.  The projection and the normalization work in the diffusion's
     fresh output, which becomes the new state.
     """
     if coef is None and cfg.mask is None:
         coef = _evaluate(s, cfg)[1]
-    v = diffuse_stack(s.values, s.grid, tau, cfg.bc, cfg.mask, coef)
+    v = diffuse_stack(s.values, s.grid, tau, cfg.bc, cfg.mask, coef,
+                      s.boxes if coef is None else None)
     v = PROJECTIONS[cfg.variant.removesuffix("_ed")](v, out=v)
     return s.with_values(norm_step(v, s.grid, out=v))
 
@@ -166,7 +169,8 @@ def _evaluate(state: PartitionState, cfg: SchemeConfig) -> tuple[float, np.ndarr
 
     Without a mask the spectral energy and the heat semigroup work on the
     same coefficients, so each iterate is transformed once; the masked
-    energy is a finite-difference one and leaves nothing to share.
+    energy is a finite-difference one and leaves no coefficients, only the
+    state's ``boxes``, which the next diffusion reads.
     """
     if cfg.mask is not None:
         return dirichlet_energy(state, cfg.bc, cfg.mask), None
@@ -183,7 +187,11 @@ def _residual(
     energy; the penalty term is ``(1/tau) * sum_i ||u_i^trial - u_i^prev||^2``.
     The energies are passed in, as the caller has already computed them.
     """
-    moved = weighted_norms(trial.values - previous.values, trial.grid)
+    # part by part through one part-sized difference: the same sums as the
+    # stack's, without a stack-sized temporary per secant trial
+    diff = np.empty(trial.grid.shape)
+    moved = np.array([weighted_norms(np.subtract(t, p, out=diff)[None], trial.grid)[0]
+                      for t, p in zip(trial.values, previous.values)])
     return float(e_trial - e_prev + np.sum(moved * moved) / tau)
 
 

@@ -1,5 +1,7 @@
 """Grid containers, discrete norms, and the gradient energies."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,14 @@ from optpart import (
     DomainMask,
     GridSpec,
     PartitionState,
+    SchemeConfig,
     dirichlet_energy,
     label_map,
     make_mask,
     max_support_overlap,
     partition_norms,
+    run,
+    voronoi_init,
 )
 from optpart.grid import support_labels, true_boxes, weighted_norms
 from optpart.scheme import apply_sigma
@@ -277,8 +282,9 @@ def test_energy_masked_unit_spike():
 
 
 @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
-def test_energy_masked_is_bitwise_the_np_diff_sum(dim, n):
-    # the reference: np.diff with a zero plane appended, one axis at a time
+def test_energy_masked_is_the_np_diff_sum_within_ulps(dim, n):
+    # the reference: np.diff with a zero plane appended, one axis at a time;
+    # the energy sums part by part over boxes, so in another order
     g = GridSpec(dim=dim, n=n)
     vals = np.random.default_rng(dim).normal(size=(3,) + g.shape)
     total = 0.0
@@ -286,7 +292,88 @@ def test_energy_masked_is_bitwise_the_np_diff_sum(dim, n):
         d = np.diff(vals, axis=ax, append=0.0)
         total += float(np.sum(d * d))
     expected = 0.5 * g.spacing ** (dim - 2) * total
-    assert dirichlet_energy(PartitionState(g, vals), "dirichlet", make_mask(g, "full")) == expected
+    got = dirichlet_energy(PartitionState(g, vals), "dirichlet", make_mask(g, "full"))
+    assert abs(got - expected) <= 4 * np.spacing(expected)
+
+
+def per_part_diff_energy(vals: np.ndarray, grid: GridSpec) -> float:
+    """The masked energy's terms, part by part and axis by axis, each through
+    np.diff with a zero plane appended: the reference."""
+    total = 0.0
+    for part in vals:
+        for ax in range(grid.dim):
+            d = np.diff(part, axis=ax, append=0.0)
+            total += float(np.sum(d * d))
+    return 0.5 * grid.spacing ** (grid.dim - 2) * total
+
+
+def edge_stack(dim: int, n: int, rng) -> np.ndarray:
+    """Integer-valued parts, so that every term and every sum is exact: one
+    spanning index 0 to n-1 on every axis, a lone node in each of two
+    opposite grid corners, an all-zero part, and a part whose box touches
+    index 0 on the first axis and n-1 on the last."""
+    vals = np.zeros((5,) + (n,) * dim)
+    vals[0] = rng.integers(-3, 4, size=(n,) * dim)
+    vals[(1,) + (0,) * dim] = 5.0
+    vals[(2,) + (n - 1,) * dim] = -7.0
+    vals[(4, 0) + (slice(2, 5),) * (dim - 2) + (n - 1,)] = 2.0
+    return vals
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+def test_energy_masked_charges_every_term_at_the_grid_edges(dim, n):
+    g = GridSpec(dim=dim, n=n)
+    vals = edge_stack(dim, n, np.random.default_rng(dim))
+    state = PartitionState(g, vals)
+    assert state.boxes[0] == (slice(0, n),) * dim and state.boxes[3] is None
+    mask = make_mask(g, "full")
+    assert dirichlet_energy(state, "dirichlet", mask) == per_part_diff_energy(vals, g)
+    # each part alone; the lone node at index 0 charges one jump per axis
+    # (none below node 0), the one at n-1 two (one past it, into the zero
+    # extension)
+    for i, jumps in enumerate([None, dim * 25.0, dim * 2 * 49.0, 0.0, None]):
+        alone = np.zeros_like(vals)
+        alone[i] = vals[i]
+        energy = dirichlet_energy(PartitionState(g, alone), "dirichlet", mask)
+        assert energy == per_part_diff_energy(alone, g)
+        assert jumps is None or energy == 0.5 * g.spacing ** (dim - 2) * jumps
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+def test_energy_masked_of_signed_overlapping_stacks_is_exact(dim, n):
+    # the energy stays general: parts may be signed and overlap, each with
+    # its own box somewhere in the grid
+    g = GridSpec(dim=dim, n=n)
+    rng = np.random.default_rng(10 + dim)
+    mask = make_mask(g, "full")
+    for _ in range(20):
+        vals = rng.integers(-9, 10, size=(4,) + g.shape).astype(float)
+        for part in vals:
+            lo, hi = np.sort(rng.integers(0, n + 1, size=(2, dim)), axis=0)
+            keep = np.zeros(g.shape, dtype=bool)
+            keep[tuple(slice(a, b) for a, b in zip(lo, hi))] = True
+            part[~keep] = 0.0
+        assert dirichlet_energy(PartitionState(g, vals), "dirichlet", mask) == (
+            per_part_diff_energy(vals, g))
+
+
+@pytest.mark.parametrize("dim,n,tau,mask_name", [(2, 192, 0.05, "star5"), (3, 32, 0.25, "disk")])
+def test_masked_energy_makes_no_stack_sized_temporary(dim, n, tau, mask_name):
+    # each part's differences go through one buffer of its box: the peak is
+    # the nonzero flags its boxes are found from, an eighth of the stack
+    g = GridSpec(dim, n)
+    mask = make_mask(g, mask_name)
+    cfg = SchemeConfig(k=6, variant="three_step_linear", tau=tau, bc="dirichlet", mask=mask,
+                       n_max=3)
+    iterate, _ = run(cfg, voronoi_init(g, 6, 1, "dirichlet", mask))
+    state = PartitionState(g, iterate.values.copy())
+    assert "boxes" not in state.__dict__
+    tracemalloc.start()
+    got = dirichlet_energy(state, "dirichlet", mask)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 0.25 * state.values.nbytes
+    assert abs(got - per_part_diff_energy(state.values, g)) <= 4 * np.spacing(got)
 
 
 @pytest.mark.parametrize("bc", ["periodic", "dirichlet"])

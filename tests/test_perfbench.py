@@ -3,7 +3,8 @@
 Each workload's reference instance is solved once by ``perfbench/instance.py``
 in a fresh process and held to ``perfbench/reference.json`` by the rule
 ``perfbench/run.py`` applies, so a change that moves a reference shows up in
-the tests and not only in a benchmark run.  Nothing under ``perfbench/`` is
+the tests and not only in a benchmark run.  Two masked2d-ed instances that
+run the energy correction are pinned the same way.  Nothing under ``perfbench/`` is
 written: the solve's files go to a temporary directory, and ``-B`` keeps the
 interpreter from caching bytecode there.
 """
@@ -31,3 +32,22 @@ def test_benchmark_reference_instance(tmp_path, workload):
     assert report["iterations"] == ref["iterations"]
     assert report["labels_sha256"] == ref["labels_sha256"]
     assert abs(report["energy"] - ref["energy"]) <= ENERGY_RTOL * abs(ref["energy"])
+
+
+# masked2d-ed instances that run the energy correction, which the reference
+# instance (seed 0) never does: iterations, corrected iterations, label map
+CORRECTED_MASKED = {
+    2: (96, 25, "1427765880b3fe0b7cacdf546cd83cf534b2c313dafe2de0fc70aef4ef059d47"),
+    3: (77, 23, "e32d11ff6d7f0a19c19043cf7e754581a4a17350aec14b807d7d8034dcf6d603"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CORRECTED_MASKED))
+def test_corrected_masked_instance(tmp_path, seed):
+    cmd = [sys.executable, "-B", str(PERFBENCH / "instance.py"), "--workload", "masked2d-ed",
+           "--seed", str(seed), "--out", str(tmp_path)]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=120, check=True)
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["errors"] == []
+    corrected = report["uncorrected"].count(False)
+    assert (report["iterations"], corrected, report["labels_sha256"]) == CORRECTED_MASKED[seed]

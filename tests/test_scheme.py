@@ -5,7 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import optpart.grid
 import optpart.scheme
+import optpart.spectral
 from optpart import (
     DegeneratePart,
     GridSpec,
@@ -21,7 +23,7 @@ from optpart import (
     run,
     voronoi_init,
 )
-from optpart.grid import support_labels
+from optpart.grid import support_labels, weighted_norms
 from optpart.scheme import (
     SECANT_MAX_ITERS,
     SecantFailed,
@@ -552,6 +554,75 @@ def test_step_without_coefficients_is_the_run_step():
     assert len(iterates) == 5
     for previous, state in zip(iterates, iterates[1:]):
         assert same_bits(step(previous, cfg, 0.05).values, state.values)
+
+
+def test_masked_step_without_coefficients_is_the_run_step():
+    # on a mask run hands the heat step the boxes its energy found; a step
+    # from a state that has not found them yet scans for them itself
+    grid = GridSpec(dim=2, n=192)
+    mask = make_mask(grid, "star5")
+    cfg = SchemeConfig(k=6, variant="three_step_linear", tau=0.05, bc="dirichlet", mask=mask,
+                       n_max=4)
+    iterates = []
+    run(cfg, voronoi_init(grid, 6, 1, "dirichlet", mask),
+        on_iteration=lambda s, r: iterates.append(s))
+    assert len(iterates) == 5
+    for previous, state in zip(iterates, iterates[1:]):
+        assert "boxes" in previous.__dict__
+        fresh = PartitionState(grid, previous.values)
+        for start in (previous, fresh):
+            assert same_bits(step(start, cfg, 0.05).values, state.values)
+
+
+def test_with_values_finds_its_own_boxes():
+    grid = GridSpec(dim=2, n=16)
+    s = flat_partition(grid, 3)
+    assert len(s.boxes) == 3 and "boxes" in s.__dict__
+    values = np.zeros_like(s.values)
+    values[0, 2:5, 3:9] = values[2, 7, 7] = 1.0
+    moved = s.with_values(values)
+    assert "boxes" not in moved.__dict__
+    assert moved.boxes == ((slice(2, 5), slice(3, 9)), None, (slice(7, 8), slice(7, 8)))
+    with pytest.raises(AttributeError):
+        moved.boxes = s.boxes
+
+
+def test_masked_ed_run_finds_boxes_once_per_evaluated_state(monkeypatch):
+    # the energy of each iterate and secant trial finds its boxes; the next
+    # heat step's forward transform reads the accepted state's, not a scan
+    grid = GridSpec(dim=2, n=32)
+    mask = make_mask(grid, "star5")
+    assert mask.box  # found before counting
+    cfg = SchemeConfig(k=4, variant="three_step_linear_ed", tau=0.5, bc="dirichlet", mask=mask,
+                       n_max=30)
+    init = voronoi_init(grid, 4, 0, "dirichlet", mask)
+    scans, evaluated = [], []
+    true_boxes, evaluate = optpart.grid.true_boxes, optpart.scheme._evaluate
+
+    def scan(flags, dim):
+        scans.append(flags.shape)
+        return true_boxes(flags, dim)
+
+    def counted(state, cfg):
+        evaluated.append(state)
+        return evaluate(state, cfg)
+
+    monkeypatch.setattr(optpart.grid, "true_boxes", scan)
+    monkeypatch.setattr(optpart.spectral, "true_boxes", scan)
+    monkeypatch.setattr(optpart.scheme, "_evaluate", counted)
+    _, trace = run(cfg, init)
+    assert any(row.secant_iters > 0 for row in trace)
+    assert len({id(s) for s in evaluated}) == len(evaluated) > len(trace)
+    assert len(scans) == len(evaluated)
+
+
+def test_residual_is_the_norm_of_the_stack_difference():
+    # part by part, the same sums as the whole stack's difference
+    grid = GridSpec(dim=2, n=32)
+    a, b = flat_partition(grid, 4, seed=1), flat_partition(grid, 4, seed=2)
+    ea, eb = dirichlet_energy(a), dirichlet_energy(b)
+    moved = weighted_norms(a.values - b.values, grid)
+    assert _residual(ea, eb, a, b, 0.3) == float(ea - eb + np.sum(moved * moved) / 0.3)
 
 
 @pytest.mark.parametrize("bc,mask_name", DOMAINS)

@@ -498,6 +498,25 @@ def test_masked_heat_step_is_the_restricted_box_heat_step(dim, n, tau, mask_name
         assert positive_zero(got[:, mask.outside])
 
 
+@pytest.mark.parametrize("dim,n,tau,mask_name", [
+    (2, 192, 0.05, "star5"),  # kept-mode products
+    (2, 64, 0.25, "disk"),
+    (3, 28, 0.2, "disk"),  # every mode, through the sine matrix
+    (2, 64, 0.25, None),
+])
+def test_heat_step_from_given_boxes_is_bitwise_the_same(monkeypatch, dim, n, tau, mask_name):
+    # a state's boxes, found for its masked energy, stand in for the forward
+    # transform's own scan, which then does not run
+    g = GridSpec(dim, n)
+    iterate, mask = masked_iterate(dim, n, tau, mask_name)
+    state = PartitionState(g, iterate.copy())
+    want = diffuse_stack(state.values, g, tau, "dirichlet", mask)
+    boxes = state.boxes
+    assert boxes == tuple(true_boxes(state.values != 0.0, dim))
+    monkeypatch.setattr(spectral, "true_boxes", None)
+    assert same_bits(diffuse_stack(state.values, g, tau, "dirichlet", mask, boxes=boxes), want)
+
+
 def test_dirichlet_energy_makes_no_stack_sized_temporary():
     g = GridSpec(3, 28)
     vals = boundary_zero_stack(3, 28, 28, k=8)
