@@ -141,8 +141,8 @@ class PartitionState:
     def boxes(self) -> tuple[tuple[slice, ...] | None, ...]:
         """Per part, the box of its nonzero nodes (``true_boxes``), or None if it has none.
 
-        Found on first use and kept: a masked iterate's energy and its next
-        heat step's sine forward read the same boxes.
+        Found on first use and kept: a Dirichlet iterate's energy and its
+        next heat step read the same boxes, as it carries no coefficients.
         """
         return tuple(true_boxes(self.values != 0.0, self.grid.dim))
 

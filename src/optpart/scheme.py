@@ -144,18 +144,14 @@ def step(
 ) -> PartitionState:
     """One splitting iteration: diffuse, project with the variant's projection, normalize.
 
-    ``coef``, if given, is the spectral forward transform of ``s.values``
-    (computed for its energy); the diffusion reuses it instead of
-    transforming again, and without it the step computes the one ``run``
-    passes.  On a mask, which has no coefficients to pass, the diffusion's
-    forward transform reads ``s.boxes``, which the masked energy of ``s``
-    has found.  The projection and the normalization work in the diffusion's
-    fresh output, which becomes the new state.
+    ``coef``, if given, is the periodic forward transform of ``s.values``
+    (computed for its energy), which the diffusion reuses.  Dirichlet grids
+    carry no coefficients: the diffusion reads ``s.boxes``, which the energy
+    of ``s`` has found.  The projection and the normalization work in the
+    diffusion's fresh output, which becomes the new state.
     """
-    if coef is None and cfg.mask is None:
-        coef = _evaluate(s, cfg)[1]
     v = diffuse_stack(s.values, s.grid, tau, cfg.bc, cfg.mask, coef,
-                      s.boxes if coef is None else None)
+                      s.boxes if cfg.bc == "dirichlet" else None)
     v = PROJECTIONS[cfg.variant.removesuffix("_ed")](v, out=v)
     return s.with_values(norm_step(v, s.grid, out=v))
 
@@ -165,17 +161,15 @@ def step(
 
 
 def _evaluate(state: PartitionState, cfg: SchemeConfig) -> tuple[float, np.ndarray | None]:
-    """Energy of an iterate, and the forward transform its next diffusion reuses.
+    """Energy of an iterate, and on periodic grids the forward transform its
+    next diffusion reuses, so that each iterate is transformed once.
 
-    Without a mask the spectral energy and the heat semigroup work on the
-    same coefficients, so each iterate is transformed once; the masked
-    energy is a finite-difference one and leaves no coefficients, only the
+    Dirichlet runs carry no coefficients: their energies leave only the
     state's ``boxes``, which the next diffusion reads.
     """
-    if cfg.mask is not None:
-        return dirichlet_energy(state, cfg.bc, cfg.mask), None
-    coef = spectral_operator(cfg.bc, state.grid.dim, state.grid.n).forward(state.values)
-    return dirichlet_energy(state, cfg.bc, coef=coef), coef
+    coef = None if cfg.bc == "dirichlet" else spectral_operator(
+        cfg.bc, state.grid.dim, state.grid.n).forward(state.values)
+    return dirichlet_energy(state, cfg.bc, cfg.mask, coef), coef
 
 
 def _residual(
@@ -237,10 +231,10 @@ def energy_decrease_wrap(
     Returns ``(state, sigma, secant_iterations, energy, coef)`` where sigma
     is the last accepted support shift (None if no correction was needed),
     energy is the returned state's energy, and coef its forward transform
-    for the next diffusion (None with a mask).  Raises SecantFailed when the
-    search exhausts ``SECANT_MAX_ITERS``, stalls, degenerates a part, or its
-    residual converges with the energy still above the bar; the caller
-    decides the fallback.
+    for the next diffusion (periodic grids only, else None).  Raises
+    SecantFailed when the search exhausts ``SECANT_MAX_ITERS``, stalls,
+    degenerates a part, or its residual converges with the energy still
+    above the bar; the caller decides the fallback.
     """
     e_cand, coef_cand = _evaluate(candidate, cfg)
     if e_cand <= e_prev:
@@ -331,9 +325,9 @@ def run(
 
     trace: EnergyTrace = []
     state = init
-    # each iterate's energy, its forward transform that the next diffusion
-    # reuses, and its label map are computed once and carried to the next
-    # iteration
+    # each iterate's energy, its periodic forward transform that the next
+    # diffusion reuses, and its label map are computed once and carried to
+    # the next iteration
     energy, coef = _evaluate(state, cfg)
     labels = label_map(state)
     row = _trace_row(state, 0, energy, None, 0, False)

@@ -1,47 +1,27 @@
 """The discrete Laplacian on the box [-pi, pi]^d: heat step and gradient energy.
 
 Periodic grids expand in the trigonometric basis through the real-to-complex
-FFT (``np.fft.rfftn``): full wavenumbers on the leading axes, the
-nonnegative half on the last one.  Dirichlet grids expand the interior nodes
-(index 1..n-1 per axis) in the sine basis ``sin(j*(x+pi)/2)`` through the
-type-1 DST; the index-0 boundary planes are zero.  Transforms run over the
-trailing ``dim`` axes, so a (k, ...) stack of parts goes through one call.
+FFT (``np.fft.rfftn``).  Dirichlet grids expand the interior nodes (index
+1..n-1 per axis) in the sine basis ``sin(j*(x+pi)/2)`` through the type-1
+DST, whose matrix is S = 2 sin(pi j l / n); the index-0 boundary planes are
+zero.  Transforms run over the trailing ``dim`` axes of a (k, ...) stack.
 
-``diffuse_stack`` applies the exact heat semigroup e^{tau * Laplacian}, and
-``dirichlet_energy`` the gradient energy; both work on the same forward
-coefficients, so an iterate transformed once for its energy can be diffused
-without transforming it again.  The heat step goes through only the modes
-that ``SpectralOperator.modes`` keeps: the rest are multiplied by less than
-2**-53 / (2**dim * N) and cannot move any value.  A Dirichlet transform of
-J <= ``SINE_MATRIX_MAX_N`` - 1 modes per axis runs as dense products with J
-columns of the sine matrix: the full transforms of grids with n <= 96 (the
-energy's, and the heat step's when tau keeps every mode, as on 28^3 at
-tau = 0.2) and the heat step's on larger grids at the usual tau (192^2 at
-tau = 0.05 keeps 62 modes); a full transform above n = 96 calls
-``scipy.fft.dstn``.  A periodic heat step that keeps |m| <= M, with
-M <= n/4 and M <= ``PERIODIC_MAX_MODES``, runs its inverse as complex
-products on the full axes and one real product on the last (128^2 at
-tau = 0.25 keeps M = 13); otherwise ``irfftn`` of every mode.  A heat step
-allocates its output, one work buffer, and one coefficient array when it
-transforms the values itself.  It never writes coefficients: the products
-decay them into memory of their own, the full transforms into one fresh
-array.  ``scheme.step`` projects and normalizes in the output: a 28^3, k=8
-step and a 2D benchmark step peak at 1.9 stacks of traced memory.  Products
-skip exact zeros: the Dirichlet product forward transforms each part from
-the box of its nonzero nodes (every iterate's parts have disjoint supports),
-and a masked heat step's inverse computes only the nodes in the mask's box.
-Spectral ringing's tiny negative values are not snapped to zero: every
-projection discards them.  The one non-spectral piece, the forward-difference
-energy on a masked domain, also goes part by part over those boxes; a state
-finds them once (``PartitionState.boxes``), and its next heat step's forward
-transform reads them instead of scanning the stack again.
+``diffuse_stack`` applies the exact heat semigroup through the modes
+``SpectralOperator.modes`` keeps; the rest cannot move any value.  On
+Dirichlet grids with n <= ``SINE_MATRIX_MAX_N`` a step of every mode is the
+heat kernel S diag(e^{-tau lambda}) S / 2n along each axis, in node space.
+``dirichlet_energy`` reads the periodic forward coefficients, which a run
+carries to the next heat step; the Dirichlet energy is 0.5 h^d times the sum
+over the axes of ||G u||^2 along the axis, G = diag(sqrt(lambda)) S /
+sqrt(2n), and on a mask forward differences.  Products skip exact zeros: each
+part goes from the box of its nonzero nodes (``PartitionState.boxes``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -58,32 +38,16 @@ from .grid import (
 )
 
 # Caps the sine modes per axis that go through dense products: a heat step
-# that would keep more than SINE_MATRIX_MAX_N - 1 of them keeps every mode
-# (``SpectralOperator.modes``), and only a full transform (J = n-1) with
-# n > SINE_MATRIX_MAX_N calls scipy's DST; every other transform of J modes
-# per axis is products with J columns of the DST-I matrix.  Full
-# forward, matrix time over ``dstn`` time (median of 15 calls, one BLAS
-# thread, 2-core VM): 2D k=6 0.26-0.37 at n=32,
-# 0.49-0.62 at 88-92, 0.93-1.23 at 96, 1.45-2.08 at 128; 3D k=8 0.17-0.19 at
-# n=16, 0.40-0.53 at 28, 0.55-0.75 at 96.  A heat step's J-column forward
-# plus inverse over ``dstn`` plus ``idstn``, 2D, k=6, five runs:
-#   n=128: 0.12-0.18 at J=31, 0.23-0.35 at J=62, 0.55-0.73 at J=95
-#   n=192: 0.12-0.16 at J=31, 0.23-0.28 at J=62, 0.39-0.51 at J=95
-#   n=512: 0.11-0.15 at J=31, 0.16-0.34 at J=62, 0.25-0.30 at J=95
-# Fixed, not timed at run time, so that a configuration's output never varies.
+# that would keep more than SINE_MATRIX_MAX_N - 1 keeps every mode, which is
+# the node-space heat kernel for n <= SINE_MATRIX_MAX_N and scipy's DST both
+# ways above.  Fixed, not timed at run time, so that a configuration's output
+# never varies; README.md gives the timings it rests on.
 SINE_MATRIX_MAX_N = 96
 
 # Caps the wavenumbers |m| <= M a periodic heat step keeps for products: a
-# count above min(n/4, PERIODIC_MAX_MODES) keeps every mode through irfftn.
-# The products' cost grows with M, irfftn's does not.  Kept-mode inverse over
-# ``irfftn`` of every mode, from given coefficients at the tau that keeps M
-# (median of 5-11 calls, one BLAS thread, 2-core VM, three runs):
-#   2D k=6: n=64 0.51-0.58 at M=16, 0.86-1.10 at 24, 1.30-2.78 at 31;
-#           n=128 0.35-0.42 at M=32, 0.91-0.99 at 40;
-#           n=256 0.18-0.19 at M=32, 0.90-0.93 at 64;
-#           n=512 0.20-0.21 at M=32, 0.34-0.37 at 64
-#   3D: n=32 k=8 0.48-0.52 at M=8, 0.60-0.86 at 12; n=48 k=4 0.47-0.69 at
-#       M=12, 0.88-1.17 at 20; n=64 k=4 0.43-0.60 at M=16, 0.54-0.89 at 24
+# count above min(n/4, PERIODIC_MAX_MODES) keeps every mode through irfftn,
+# whose cost, unlike the products', does not grow with M (README.md gives
+# the timings).
 PERIODIC_MAX_MODES = 32
 
 
@@ -123,13 +87,31 @@ def _zero_outside(out: np.ndarray, box: tuple[slice, ...]) -> np.ndarray:
     return out
 
 
+def _interior(box: tuple[slice, ...] | None) -> tuple[slice, ...] | None:
+    """A box of nodes as slices of interior nodes (l for node l + 1), None if it has none."""
+    box = box and tuple(slice(max(s.start - 1, 0), s.stop - 1) for s in box)
+    return None if not box or any(s.stop == 0 for s in box) else box
+
+
+def _box_products(part: np.ndarray, box, last: np.ndarray, leads, out, spare) -> np.ndarray:
+    """One part's interior values on an ``_interior`` box (None: zeros) times ``last``
+    (rows by node) along the last axis, then ``leads[ax]`` (columns by node) along each
+    leading axis ax, backwards, into ``out`` (through ``spare`` in 3D)."""
+    if box is None:
+        out[...] = 0.0
+        return out
+    leading = range(-2, -part.ndim - 1, -1)
+    return _left_products(np.matmul(part[box], last[box[-1]]),
+                          [leads[ax][:, box[ax]] for ax in leading], leading,
+                          (out, spare) if part.ndim == 2 else (spare, out))
+
+
 class SpectralOperator:
     """Forward/inverse transforms, heat decay and energy for one (bc, dim, n).
 
-    Obtain instances through ``spectral_operator``, which caches them, so
-    its tables are built once per grid.  Coefficient arrays returned
-    by ``forward`` are read-only: they may be shared between the energy of
-    an iterate and its next diffusion.
+    Obtain instances through ``spectral_operator``, which caches them and their
+    tables.  ``forward``'s coefficients are read-only: on periodic grids they are
+    shared between the energy of an iterate and its next diffusion.
 
     A heat step keeps ``modes(tau)`` modes per axis: sine modes 1..J, or
     wavenumbers |m| <= M.  Mode j is kept iff its one-axis multiplier
@@ -158,18 +140,15 @@ class SpectralOperator:
             # for itself and its conjugate partner, which rfftn does not store
             weight = np.full(n // 2 + 1, 2.0)
             weight[[0, -1]] = 1.0
-            vol = (2.0 * np.pi) ** dim
-            energy_scale = 0.5 * vol / float(n**dim) ** 2
+            scale = 0.5 * (2.0 * np.pi) ** dim / float(n**dim) ** 2
+            self._energy_weights = scale * weight * self.eigenvalues
+            self._energy_weights.setflags(write=False)
         else:
             j = np.arange(1, n)
             self._axis_eigenvalues = (j / 2.0) ** 2
             self.eigenvalues = _axis_sum([self._axis_eigenvalues] * dim)
             self._nodes = (n - 1) ** dim
-            weight = 1.0
-            energy_scale = 0.5 * np.pi**dim / float(n**dim) ** 2
         self.eigenvalues.setflags(write=False)
-        self._energy_weights = energy_scale * weight * self.eigenvalues
-        self._energy_weights.setflags(write=False)
 
     @lru_cache(maxsize=32)
     def modes(self, tau: float) -> int:
@@ -210,6 +189,24 @@ class SpectralOperator:
         rows.setflags(write=False)
         return cols, rows
 
+    @lru_cache(maxsize=32)
+    def heat_kernel(self, tau: float) -> np.ndarray:
+        """Read-only symmetric one-axis Dirichlet heat kernel S diag(e^{-tau lambda}) S / 2n."""
+        s, n = self._sine_tables(self.shape[0] - 1)[0], self.shape[0]
+        out = (s * np.exp(-tau * self._axis_eigenvalues)) @ s
+        out = (out + out.T) / (4 * n)  # symmetric bit for bit, not just to rounding
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def gradient_factor(self) -> np.ndarray:
+        """Read-only Dirichlet G = diag(sqrt(lambda_j)) S / sqrt(2n), column l for node l + 1:
+        S / sqrt(2n) is orthogonal, so an axis's share of the energy is G's alone."""
+        s, n = self._sine_tables(self.shape[0] - 1)[0], self.shape[0]
+        out = np.sqrt(self._axis_eigenvalues)[:, None] * s / math.sqrt(2 * n)
+        out.setflags(write=False)
+        return out
+
     @lru_cache(maxsize=16)
     def _inverse_tables(self, modes: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only matrices of an inverse from ``modes`` modes per axis.
@@ -243,14 +240,10 @@ class SpectralOperator:
     ) -> np.ndarray:
         """Coefficients of nodal values over the trailing grid axes (read-only).
 
-        With ``modes``, only the block ``block(modes)`` of them; the
-        Dirichlet products compute no other.  On Dirichlet grids the index-0
-        boundary planes are not read, and the products (every transform
-        but a full one above ``SINE_MATRIX_MAX_N``) go part by part, each from
-        the box of its nonzero nodes: the nodes outside it add exact zeros.
-        ``boxes``, if given, must be those boxes, ``true_boxes(values != 0.0,
-        dim)`` (as a state's ``boxes``), read in place of that scan.
-        """
+        With ``modes``, only the block ``block(modes)`` of them, which the
+        Dirichlet products (all but a full transform above
+        ``SINE_MATRIX_MAX_N``) compute part by part from ``boxes``, as a
+        state's ``boxes``, or else from a scan; node 0 is not read."""
         if self.bc == "periodic":
             coef = np.fft.rfftn(values, axes=self.axes)
             if modes is not None:
@@ -264,7 +257,6 @@ class SpectralOperator:
             coef = sp_fft.dstn(interior, type=1, axes=self.axes)
         else:
             cols, rows = self._sine_tables(modes)
-            leading = range(-2, -self.dim - 1, -1)
             coef = np.empty(values.shape[: -self.dim] + (modes,) * self.dim)
             # 3D: the work buffer of the first left product
             spare = np.empty((n - 1) * modes**2) if self.dim == 3 else None
@@ -272,20 +264,28 @@ class SpectralOperator:
                 # the whole stack is scanned: its contiguous memory is faster to read
                 boxes = true_boxes(values != 0.0, self.dim)
             for idx, box in zip(np.ndindex(coef.shape[: -self.dim]), boxes):
-                out = coef[idx]
-                # sine table row l stands for node l + 1; node 0 is not read
-                box = box and tuple(slice(max(s.start - 1, 0), s.stop - 1) for s in box)
-                if not box or any(s.stop == 0 for s in box):
-                    out[...] = 0.0  # no nonzero interior node
-                    continue
-                # the last axis first; the left products alternate between
-                # ``spare`` and this part's coefficients, ending in the
-                # latter, so they write its whole block
-                part = np.matmul(interior[idx][box], cols[box[-1]])
-                _left_products(part, [rows[:, box[ax]] for ax in leading], leading,
-                               (out, spare) if self.dim == 2 else (spare, out))
+                _box_products(interior[idx], _interior(box), cols, (rows,) * self.dim,
+                              coef[idx], spare)
         coef.setflags(write=False)
         return coef
+
+    def heat(self, values: np.ndarray, tau: float, boxes, box=None) -> np.ndarray:
+        """The Dirichlet heat step of every mode: ``heat_kernel(tau)`` along each axis.
+
+        Each part goes from its box in ``boxes`` (a state's ``boxes``) through one
+        part-sized buffer, and only the nodes in ``box`` (as ``inverse``'s) are
+        written; the output is +0.0 outside it."""
+        n, kernel = self.shape[0], self.heat_kernel(tau)
+        box = tuple(slice(max(s.start, 1), s.stop) for s in box or (slice(0, n),) * self.dim)
+        rows = tuple(slice(s.start - 1, s.stop - 1) for s in box)  # may be empty
+        result = np.empty(tuple(s.stop - s.start for s in box))
+        spare = np.empty((n - 1) * math.prod(result.shape[1:])) if self.dim == 3 else None
+        out = np.empty(values.shape)
+        interior = values[(...,) + (slice(1, None),) * self.dim]
+        for idx, nonzero in zip(np.ndindex(values.shape[: -self.dim]), boxes):
+            out[idx][box] = _box_products(interior[idx], _interior(nonzero), kernel[:, rows[-1]],
+                                          [kernel[r] for r in rows], result, spare)
+        return _zero_outside(out, box)
 
     def inverse(
         self, coef: np.ndarray, decay: np.ndarray | float, box: tuple[slice, ...] | None = None
@@ -347,11 +347,8 @@ class SpectralOperator:
         return out
 
     def energy(self, coef: np.ndarray) -> float:
-        """Total gradient energy 0.5 * sum ||grad u||^2 of forward coefficients."""
-        if self.bc == "periodic":
-            return float(np.sum(self._energy_weights * (coef.real**2 + coef.imag**2)))
-        flat = coef.reshape(-1, self._energy_weights.size)
-        return float(np.einsum("j,kj,kj->", self._energy_weights.reshape(-1), flat, flat))
+        """Total gradient energy 0.5 * sum ||grad u||^2 of periodic forward coefficients."""
+        return float(np.sum(self._energy_weights * (coef.real**2 + coef.imag**2)))
 
 
 @lru_cache(maxsize=16)
@@ -369,41 +366,36 @@ def _check_boundary_planes(values: np.ndarray, grid: GridSpec) -> None:
         raise ValueError("dirichlet semigroup requires zero values on the boundary planes")
 
 
-def diffuse_stack(
-    values: np.ndarray,
-    grid: GridSpec,
-    tau: float,
-    bc: str,
-    mask: DomainMask | None = None,
-    coef: np.ndarray | None = None,
-    boxes: tuple | None = None,
-) -> np.ndarray:
+def diffuse_stack(values: np.ndarray, grid: GridSpec, tau: float, bc: str,
+                  mask: DomainMask | None = None, coef: np.ndarray | None = None,
+                  boxes: tuple | None = None) -> np.ndarray:
     """Semigroup applied to a (k, ...) stack of parts, then mask restriction.
 
-    Transforms run over the trailing grid axes so all parts go through one
-    transform call, which carries only the modes ``SpectralOperator.modes``
-    keeps at ``tau``.  With ``bc="dirichlet"``, which a mask requires, the
-    parts must vanish on the stored boundary planes (index 0 along every
-    axis); the opposite faces are implicit zero-Dirichlet images.
-    ``coef``, if given, must be the spectral operator's forward transform of
-    ``values`` (as computed for their energy), read in place of that transform.
-    ``boxes``, if given, must be the per-part boxes of the nonzero nodes of
-    ``values`` (as a state's ``boxes``, found for its masked energy), read in
-    place of the forward transform's own scan.
+    With ``bc="dirichlet"``, which a mask requires, the parts must vanish on
+    the stored boundary planes (index 0 along every axis); the opposite faces
+    are implicit zero-Dirichlet images.  ``coef``, if given, must be the
+    forward transform of ``values`` (as a periodic run computes for their
+    energy), read in place of a forward transform; the node-space heat step
+    takes none.  ``boxes``, if given, must be the per-part boxes of the
+    nonzero nodes of ``values`` (a state's ``boxes``), read in place of a scan.
     Ringing's tiny negative values are kept; the projections discard them.
     """
     tau = check_tau(tau)
     check_domain(bc, mask)
     check_mask(mask, grid)
     op = spectral_operator(bc, grid.dim, grid.n)
+    box = None if mask is None else mask.box
+    modes = op.modes(tau)
     if bc == "dirichlet":
         _check_boundary_planes(values, grid)
-    modes = op.modes(tau)
-    block = op.block(modes)
-    # the inverse multiplies the decay into read-only coefficients; as no name
-    # here holds them, a fresh product there frees the array it replaces
-    out = op.inverse(op.forward(values, modes, boxes) if coef is None else coef[block],
-                     op.decay(tau)[block], None if mask is None else mask.box)
+    if bc == "dirichlet" and modes == grid.n - 1 and grid.n <= SINE_MATRIX_MAX_N:
+        out = op.heat(values, tau, boxes or true_boxes(values != 0.0, grid.dim), box)
+    else:
+        # the inverse multiplies the decay into read-only coefficients; as no
+        # name here holds them, a fresh product there frees the array it replaces
+        block = op.block(modes)
+        out = op.inverse(op.forward(values, modes, boxes) if coef is None else coef[block],
+                         op.decay(tau)[block], box)
     if mask is not None:
         # the output is +0.0 outside the mask's box; restrict inside it
         np.copyto(out[(...,) + mask.box], 0.0, where=mask.outside[mask.box])
@@ -412,6 +404,12 @@ def diffuse_stack(
 
 # ---------------------------------------------------------------------------
 # energy
+
+
+def _square_sum(a: np.ndarray) -> float:
+    """The sum of ``a``'s squares, squared in place: numpy's pairwise sum, where BLAS's
+    dot would vary with its thread count."""
+    return float(np.sum(np.multiply(a, a, out=a)))
 
 
 def _energy_masked(values: np.ndarray, grid: GridSpec, boxes: tuple) -> float:
@@ -433,33 +431,40 @@ def _energy_masked(values: np.ndarray, grid: GridSpec, boxes: tuple) -> float:
             # not np.negative, which in numpy 2.4.6 reads a 64-byte input
             # stride as contiguous when the output is strided
             np.subtract(0.0, v[head + (-1,)], out=d[head + (-1,)])
-            total += float(np.sum(np.multiply(d, d, out=d)))
+            total += _square_sum(d)
     return 0.5 * grid.spacing ** (grid.dim - 2) * total
 
 
-def dirichlet_energy(
-    state: PartitionState,
-    bc: str = "periodic",
-    mask: DomainMask | None = None,
-    coef: np.ndarray | None = None,
-) -> float:
+def _energy_sine(values: np.ndarray, grid: GridSpec, boxes: tuple) -> float:
+    # squares of one-axis products, not the stiffness form u^T G^T G u (rounds like n^2)
+    factor = spectral_operator("dirichlet", grid.dim, grid.n).gradient_factor
+    total = 0.0
+    for part, box in zip(values[(...,) + (slice(1, None),) * grid.dim], map(_interior, boxes)):
+        u = box and np.ascontiguousarray(part[box])  # the outer axes: one product each
+        for ax, rows in enumerate(box or ()):
+            before = math.prod(u.shape[:ax])
+            total += _square_sum(np.matmul(u.reshape(before, -1), factor[:, rows].T)
+                                 if ax == grid.dim - 1 else
+                                 np.matmul(factor[:, rows], u.reshape(before, u.shape[ax], -1)))
+    return 0.5 * grid.cell_volume * total
+
+
+def dirichlet_energy(state: PartitionState, bc: str = "periodic", mask: DomainMask | None = None,
+                     coef: np.ndarray | None = None) -> float:
     """Total gradient energy 0.5 * sum_i ||grad u_i||^2 of a partition.
 
-    Without a mask the gradient is spectral (trigonometric for periodic,
-    sine-series for dirichlet).  With a mask, forward differences are used so
-    that the jump across the domain boundary is charged to the energy; each
-    part's are taken over the box of its nonzero nodes (``state.boxes``),
-    grown by one node toward index 0, through one box-sized buffer.  A
-    192^2, k=6 iterate's masked energy peaks at 0.13 stacks of traced memory,
-    the nonzero flags its boxes are found from.
-
-    ``coef``, if given, must be the spectral operator's forward transform of
-    ``state.values``; it saves recomputing that transform.  It is ignored
-    with a mask, which requires ``bc="dirichlet"``.
+    Spectral without a mask; forward differences with one.  The Dirichlet
+    energies go part by part over ``state.boxes`` and read node values only.
+    ``coef``, if given, must be the periodic forward transform of
+    ``state.values``, read in place of that transform.
     """
     check_domain(bc, mask)
     check_mask(mask, state.grid)
+    if coef is not None and bc == "dirichlet":
+        raise ValueError("coef is for periodic grids: a Dirichlet energy reads the nodal values")
     if mask is not None:
         return _energy_masked(state.values, state.grid, state.boxes)
+    if bc == "dirichlet":
+        return _energy_sine(state.values, state.grid, state.boxes)
     op = spectral_operator(bc, state.grid.dim, state.grid.n)
     return op.energy(op.forward(state.values) if coef is None else coef)

@@ -38,6 +38,7 @@ MASKED_TORUS = ("a mask requires bc='dirichlet': the masked heat step and energy
                 "zero past the box edge, which is wrong on the periodic torus")
 MASK_GRID = "mask grid GridSpec(dim=2, n=8) does not match state grid GridSpec(dim=2, n=16)"
 TAU = "tau must be positive and finite, got {}"
+DIRICHLET_COEF = "coef is for periodic grids: a Dirichlet energy reads the nodal values"
 
 RULES = {
     "dim": [
@@ -86,6 +87,13 @@ RULES = {
         ("SchemeConfig-warm-up", lambda: SchemeConfig(k=2, tau=(0.1, np.inf)),
          TAU.format(np.inf)),
     ],
+    "dirichlet-coef": [
+        ("dirichlet_energy", lambda: dirichlet_energy(STATE, "dirichlet", coef=VALUES[:, 1:, 1:]),
+         DIRICHLET_COEF),
+        ("dirichlet_energy-masked",
+         lambda: dirichlet_energy(STATE, "dirichlet", MASK, coef=VALUES[:, 1:, 1:]),
+         DIRICHLET_COEF),
+    ],
 }
 CASES = [(f"{rule}-{name}", make, message)
          for rule, rows in RULES.items() for name, make, message in rows]
@@ -112,7 +120,7 @@ def raised_strings() -> list[str]:
 
 @pytest.mark.parametrize("phrase", ["dim must be", "k must be >=", "unknown boundary condition",
                                     "a mask requires", "does not match state grid",
-                                    "positive and finite"])
+                                    "positive and finite", "coef is for periodic grids"])
 def test_each_rule_is_raised_in_one_place(phrase):
     assert sum(phrase in piece for piece in raised_strings()) == 1
 

@@ -4,7 +4,9 @@ Each workload's reference instance is solved once by ``perfbench/instance.py``
 in a fresh process and held to ``perfbench/reference.json`` by the rule
 ``perfbench/run.py`` applies, so a change that moves a reference shows up in
 the tests and not only in a benchmark run.  Two masked2d-ed instances that
-run the energy correction are pinned the same way.  Nothing under ``perfbench/`` is
+run the energy correction, and three more box3d instances, are pinned the
+same way, so that a change that is not bitwise is held to more than one
+instance of each.  Nothing under ``perfbench/`` is
 written: the solve's files go to a temporary directory, and ``-B`` keeps the
 interpreter from caching bytecode there.
 """
@@ -51,3 +53,21 @@ def test_corrected_masked_instance(tmp_path, seed):
     assert report["errors"] == []
     corrected = report["uncorrected"].count(False)
     assert (report["iterations"], corrected, report["labels_sha256"]) == CORRECTED_MASKED[seed]
+
+
+# box3d instances beside the reference one (seed 0): iterations, label map
+BOX3D = {
+    1: (160, "d3da4cd78fccbbafa25da37c935d837ed0bdcc7be0aaec846ef0544029557601"),
+    2: (117, "bd726fab1cd7be2c33f57b64a6508e23a096a9644877a19889ef8448748442c2"),
+    3: (117, "8d2f0cf41d8240d2a419c108e1b076ddbc970d4a8de053e09b48cb6e2aaa08af"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BOX3D))
+def test_box3d_instance(tmp_path, seed):
+    cmd = [sys.executable, "-B", str(PERFBENCH / "instance.py"), "--workload", "box3d",
+           "--seed", str(seed), "--out", str(tmp_path)]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=120, check=True)
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["errors"] == []
+    assert (report["iterations"], report["labels_sha256"]) == BOX3D[seed]

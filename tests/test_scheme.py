@@ -545,8 +545,8 @@ def test_trace_energies_are_those_of_the_iterates(variant, bc, mask_name):
 
 
 def test_step_without_coefficients_is_the_run_step():
-    # a step computes the coefficients run passes it: from the full forward
-    # transform, not the kept-mode one, which rounds 1e-15 apart on this grid
+    # Dirichlet runs carry no coefficients: a step from an iterate transforms
+    # its kept modes from the boxes its energy found, as the run's step did
     grid = GridSpec(dim=2, n=128)
     cfg = SchemeConfig(k=6, variant="four_step", tau=0.05, bc="dirichlet", n_max=4)
     iterates = []

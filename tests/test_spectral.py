@@ -90,9 +90,13 @@ def test_diffusion_from_given_coefficients_is_bitwise_the_same(bc, dim, n, tau, 
     assert same_bits(out, diffuse_stack(vals, g, tau, bc))
     assert same_bits(coef, kept)
     assert not coef.flags.writeable
-    assert dirichlet_energy(PartitionState(g, vals), bc, coef=coef) == dirichlet_energy(
-        PartitionState(g, vals), bc
-    )
+    if bc == "periodic":
+        assert dirichlet_energy(PartitionState(g, vals), bc, coef=coef) == dirichlet_energy(
+            PartitionState(g, vals), bc
+        )
+    else:  # the Dirichlet energy reads node values only
+        with pytest.raises(ValueError, match="coef is for periodic grids"):
+            dirichlet_energy(PartitionState(g, vals), bc, coef=coef)
     # the inverse multiplies the decay in, and only reads the coefficients
     block = op.block(op.modes(tau))
     coef, decay = coef[block], op.decay(tau)[block]
@@ -104,7 +108,7 @@ def test_diffusion_from_given_coefficients_is_bitwise_the_same(bc, dim, n, tau, 
 def test_masked_diffusion_from_given_coefficients_is_bitwise_the_same(monkeypatch):
     # a masked2d-ed iterate (star5, k=6, tau=0.05 keeps 61 sine modes) at
     # 96^2, the largest grid whose full forward, like the kept-mode one, is
-    # products; run carries no coefficients on a mask
+    # products; run carries no coefficients on Dirichlet grids
     g = GridSpec(dim=2, n=96)
     mask = make_mask(g, "star5")
     cfg = SchemeConfig(k=6, variant="three_step_linear_ed", tau=0.05, bc="dirichlet", mask=mask,
@@ -146,38 +150,50 @@ def test_dirichlet_boundary_check_holds_with_given_coefficients():
 @pytest.mark.parametrize("bc,mask_name,n,tau", [
     ("periodic", None, 24, 0.1), ("dirichlet", None, 24, 0.1), ("dirichlet", "disk", 24, 0.1),
     # heat steps that keep only some modes: 27 of 63, |m| <= 13 of 32
-    ("dirichlet", "disk", 64, 0.25), ("periodic", None, 64, 0.25),
+    ("dirichlet", "disk", 64, 0.25), ("periodic", None, 64, 0.25), ("dirichlet", None, 64, 0.25),
 ], ids=["periodic-None", "dirichlet-None", "dirichlet-disk", "dirichlet-disk-64",
-        "periodic-None-64"])
+        "periodic-None-64", "dirichlet-None-64"])
 def test_uncorrected_iteration_costs_one_transform_each_way(monkeypatch, bc, mask_name, n, tau):
     g = GridSpec(dim=2, n=n)
     mask = make_mask(g, mask_name) if mask_name else None
-    if n == 64:
-        assert spectral_operator(bc, 2, n).modes(tau) == (27 if bc == "dirichlet" else 13)
+    # n = 24 keeps every mode
+    assert spectral_operator(bc, 2, n).modes(tau) == {
+        (24, "dirichlet"): 23, (24, "periodic"): 12, (64, "dirichlet"): 27, (64, "periodic"): 13,
+    }[n, bc]
     calls = {"forward": 0, "inverse": 0, "energy": 0}
+    given_boxes = []
     for name in calls:
         original = getattr(SpectralOperator, name)
 
         def counted(self, *args, _name=name, _original=original):
             calls[_name] += 1
+            if _name == "forward" and self.bc == "dirichlet":
+                given_boxes.append(args[2] is not None)
             return _original(self, *args)
 
         monkeypatch.setattr(SpectralOperator, name, counted)
     cfg = SchemeConfig(k=3, variant="three_step_linear", tau=tau, bc=bc, mask=mask, n_max=8)
     _, trace = run(cfg, voronoi_init(g, 3, 0, bc, mask))
     iterations = len(trace) - 1
-    if mask is None:
+    if bc == "periodic":
         # one forward per iterate, shared by its energy and its next diffusion
         assert calls == {"forward": iterations + 1, "inverse": iterations,
                          "energy": iterations + 1}
+    elif n == 24:
+        # every mode: the heat kernel works in node space, and the energy
+        # (sine gradient factor or finite differences) reads the node values
+        assert calls == {"forward": 0, "inverse": 0, "energy": 0}
     else:
-        # the masked energy is finite-difference: transforms serve diffusion only
+        # kept modes: each heat step transforms from the boxes its state's
+        # energy found, and back
         assert calls == {"forward": iterations, "inverse": iterations, "energy": 0}
+        assert given_boxes == [True] * iterations
 
 
-def old_diffuse_stack(values, grid, tau, bc, mask=None):
+def old_diffuse_stack(values, grid, tau, bc, mask=None, snap=True):
     """The heat step through FFTs and scipy's DST, with a zero-filled output
-    and ``np.where`` for the mask: the reference."""
+    and ``np.where`` for the mask: the reference.  ``snap`` zeroes negative
+    values above -1e-12, as the heat step once did."""
     op = spectral_operator(bc, grid.dim, grid.n)
     if bc == "periodic":
         out = np.fft.irfftn(np.fft.rfftn(values, axes=op.axes) * op.decay(tau),
@@ -187,8 +203,8 @@ def old_diffuse_stack(values, grid, tau, bc, mask=None):
         coef = sp_fft.dstn(values[interior], type=1, axes=op.axes) * op.decay(tau)
         out = np.zeros(values.shape[:1] + grid.shape)
         out[interior] = sp_fft.idstn(coef, type=1, axes=op.axes)
-    tiny = (out > -1e-12) & (out < 0.0)
-    out[tiny] = 0.0
+    if snap:
+        out[(out > -1e-12) & (out < 0.0)] = 0.0
     return out if mask is None else np.where(mask.indicator, out, 0.0)
 
 
@@ -230,7 +246,8 @@ def test_heat_step_buffers(dim, n, tau, domain, given_coef):
     if every_mode and (bc == "periodic" or n > SINE_MATRIX_MAX_N):
         assert same_bits(a, want)
     else:
-        # the sine-matrix and kept-mode products round differently from the FFT
+        # the node-space kernel and the kept-mode products round differently
+        # from the FFT
         assert np.max(np.abs(a - want)) <= 1e-14 * np.max(np.abs(want))
     assert a.flags.owndata and b.flags.owndata
     assert not np.shares_memory(a, b)
@@ -479,7 +496,7 @@ def test_kept_mode_forward_of_empty_single_node_and_dense_parts(dim, n, tau):
 @pytest.mark.parametrize("dim,n,tau,mask_name", [
     (2, 192, 0.05, "star5"),  # 62 of 191 modes
     (3, 32, 0.25, "disk"),  # 28 of 31 modes
-    (3, 28, 0.2, "disk"),  # every mode, through the sine matrix
+    (3, 28, 0.2, "disk"),  # every mode, through the node-space heat kernel
     (2, 98, 0.01, "disk"),  # every mode, through scipy's DST
 ])
 def test_masked_heat_step_is_the_restricted_box_heat_step(dim, n, tau, mask_name):
@@ -501,7 +518,7 @@ def test_masked_heat_step_is_the_restricted_box_heat_step(dim, n, tau, mask_name
 @pytest.mark.parametrize("dim,n,tau,mask_name", [
     (2, 192, 0.05, "star5"),  # kept-mode products
     (2, 64, 0.25, "disk"),
-    (3, 28, 0.2, "disk"),  # every mode, through the sine matrix
+    (3, 28, 0.2, "disk"),  # every mode, through the node-space heat kernel
     (2, 64, 0.25, None),
 ])
 def test_heat_step_from_given_boxes_is_bitwise_the_same(monkeypatch, dim, n, tau, mask_name):
@@ -517,16 +534,83 @@ def test_heat_step_from_given_boxes_is_bitwise_the_same(monkeypatch, dim, n, tau
     assert same_bits(diffuse_stack(state.values, g, tau, "dirichlet", mask, boxes=boxes), want)
 
 
+def dst_energy(values, grid):
+    """0.5 pi^d / n^2d sum lambda |dstn(u)|^2 over scipy's full sine spectrum: the reference."""
+    op = spectral_operator("dirichlet", grid.dim, grid.n)
+    coef = sp_fft.dstn(interior(values, grid.dim), type=1, axes=op.axes)
+    return float(0.5 * np.pi**grid.dim / grid.n ** (2 * grid.dim)
+                 * np.sum(op.eigenvalues * coef * coef))
+
+
+def long_double_energy(values, grid, boxes):
+    """The factor form 0.5 h^d sum ||G u||^2 along each axis, in np.longdouble."""
+    n, pi = grid.n, 4 * np.arctan(np.longdouble(1))
+    j = np.arange(1, n)
+    sine = 2 * np.sin(pi * (np.outer(j, j) % (2 * n)).astype(np.longdouble) / n)
+    factor = (j / np.longdouble(2))[:, None] * sine / np.sqrt(np.longdouble(2 * n))
+    total = np.longdouble(0)
+    for part, box in zip(interior(values, grid.dim), boxes):
+        box = tuple(slice(s.start - 1, s.stop - 1) for s in box)
+        u = part[box].astype(np.longdouble)
+        for ax, rows in enumerate(box):
+            along = np.tensordot(factor[:, rows], u, axes=([1], [ax]))
+            total += np.sum(along * along)
+    return 0.5 * (2 * pi / n) ** grid.dim * total
+
+
+@pytest.mark.parametrize("dim,n,k", [(3, 28, 8), (2, 128, 6), (2, 256, 6)])
+def test_dirichlet_energy_is_accurate(dim, n, k):
+    # a sum of squares rounds like the values: within a few ulps of the same
+    # form in long double, and of the full sine spectrum's sum, which the
+    # stiffness form u^T G^T G u misses by 2e-14 at 128^2 and 1.2e-13 at 256^2
+    g = GridSpec(dim, n)
+    cfg = SchemeConfig(k=k, variant="four_step", tau=0.2 if dim == 3 else 0.05, bc="dirichlet",
+                       n_max=5)
+    state, _ = run(cfg, voronoi_init(g, k, 0, "dirichlet"))
+    got = dirichlet_energy(state, "dirichlet")
+    assert abs(got - long_double_energy(state.values, g, state.boxes)) <= 2e-15 * got
+    assert got == pytest.approx(dst_energy(state.values, g), rel=1e-14)
+
+
 def test_dirichlet_energy_makes_no_stack_sized_temporary():
     g = GridSpec(3, 28)
-    vals = boundary_zero_stack(3, 28, 28, k=8)
-    op = spectral_operator("dirichlet", 3, 28)
-    coef = op.forward(vals)
-    want = float(np.sum(op._energy_weights * coef * coef))
+    state = PartitionState(g, boundary_zero_stack(3, 28, 28, k=8))
+    assert state.boxes  # found before tracing: the nonzero flags are 1/8 stack
+    dirichlet_energy(state, "dirichlet")  # the gradient factor, built once
     tracemalloc.start()
-    got = op.energy(coef)
+    got = dirichlet_energy(state, "dirichlet")
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak < coef.nbytes / 8
-    assert got == pytest.approx(want, rel=1e-14)
-    assert dirichlet_energy(PartitionState(g, vals), "dirichlet") == got
+    # one part's one-axis products at a time, each a part in size
+    assert peak <= state.values.nbytes / 4
+    assert got == pytest.approx(dst_energy(state.values, g), rel=1e-14)
+
+
+@pytest.mark.parametrize("dim,n,tau", [(3, 28, 0.2), (2, 64, 0.01)])
+@pytest.mark.parametrize("mask_name", [None, "disk"])
+def test_every_mode_heat_step_is_the_node_space_kernel(monkeypatch, dim, n, tau, mask_name):
+    g = GridSpec(dim, n)
+    op = spectral_operator("dirichlet", dim, n)
+    assert op.modes(tau) == n - 1
+    kernel = op.heat_kernel(tau)
+    assert op.heat_kernel(tau) is kernel and not kernel.flags.writeable
+    assert same_bits(kernel, kernel.T)
+    iterate, mask = masked_iterate(dim, n, tau, mask_name)
+    dense = boundary_zero_stack(dim, n, n)
+    if mask is not None:
+        dense = np.where(mask.indicator, dense, 0.0)
+
+    def no_transform(*args, **kwargs):
+        raise AssertionError("a transform on the node-space route")
+
+    monkeypatch.setattr(SpectralOperator, "forward", no_transform)
+    monkeypatch.setattr(SpectralOperator, "inverse", no_transform)
+    for vals in (iterate, dense):
+        got = diffuse_stack(vals, g, tau, "dirichlet", mask)
+        # tau = 0.01 rings by 1e-10 at 64^2: no value is snapped
+        want = old_diffuse_stack(vals, g, tau, "dirichlet", mask, snap=False)
+        assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
+        assert got.flags.owndata
+        assert all(positive_zero(np.moveaxis(got, ax, 0)[0]) for ax in range(1, dim + 1))
+        if mask is not None:
+            assert positive_zero(got[:, mask.outside])
