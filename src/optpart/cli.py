@@ -304,10 +304,18 @@ def write_vtk_labels(labels: np.ndarray, grid: GridSpec, path: Path | str):
         "SCALARS label int 1",
         "LOOKUP_TABLE default",
     ]
-    # VTK orders points with the first axis varying fastest
-    words = list(map(str, labels.ravel(order="F").astype(np.int64).tolist()))
-    lines.extend(" ".join(words[i : i + 9]) for i in range(0, len(words), 9))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+        # VTK orders points with the first axis varying fastest: the planes of
+        # the last axis in turn, holding one plane's strings and the words left
+        # over from the previous plane's lines of nine
+        words: list[str] = []
+        for plane in np.moveaxis(labels, -1, 0):
+            words += map(str, plane.ravel(order="F").astype(np.int64).tolist())
+            full = len(words) - len(words) % 9
+            f.writelines(" ".join(words[i : i + 9]) + "\n" for i in range(0, full, 9))
+            del words[:full]
+        f.write(" ".join(words) + "\n" if words else "")
 
 
 def export_labels(state: PartitionState, path: Path | str):

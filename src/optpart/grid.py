@@ -4,7 +4,8 @@ Nodes along each axis sit at ``x_i = -pi + i*h`` for ``i = 0..n-1`` with
 spacing ``h = 2*pi/n``; the ``+pi`` face coincides with ``-pi`` under
 periodic boundary conditions and is not stored.  All integrals use the
 one-point (Riemann) quadrature ``h^d * sum``, so indicator functions have
-exactly representable norms.
+exactly representable norms.  A mask's parts live on its node list
+(``DomainMask.nodes``), and a state keeps what a step found over those nodes.
 """
 
 from __future__ import annotations
@@ -134,8 +135,15 @@ class PartitionState:
     def k(self) -> int:
         return self.values.shape[0]
 
-    def with_values(self, values: np.ndarray) -> "PartitionState":
-        return PartitionState(self.grid, values)
+    def with_values(self, values: np.ndarray, **found) -> "PartitionState":
+        """A state of ``values`` on this grid, given the cached properties ``found``
+        (``labels``, ``norms``, ``min_value``) that the caller computed with them."""
+        state = PartitionState(self.grid, values)
+        for value in found.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)  # shared, as the values are
+        vars(state).update(found)
+        return state
 
     @cached_property
     def boxes(self) -> tuple[tuple[slice, ...] | None, ...]:
@@ -145,6 +153,21 @@ class PartitionState:
         next heat step read the same boxes, as it carries no coefficients.
         """
         return tuple(true_boxes(self.values != 0.0, self.grid.dim))
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """``support_labels`` of the values: the label map of an iterate."""
+        return _frozen_array(support_labels(self.values), None)
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """Per-part discrete L2 norms (``weighted_norms``), shape (k,)."""
+        return _frozen_array(weighted_norms(self.values, self.grid))
+
+    @cached_property
+    def min_value(self) -> float:
+        """The smallest value of any part at any node."""
+        return float(self.values.min())
 
 
 @dataclass(frozen=True)
@@ -165,8 +188,8 @@ class DomainMask:
             raise ValueError(
                 f"mask shape {indicator.shape} does not match grid {self.grid.shape}"
             )
-        if not indicator.any():
-            raise ValueError("mask is empty: no node lies inside the domain")
+        if not indicator[(slice(1, None),) * self.grid.dim].any():
+            raise ValueError("mask holds no interior node: every iterate would be 0 on it")
         object.__setattr__(self, "indicator", indicator)
 
     @cached_property
@@ -176,9 +199,20 @@ class DomainMask:
         return box
 
     @cached_property
-    def outside(self) -> np.ndarray:
-        """The indicator's complement (read-only)."""
-        return _frozen_array(~self.indicator, dtype=bool)
+    def nodes(self) -> np.ndarray:
+        """Flat offsets of the inside nodes, ascending (read-only): a masked run
+        moves a (k, M) stack of these nodes' values."""
+        return _frozen_array(np.flatnonzero(self.indicator), dtype=np.intp)
+
+    def scatter(self, parts: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out`` (..., *grid.shape) set in place to ``parts`` (..., M) at ``nodes``
+        and to 0 elsewhere.  A part at a time, zeroed and then set through the
+        indicator, which is the nodes in order: faster than through ``nodes``."""
+        rows = out.reshape(-1, self.grid.num_nodes)
+        for row, part in zip(rows, parts.reshape(len(rows), -1)):
+            row.fill(0)
+            row[self.indicator.reshape(-1)] = part
+        return out
 
     @property
     def node_count(self) -> int:
@@ -213,8 +247,8 @@ def true_boxes(flags: np.ndarray, dim: int) -> list[tuple[slice, ...] | None]:
 
 
 def weighted_norms(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Discrete L2 norms of the parts of a (k, *grid.shape) stack, each part's
-    squares summed through one part-sized temporary."""
+    """Discrete L2 norms of the parts of a (k, ...) stack on ``grid`` (every node,
+    or a mask's), each part's squares summed through one part-sized temporary."""
     flat = values.reshape(len(values), -1)  # one run per part: the same sum, cheaper
     square = np.empty(flat.shape[1])
     sums = [np.add.reduce(np.multiply(part, part, out=square)) for part in flat]
@@ -222,8 +256,8 @@ def weighted_norms(values: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def partition_norms(state: PartitionState) -> np.ndarray:
-    """Per-part discrete L2 norms, shape (k,): the sums ``norm_step`` divides by."""
-    return weighted_norms(state.values, state.grid)
+    """The state's ``norms``: the sums ``norm_step`` divides by, shape (k,)."""
+    return state.norms
 
 
 def top_two(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -258,10 +292,11 @@ def label_map(state: PartitionState) -> np.ndarray:
     return top_two(state.values)[2]
 
 
-def support_labels(state: PartitionState) -> np.ndarray:
-    """``label_map`` of a nonnegative state with pairwise disjoint supports, as every
-    iterate is (each node's positive part, else 0), in the narrowest unsigned dtype."""
-    labels = np.zeros(state.grid.shape, dtype=np.min_scalar_type(state.k - 1))
-    for i in range(1, state.k):
-        np.copyto(labels, i, where=state.values[i] > 0.0)
+def support_labels(values: np.ndarray) -> np.ndarray:
+    """``label_map`` of a (k, ...) stack of nonnegative parts with pairwise disjoint
+    supports, as every iterate is (each node's positive part, else 0), in the
+    narrowest unsigned dtype."""
+    labels = np.zeros(values.shape[1:], dtype=np.min_scalar_type(len(values) - 1))
+    for i in range(1, len(values)):
+        np.copyto(labels, i, where=values[i] > 0.0)
     return labels

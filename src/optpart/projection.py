@@ -92,10 +92,11 @@ def ortho_pos_step_geometric(parts: np.ndarray, out: np.ndarray | None = None) -
 
 
 def norm_step(parts: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
-    """Rescale every part to unit discrete L2 norm on the given grid."""
+    """Rescale every part of a (k, ...) stack, of every node or of a mask's (k, M),
+    to unit discrete L2 norm on the given grid."""
     arr = np.asarray(parts, dtype=float)
     norms = weighted_norms(arr, grid)
     bad = np.nonzero(~(np.isfinite(norms) & (norms > DEGENERATE_NORM_TOL)))[0]
     if bad.size:
         raise DegeneratePart(bad[0], norms[bad[0]])
-    return np.divide(arr, norms.reshape((-1,) + (1,) * grid.dim), out=out)
+    return np.divide(arr, norms.reshape((-1,) + (1,) * (arr.ndim - 1)), out=out)

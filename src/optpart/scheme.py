@@ -3,9 +3,10 @@
 Every iteration is one ``step``: diffuse all parts by the exact heat
 semigroup, project them back onto nonnegative values with disjoint supports,
 and rescale each to unit discrete norm.  The projections act nodewise, so
-the constraints hold exactly at every iterate, not just in the limit, and
-the label check that stops a run is one scan of an iterate's disjoint
-supports.  The variants differ only in the projection, ``PROJECTIONS[variant]``:
+the constraints hold exactly at every iterate, not just in the limit.  On a
+mask they touch only the mask's nodes, and the step leaves the label map that
+the check stopping a run compares, and the trace's norms and minimum, found
+on those nodes.  The variants differ only in the projection, ``PROJECTIONS[variant]``:
 
     four_step              positivity clamp, then ratio disjointness
     three_step_linear      combined gap projection
@@ -147,13 +148,25 @@ def step(
     ``coef``, if given, is the periodic forward transform of ``s.values``
     (computed for its energy), which the diffusion reuses.  Dirichlet grids
     carry no coefficients: the diffusion reads ``s.boxes``, which the energy
-    of ``s`` has found.  The projection and the normalization work in the
-    diffusion's fresh output, which becomes the new state.
+    of ``s`` has found.  The projection and the normalization work on the
+    domain's nodes as a (k, M) stack: every node, a view of the diffusion's
+    fresh output, or a mask's ``nodes``, gathered from it (which restricts
+    the heat step to the mask) and scattered back.  That output becomes the
+    new state, which keeps the stack's label map, norms and minimum.
     """
     v = diffuse_stack(s.values, s.grid, tau, cfg.bc, cfg.mask, coef,
                       s.boxes if cfg.bc == "dirichlet" else None)
-    v = PROJECTIONS[cfg.variant.removesuffix("_ed")](v, out=v)
-    return s.with_values(norm_step(v, s.grid, out=v))
+    parts = v.reshape(len(v), -1)
+    if cfg.mask is not None:
+        parts = parts.take(cfg.mask.nodes, axis=1)
+    norm_step(PROJECTIONS[cfg.variant.removesuffix("_ed")](parts, out=parts), s.grid, out=parts)
+    labels = support_labels(parts)
+    if cfg.mask is not None:
+        cfg.mask.scatter(parts, v)
+        labels = cfg.mask.scatter(labels, np.empty(s.grid.shape, labels.dtype))
+    # each node holds k - 1 >= 1 zeros, so the stack holds the state's minimum
+    return s.with_values(v, labels=labels.reshape(s.grid.shape),
+                         norms=weighted_norms(parts, s.grid), min_value=float(parts.min()))
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +286,9 @@ def energy_decrease_wrap(
 
 
 def stopping_check(prev_labels: np.ndarray, state: PartitionState) -> tuple[bool, np.ndarray]:
-    """An iterate's label map, one scan of its disjoint supports, and whether it
-    equals ``prev_labels``."""
-    labels = support_labels(state)
-    return bool(np.array_equal(prev_labels, labels)), labels
+    """An iterate's label map (``state.labels``, which a step leaves) and whether
+    it equals ``prev_labels``."""
+    return bool(np.array_equal(prev_labels, state.labels)), state.labels
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +307,7 @@ def _trace_row(
         iteration=iteration,
         energy=energy,
         norms=tuple(float(x) for x in partition_norms(state)),
-        min_value=float(state.values.min()),
+        min_value=state.min_value,
         sigma=sigma,
         secant_iters=secant_iters,
         stopped=stopped,

@@ -14,7 +14,9 @@ heat kernel S diag(e^{-tau lambda}) S / 2n along each axis, in node space.
 carries to the next heat step; the Dirichlet energy is 0.5 h^d times the sum
 over the axes of ||G u||^2 along the axis, G = diag(sqrt(lambda)) S /
 sqrt(2n), and on a mask forward differences.  Products skip exact zeros: each
-part goes from the box of its nonzero nodes (``PartitionState.boxes``).
+part goes from the box of its nonzero nodes (``PartitionState.boxes``).  A
+masked heat step computes only the mask's box, and the step keeps the mask's
+nodes of it.
 """
 
 from __future__ import annotations
@@ -366,40 +368,45 @@ def _check_boundary_planes(values: np.ndarray, grid: GridSpec) -> None:
         raise ValueError("dirichlet semigroup requires zero values on the boundary planes")
 
 
+def _check_coef(bc: str, coef: np.ndarray | None) -> None:
+    if coef is not None and bc == "dirichlet":
+        raise ValueError("coef is for periodic grids: Dirichlet grids read the nodal values")
+
+
 def diffuse_stack(values: np.ndarray, grid: GridSpec, tau: float, bc: str,
                   mask: DomainMask | None = None, coef: np.ndarray | None = None,
                   boxes: tuple | None = None) -> np.ndarray:
-    """Semigroup applied to a (k, ...) stack of parts, then mask restriction.
+    """Semigroup applied to a (k, ...) stack of parts, in a fresh array.
 
     With ``bc="dirichlet"``, which a mask requires, the parts must vanish on
     the stored boundary planes (index 0 along every axis); the opposite faces
-    are implicit zero-Dirichlet images.  ``coef``, if given, must be the
-    forward transform of ``values`` (as a periodic run computes for their
-    energy), read in place of a forward transform; the node-space heat step
-    takes none.  ``boxes``, if given, must be the per-part boxes of the
-    nonzero nodes of ``values`` (a state's ``boxes``), read in place of a scan.
-    Ringing's tiny negative values are kept; the projections discard them.
+    are implicit zero-Dirichlet images.  With a mask only the mask's box is
+    computed: the output is the box's heat step inside ``mask.box`` and +0.0
+    outside it.  The caller keeps the mask's ``nodes``, which restricts the
+    step to the mask, as ``scheme.step`` does with its gather.  ``coef``, if
+    given, must be the periodic forward transform of ``values`` (as a
+    periodic run computes for their energy), read in place of a forward
+    transform.  ``boxes``, if given, must be the per-part boxes of the
+    nonzero nodes of ``values`` (a state's ``boxes``), read in place of a
+    scan.  Ringing's tiny negative values are kept; the projections discard
+    them.
     """
     tau = check_tau(tau)
     check_domain(bc, mask)
     check_mask(mask, grid)
+    _check_coef(bc, coef)
     op = spectral_operator(bc, grid.dim, grid.n)
     box = None if mask is None else mask.box
     modes = op.modes(tau)
     if bc == "dirichlet":
         _check_boundary_planes(values, grid)
     if bc == "dirichlet" and modes == grid.n - 1 and grid.n <= SINE_MATRIX_MAX_N:
-        out = op.heat(values, tau, boxes or true_boxes(values != 0.0, grid.dim), box)
-    else:
-        # the inverse multiplies the decay into read-only coefficients; as no
-        # name here holds them, a fresh product there frees the array it replaces
-        block = op.block(modes)
-        out = op.inverse(op.forward(values, modes, boxes) if coef is None else coef[block],
-                         op.decay(tau)[block], box)
-    if mask is not None:
-        # the output is +0.0 outside the mask's box; restrict inside it
-        np.copyto(out[(...,) + mask.box], 0.0, where=mask.outside[mask.box])
-    return out
+        return op.heat(values, tau, boxes or true_boxes(values != 0.0, grid.dim), box)
+    # the inverse multiplies the decay into read-only coefficients; as no
+    # name here holds them, a fresh product there frees the array it replaces
+    block = op.block(modes)
+    return op.inverse(op.forward(values, modes, boxes) if coef is None else coef[block],
+                      op.decay(tau)[block], box)
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +467,7 @@ def dirichlet_energy(state: PartitionState, bc: str = "periodic", mask: DomainMa
     """
     check_domain(bc, mask)
     check_mask(mask, state.grid)
-    if coef is not None and bc == "dirichlet":
-        raise ValueError("coef is for periodic grids: a Dirichlet energy reads the nodal values")
+    _check_coef(bc, coef)
     if mask is not None:
         return _energy_masked(state.values, state.grid, state.boxes)
     if bc == "dirichlet":

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -351,6 +352,23 @@ def old_write_vtk_labels(labels, grid, path):
     flat = labels.ravel(order="F")
     lines.extend(" ".join(str(int(v)) for v in flat[i : i + 9]) for i in range(0, flat.size, 9))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def test_vtk_writer_holds_one_plane_of_strings(tmp_path):
+    # 28^3 = 21952 = 2439 * 9 + 1 nodes: the strings of every value at once
+    # took 1.50 MB; a plane's take tens of kB
+    grid = GridSpec(dim=3, n=28)
+    labels = label_map(voronoi_init(grid, 8, rng_seed=0))
+    write_vtk_labels(labels, grid, tmp_path / "warm.vtk")
+    tracemalloc.start()
+    write_vtk_labels(labels, grid, tmp_path / "labels.vtk")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 0.3e6
+    text = (tmp_path / "labels.vtk").read_text().splitlines()
+    assert len(text[-1].split()) == 1
+    old_write_vtk_labels(labels, grid, tmp_path / "old.vtk")
+    assert (tmp_path / "labels.vtk").read_bytes() == (tmp_path / "old.vtk").read_bytes()
 
 
 @pytest.mark.parametrize("n,k,reps", [(4, 2, 1), (6, 16, 1), (8, 11, 1), (10, 5, 1), (4, 3, 3)])

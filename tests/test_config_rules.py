@@ -12,6 +12,7 @@ import pytest
 
 import optpart
 from optpart import (
+    DomainMask,
     GridSpec,
     PartitionState,
     SchemeConfig,
@@ -38,7 +39,15 @@ MASKED_TORUS = ("a mask requires bc='dirichlet': the masked heat step and energy
                 "zero past the box edge, which is wrong on the periodic torus")
 MASK_GRID = "mask grid GridSpec(dim=2, n=8) does not match state grid GridSpec(dim=2, n=16)"
 TAU = "tau must be positive and finite, got {}"
-DIRICHLET_COEF = "coef is for periodic grids: a Dirichlet energy reads the nodal values"
+DIRICHLET_COEF = "coef is for periodic grids: Dirichlet grids read the nodal values"
+NO_INTERIOR = "mask holds no interior node: every iterate would be 0 on it"
+
+
+def boundary_only(grid: GridSpec) -> np.ndarray:
+    """An indicator inside only on the index-0 plane of the first axis."""
+    indicator = np.zeros(grid.shape, dtype=bool)
+    indicator[0] = True
+    return indicator
 
 RULES = {
     "dim": [
@@ -93,6 +102,21 @@ RULES = {
         ("dirichlet_energy-masked",
          lambda: dirichlet_energy(STATE, "dirichlet", MASK, coef=VALUES[:, 1:, 1:]),
          DIRICHLET_COEF),
+        # every mode kept at 16^2: the node-space heat step, which reads no coefficients
+        ("diffuse_stack", lambda: diffuse_stack(VALUES, GRID, 0.1, "dirichlet",
+                                                coef=np.ones((2, 15, 15))), DIRICHLET_COEF),
+        ("diffuse_stack-kept-modes", lambda: diffuse_stack(VALUES, GRID, 10.0, "dirichlet",
+                                                           coef=np.ones((2, 15, 15))),
+         DIRICHLET_COEF),
+        ("diffuse_stack-masked", lambda: diffuse_stack(VALUES, GRID, 0.1, "dirichlet", MASK,
+                                                       np.ones((2, 15, 15))), DIRICHLET_COEF),
+    ],
+    "mask-interior": [
+        ("DomainMask-2d", lambda: DomainMask(GridSpec(2, 64), boundary_only(GridSpec(2, 64))),
+         NO_INTERIOR),
+        ("DomainMask-3d", lambda: DomainMask(GridSpec(3, 16), boundary_only(GridSpec(3, 16))),
+         NO_INTERIOR),
+        ("DomainMask-empty", lambda: DomainMask(GRID, np.zeros(GRID.shape)), NO_INTERIOR),
     ],
 }
 CASES = [(f"{rule}-{name}", make, message)
@@ -120,7 +144,8 @@ def raised_strings() -> list[str]:
 
 @pytest.mark.parametrize("phrase", ["dim must be", "k must be >=", "unknown boundary condition",
                                     "a mask requires", "does not match state grid",
-                                    "positive and finite", "coef is for periodic grids"])
+                                    "positive and finite", "coef is for periodic grids",
+                                    "no interior node"])
 def test_each_rule_is_raised_in_one_place(phrase):
     assert sum(phrase in piece for piece in raised_strings()) == 1
 

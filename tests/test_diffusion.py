@@ -162,13 +162,20 @@ def test_mask_restrict():
 
 def test_masked_diffusion_requires_the_dirichlet_box():
     # as the masked energy and SchemeConfig do: the masked heat step runs the
-    # box's semigroup and zeroes outside the mask, which is wrong on the torus
+    # box's semigroup on the mask's box, which a step restricts to the mask's
+    # nodes; that is wrong on the torus
     g = GridSpec(dim=2, n=32)
     mask = make_mask(g, "disk")
     f = np.where(mask.indicator, 1.0, 0.0)[None]
     with pytest.raises(ValueError, match="a mask requires bc='dirichlet'"):
         diffuse_stack(f, g, 0.1, "periodic", mask)
-    assert np.all(diffuse_stack(f, g, 0.1, "dirichlet", mask)[:, ~mask.indicator] == 0.0)
+    out = diffuse_stack(f, g, 0.1, "dirichlet", mask)
+    in_box = np.zeros(g.shape, dtype=bool)
+    in_box[mask.box] = True
+    assert np.all(out[:, ~in_box] == 0.0)
+    # the node-space kernel's rows of the box round apart from the whole kernel's
+    plain = diffuse_stack(f, g, 0.1, "dirichlet")
+    assert np.max(np.abs(out[:, in_box] - plain[:, in_box])) <= 1e-15 * np.max(plain)
 
 
 def test_diffuse_stack_matches_fieldwise_calls():

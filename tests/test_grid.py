@@ -102,6 +102,22 @@ def test_states_freeze_owned_arrays_and_copy_views():
     assert padded.flags.writeable
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_domain_mask_scatter_inverts_the_gather(dim):
+    # every node outside the mask is set to +0.0, whatever the target held
+    g = GridSpec(dim, 8)
+    m = make_mask(g, "disk")
+    rng = np.random.default_rng(dim)
+    stack = np.where(m.indicator, rng.random((3,) + g.shape), 0.0)
+    target = rng.normal(size=stack.shape)
+    out = m.scatter(stack.reshape(3, -1).take(m.nodes, axis=1), target)
+    assert out is target
+    assert np.array_equal(out.view(np.uint64), stack.view(np.uint64))
+    labels = m.scatter(np.arange(m.node_count, dtype=np.uint16), np.ones(g.shape, np.uint16))
+    assert np.array_equal(labels[m.indicator], np.arange(m.node_count))
+    assert not labels[~m.indicator].any()
+
+
 def test_domain_mask_validation():
     g = GridSpec(dim=2, n=4)
     with pytest.raises(ValueError):
@@ -116,15 +132,15 @@ def test_domain_mask_validation():
     assert make_mask(g, "full").node_count == 16
 
 
-def test_domain_mask_box_and_complement_are_derived_once():
+def test_domain_mask_box_and_node_list_are_derived_once():
     g = GridSpec(dim=3, n=8)
     indicator = np.zeros(g.shape, dtype=bool)
     indicator[2, 5, 3] = indicator[4, 1, 3] = True
     m = DomainMask(g, indicator)
     assert m.box == (slice(2, 5), slice(1, 6), slice(3, 4))
-    assert np.array_equal(m.outside, ~m.indicator)
-    assert not m.outside.flags.writeable
-    assert m.box is m.box and m.outside is m.outside
+    assert m.nodes.tolist() == [2 * 64 + 5 * 8 + 3, 4 * 64 + 1 * 8 + 3]
+    assert m.nodes.dtype == np.intp and not m.nodes.flags.writeable
+    assert m.box is m.box and m.nodes is m.nodes
     with pytest.raises(AttributeError):
         m.box = ()
     assert make_mask(g, "full").box == (slice(0, 8),) * 3
@@ -220,8 +236,9 @@ def test_label_map_breaks_ties_at_lowest_index():
 def test_support_labels_of_disjoint_supports():
     # node row 2 is zero in every part; the map of the stack is that of label_map
     s = columns([[0.5, 0.0, 0.0, 0.0], [0.0, 0.7, 0.0, 0.2]])
-    assert support_labels(s).dtype == np.uint8
-    for got in (support_labels(s), label_map(s)):
+    assert support_labels(s.values).dtype == np.uint8
+    assert not s.labels.flags.writeable and s.labels is s.labels
+    for got in (support_labels(s.values), s.labels, label_map(s)):
         assert np.array_equal(got, np.transpose([[0, 1, 0, 1]] * 4))
 
 
@@ -232,7 +249,7 @@ def test_support_labels_past_the_narrow_dtype(k, dtype):
     vals = np.zeros((k, g.num_nodes))
     vals[np.arange(k), np.arange(k)[::-1] + 1] = 1.0
     s = PartitionState(g, vals.reshape((k,) + g.shape))
-    got = support_labels(s)
+    got = support_labels(s.values)
     assert got.dtype == dtype
     flat = got.reshape(-1)
     assert flat[1] == k - 1 and flat[k] == 0 and flat[0] == 0
@@ -243,8 +260,8 @@ def test_support_labels_where_a_shift_zeroes_the_winner():
     s = columns([[0.9, 0.1, 0.0, 0.0], [0.0, 0.0, 0.6, 0.05]])
     shifted = apply_sigma(s, -0.2)
     # the shift cuts part 0 at node row 1 and part 1 at row 3: no part is left there
-    assert np.array_equal(support_labels(shifted), np.transpose([[0, 0, 1, 0]] * 4))
-    assert np.array_equal(support_labels(shifted), label_map(shifted))
+    assert np.array_equal(support_labels(shifted.values), np.transpose([[0, 0, 1, 0]] * 4))
+    assert np.array_equal(shifted.labels, label_map(shifted))
 
 
 def test_energy_of_constants_is_zero():

@@ -394,7 +394,7 @@ def test_runs_match_the_sorting_reference_bitwise(monkeypatch, variant, bc, mask
     for step, ref in REFERENCE.items():
         monkeypatch.setattr(optpart.scheme, step.__name__, ref)
     monkeypatch.setattr(optpart.scheme, "label_map", ref_label_map)
-    monkeypatch.setattr(optpart.scheme, "support_labels", ref_label_map)
+    monkeypatch.setattr(optpart.scheme, "support_labels", lambda v: np.argmax(v, axis=0))
     ref_iterates, ref_rows = _recorded_run(cfg, init)
     assert rows == ref_rows
     assert len(iterates) == len(ref_iterates) > 1

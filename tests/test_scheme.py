@@ -1,6 +1,7 @@
 """Splitting-step drivers, the energy-decrease correction, and the run loop."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from optpart.scheme import (
     stopping_check,
 )
 from test_projection import same_bits
+from test_spectral import positive_zero
 
 PLAIN_VARIANTS = [v for v in VARIANTS if not v.endswith("_ed")]
 
@@ -176,6 +178,48 @@ def test_trace_norms_are_the_sums_norm_step_divides_by(dim, n, k, variant, bc, m
     _, trace = run(cfg, voronoi_init(grid, k, 0, bc, mask))
     assert len(trace) == 6
     assert max(row.max_norm_dev for row in trace) <= 4.5e-16
+
+
+@pytest.mark.parametrize("dim,n,k,variant,mask_name,tau,seed,n_max", [
+    (2, 192, 6, "three_step_linear_ed", "star5", 0.05, 2, 2000),  # masked2d-ed, corrected
+    (3, 32, 4, "four_step", "disk", 0.25, 0, 40),
+    (2, 64, 4, "three_step_geometric_ed", "square_with_holes", 0.1, 1, 2000),
+])
+def test_carried_data_matches_the_dense_state(monkeypatch, dim, n, k, variant, mask_name,
+                                              tau, seed, n_max):
+    # a step leaves the label map, norms and minimum it found on the mask's
+    # nodes; each must be what the dense state gives
+    grid = GridSpec(dim, n)
+    mask = make_mask(grid, mask_name)
+    cfg = SchemeConfig(k=k, variant=variant, tau=tau, bc="dirichlet", mask=mask, n_max=n_max)
+    stepped = {}  # by id: a weak reference to the step's state, and whether it carried
+
+    def recorded_step(*args):
+        out = step(*args)
+        stepped[id(out)] = weakref.ref(out), {"labels", "norms", "min_value"} <= vars(out).keys()
+        return out
+
+    monkeypatch.setattr(optpart.scheme, "step", recorded_step)
+    from_step = []
+
+    def check(state, row):
+        ref, carried = stepped.get(id(state), (lambda: None, None))
+        from_step.append(carried if ref() is state else None)
+        assert np.array_equal(state.labels, support_labels(state.values))
+        assert state.labels.dtype == np.uint8 and not state.labels.flags.writeable
+        assert same_bits(state.min_value, float(state.values.min()))
+        assert row.min_value == state.min_value
+        dense = weighted_norms(state.values, grid)
+        assert np.all(np.abs(state.norms - dense) <= 2 * np.spacing(dense))
+        assert row.norms == tuple(state.norms.tolist())
+        assert positive_zero(state.values[:, ~mask.indicator])
+
+    _, trace = run(cfg, voronoi_init(grid, k, seed, "dirichlet", mask), on_iteration=check)
+    # every step left its data, and every iterate but the initial state and
+    # the corrected ones is a step's
+    assert all(carried for _, carried in stepped.values())
+    assert from_step == [None] + [True if row.sigma is None else None for row in trace[1:]]
+    assert len(trace) > 20
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +694,8 @@ def test_label_scan_equals_label_map_on_every_iterate(variant, dim, bc, mask_nam
         seen = []
 
         def check(state, row):
-            assert np.array_equal(support_labels(state), label_map(state))
+            assert np.array_equal(support_labels(state.values), label_map(state))
+            assert np.array_equal(state.labels, label_map(state))
             if seen and state is seen[-1]:
                 rows["frozen"] += 1
             elif row.sigma is not None:
@@ -685,7 +730,7 @@ def test_frozen_overlapping_init_repeats_its_label_map(monkeypatch):
     final, trace = run(cfg, init)
     assert final is init
     assert [r.stopped for r in trace] == [False, True]
-    assert not np.array_equal(support_labels(init), label_map(init))
+    assert not np.array_equal(support_labels(init.values), label_map(init))
 
 
 def counting(monkeypatch, names) -> dict[str, int]:

@@ -86,15 +86,17 @@ def test_diffusion_from_given_coefficients_is_bitwise_the_same(bc, dim, n, tau, 
     coef = op.forward(vals)
     assert not coef.flags.writeable
     kept = coef.copy()
-    out = diffuse_stack(vals, g, tau, bc, coef=coef)
-    assert same_bits(out, diffuse_stack(vals, g, tau, bc))
-    assert same_bits(coef, kept)
-    assert not coef.flags.writeable
     if bc == "periodic":
+        out = diffuse_stack(vals, g, tau, bc, coef=coef)
+        assert same_bits(out, diffuse_stack(vals, g, tau, bc))
+        assert same_bits(coef, kept)
+        assert not coef.flags.writeable
         assert dirichlet_energy(PartitionState(g, vals), bc, coef=coef) == dirichlet_energy(
             PartitionState(g, vals), bc
         )
-    else:  # the Dirichlet energy reads node values only
+    else:  # the Dirichlet heat step and energy read node values only
+        with pytest.raises(ValueError, match="coef is for periodic grids"):
+            diffuse_stack(vals, g, tau, bc, coef=coef)
         with pytest.raises(ValueError, match="coef is for periodic grids"):
             dirichlet_energy(PartitionState(g, vals), bc, coef=coef)
     # the inverse multiplies the decay in, and only reads the coefficients
@@ -105,7 +107,7 @@ def test_diffusion_from_given_coefficients_is_bitwise_the_same(bc, dim, n, tau, 
     assert same_bits(coef, kept[block])
 
 
-def test_masked_diffusion_from_given_coefficients_is_bitwise_the_same(monkeypatch):
+def test_masked_heat_step_refuses_coefficients_and_transforms_once(monkeypatch):
     # a masked2d-ed iterate (star5, k=6, tau=0.05 keeps 61 sine modes) at
     # 96^2, the largest grid whose full forward, like the kept-mode one, is
     # products; run carries no coefficients on Dirichlet grids
@@ -115,14 +117,14 @@ def test_masked_diffusion_from_given_coefficients_is_bitwise_the_same(monkeypatc
                        n_max=3)
     state, _ = run(cfg, voronoi_init(g, 6, 0, "dirichlet", mask))
     coef = spectral_operator("dirichlet", 2, 96).forward(state.values)
-    out = diffuse_stack(state.values, g, 0.05, "dirichlet", mask, coef)
+    with pytest.raises(ValueError, match="coef is for periodic grids"):
+        diffuse_stack(state.values, g, 0.05, "dirichlet", mask, coef)
     made, forward = [], SpectralOperator.forward
     monkeypatch.setattr(SpectralOperator, "forward",
                         lambda self, *args: made.append(forward(self, *args)) or made[-1])
-    assert same_bits(out, diffuse_stack(state.values, g, 0.05, "dirichlet", mask))
-    # the heat step's own forward transform stays read-only too
+    diffuse_stack(state.values, g, 0.05, "dirichlet", mask)
+    # the heat step's own forward transform stays read-only
     assert len(made) == 1 and not made[0].flags.writeable
-    assert not coef.flags.writeable
 
 
 def test_masked_energy_requires_the_dirichlet_box():
@@ -140,11 +142,14 @@ def test_masked_energy_requires_the_dirichlet_box():
 
 
 def test_dirichlet_boundary_check_holds_with_given_coefficients():
+    # given coefficients, which a Dirichlet heat step refuses, bypass no check
     g = GridSpec(dim=2, n=16)
     vals = np.ones((1,) + g.shape)
     coef = spectral_operator("dirichlet", g.dim, g.n).forward(vals)
-    with pytest.raises(ValueError, match="boundary planes"):
+    with pytest.raises(ValueError, match="coef is for periodic grids"):
         diffuse_stack(vals, g, 0.2, "dirichlet", coef=coef)
+    with pytest.raises(ValueError, match="boundary planes"):
+        diffuse_stack(vals, g, 0.2, "dirichlet")
 
 
 @pytest.mark.parametrize("bc,mask_name,n,tau", [
@@ -190,10 +195,17 @@ def test_uncorrected_iteration_costs_one_transform_each_way(monkeypatch, bc, mas
         assert given_boxes == [True] * iterations
 
 
+def in_box(mask) -> np.ndarray:
+    """The indicator of the mask's box: the nodes a masked heat step computes."""
+    out = np.zeros(mask.grid.shape, dtype=bool)
+    out[mask.box] = True
+    return out
+
+
 def old_diffuse_stack(values, grid, tau, bc, mask=None, snap=True):
     """The heat step through FFTs and scipy's DST, with a zero-filled output
-    and ``np.where`` for the mask: the reference.  ``snap`` zeroes negative
-    values above -1e-12, as the heat step once did."""
+    and ``np.where`` for the mask's box: the reference.  ``snap`` zeroes
+    negative values above -1e-12, as the heat step once did."""
     op = spectral_operator(bc, grid.dim, grid.n)
     if bc == "periodic":
         out = np.fft.irfftn(np.fft.rfftn(values, axes=op.axes) * op.decay(tau),
@@ -205,7 +217,7 @@ def old_diffuse_stack(values, grid, tau, bc, mask=None, snap=True):
         out[interior] = sp_fft.idstn(coef, type=1, axes=op.axes)
     if snap:
         out[(out > -1e-12) & (out < 0.0)] = 0.0
-    return out if mask is None else np.where(mask.indicator, out, 0.0)
+    return out if mask is None else np.where(in_box(mask), out, 0.0)
 
 
 def positive_zero(a) -> bool:
@@ -229,6 +241,10 @@ def test_heat_step_buffers(dim, n, tau, domain, given_coef):
             np.moveaxis(vals, ax, 0)[0] = -0.0
     kept_vals = vals.copy()
     op = spectral_operator(bc, dim, n)
+    if given_coef and bc == "dirichlet":  # a Dirichlet heat step reads node values only
+        with pytest.raises(ValueError, match="coef is for periodic grids"):
+            diffuse_stack(vals, g, tau, bc, mask, op.forward(vals))
+        return
     coef = op.forward(vals) if given_coef else None
     kept_coef = None if coef is None else coef.copy()
     a = diffuse_stack(vals, g, tau, bc, mask, coef)
@@ -255,7 +271,7 @@ def test_heat_step_buffers(dim, n, tau, domain, given_coef):
     if bc == "dirichlet":
         assert all(positive_zero(np.moveaxis(a, ax, 0)[0]) for ax in range(1, dim + 1))
     if mask is not None:
-        assert positive_zero(a[:, ~mask.indicator])
+        assert positive_zero(a[:, ~in_box(mask)])
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +382,7 @@ def test_kept_mode_heat_step_matches_the_full_spectrum(bc, dim, n, tau):
         for ax in range(1, dim + 1):
             np.moveaxis(vals, ax, 0)[0] = 0.0
     want = old_diffuse_stack(vals, g, tau, bc)
-    for coef in (None, op.forward(vals)):
+    for coef in (None, op.forward(vals)) if bc == "periodic" else (None,):
         got = diffuse_stack(vals, g, tau, bc, coef=coef)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(vals))
 
@@ -508,11 +524,15 @@ def test_masked_heat_step_is_the_restricted_box_heat_step(dim, n, tau, mask_name
     for vals in (iterate, dense):
         got = diffuse_stack(vals, g, tau, "dirichlet", mask)
         assert got.flags.owndata
-        want = np.where(mask.indicator, diffuse_stack(vals, g, tau, "dirichlet"), 0.0)
-        # 3D: OpenBLAS multiplies the box's shorter axes in another summation order
-        assert same_bits(got, want) if dim == 2 else (
-            np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)))
-        assert positive_zero(got[:, mask.outside])
+        # the box's heat step on the mask's box, which a step's gather restricts
+        # to the mask's nodes
+        want = np.where(in_box(mask), diffuse_stack(vals, g, tau, "dirichlet"), 0.0)
+        # 3D, and 2D in the box off the mask: OpenBLAS multiplies the box's
+        # shorter axes in another summation order
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        if dim == 2:
+            assert same_bits(got[:, mask.indicator], want[:, mask.indicator])
+        assert positive_zero(got[:, ~in_box(mask)])
 
 
 @pytest.mark.parametrize("dim,n,tau,mask_name", [
@@ -613,4 +633,4 @@ def test_every_mode_heat_step_is_the_node_space_kernel(monkeypatch, dim, n, tau,
         assert got.flags.owndata
         assert all(positive_zero(np.moveaxis(got, ax, 0)[0]) for ax in range(1, dim + 1))
         if mask is not None:
-            assert positive_zero(got[:, mask.outside])
+            assert positive_zero(got[:, ~in_box(mask)])
