@@ -10,6 +10,7 @@ exactly representable norms.  A mask's parts live on its node list
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,7 +51,10 @@ def check_k(k) -> int:
 
 
 def check_tau(tau) -> float:
-    """``tau`` as a ``float``; ValueError unless it is positive and finite."""
+    """``tau`` as a ``float``; ValueError unless it is a real number (not a bool),
+    positive and finite."""
+    if isinstance(tau, bool) or not isinstance(tau, numbers.Real):
+        raise ValueError(f"tau must be a real number, got {tau!r}")
     tau = float(tau)
     if not 0.0 < tau < np.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
@@ -150,9 +154,21 @@ class PartitionState:
         """Per part, the box of its nonzero nodes (``true_boxes``), or None if it has none.
 
         Found on first use and kept: a Dirichlet iterate's energy and its
-        next heat step read the same boxes, as it carries no coefficients.
+        next heat step read the same boxes.
         """
         return tuple(true_boxes(self.values != 0.0, self.grid.dim))
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """The periodic forward transform of the values, ``np.fft.rfftn`` over the
+        grid axes (read-only).
+
+        Found on first use and kept: a periodic iterate's energy and its next
+        heat step read the same transform, so each iterate is transformed once.
+        """
+        out = np.fft.rfftn(self.values, axes=tuple(range(-self.grid.dim, 0)))
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def labels(self) -> np.ndarray:
@@ -213,10 +229,6 @@ class DomainMask:
             row.fill(0)
             row[self.indicator.reshape(-1)] = part
         return out
-
-    @property
-    def node_count(self) -> int:
-        return int(self.indicator.sum())
 
 
 # ---------------------------------------------------------------------------

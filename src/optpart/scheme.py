@@ -45,7 +45,7 @@ from .projection import (
     ortho_step_ratio,
     positivity_step,
 )
-from .spectral import diffuse_stack, dirichlet_energy, spectral_operator
+from .spectral import diffuse_stack, dirichlet_energy
 
 VARIANTS = (
     "four_step",
@@ -103,7 +103,8 @@ class SchemeConfig:
         check_domain(self.bc, self.mask)
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        taus = tuple(check_tau(t) for t in np.ravel(self.tau))
+        # as objects: a numeric array would turn a bool or a string into a float first
+        taus = tuple(check_tau(t) for t in np.asarray(self.tau, dtype=object).ravel())
         if not taus:
             raise ValueError("tau needs at least one value")
         object.__setattr__(self, "tau", taus)
@@ -137,25 +138,19 @@ EnergyTrace = list[TraceRow]
 OnIteration = Callable[[PartitionState, TraceRow], None]
 
 
-def step(
-    s: PartitionState,
-    cfg: SchemeConfig,
-    tau: float,
-    coef: np.ndarray | None = None,
-) -> PartitionState:
+def step(s: PartitionState, cfg: SchemeConfig, tau: float) -> PartitionState:
     """One splitting iteration: diffuse, project with the variant's projection, normalize.
 
-    ``coef``, if given, is the periodic forward transform of ``s.values``
-    (computed for its energy), which the diffusion reuses.  Dirichlet grids
-    carry no coefficients: the diffusion reads ``s.boxes``, which the energy
-    of ``s`` has found.  The projection and the normalization work on the
-    domain's nodes as a (k, M) stack: every node, a view of the diffusion's
-    fresh output, or a mask's ``nodes``, gathered from it (which restricts
-    the heat step to the mask) and scattered back.  That output becomes the
-    new state, which keeps the stack's label map, norms and minimum.
+    The diffusion reads what the energy of ``s`` has found: its periodic
+    ``spectrum``, or on Dirichlet grids its ``boxes``.  The projection and
+    the normalization work on the domain's nodes as a (k, M) stack: every
+    node, a view of the diffusion's fresh output, or a mask's ``nodes``,
+    gathered from it (which restricts the heat step to the mask) and
+    scattered back.  That output becomes the new state, which keeps the
+    stack's label map, norms and minimum.
     """
-    v = diffuse_stack(s.values, s.grid, tau, cfg.bc, cfg.mask, coef,
-                      s.boxes if cfg.bc == "dirichlet" else None)
+    found = {"coef": s.spectrum} if cfg.bc == "periodic" else {"boxes": s.boxes}
+    v = diffuse_stack(s.values, s.grid, tau, cfg.bc, cfg.mask, **found)
     parts = v.reshape(len(v), -1)
     if cfg.mask is not None:
         parts = parts.take(cfg.mask.nodes, axis=1)
@@ -171,18 +166,6 @@ def step(
 
 # ---------------------------------------------------------------------------
 # energy-decrease correction
-
-
-def _evaluate(state: PartitionState, cfg: SchemeConfig) -> tuple[float, np.ndarray | None]:
-    """Energy of an iterate, and on periodic grids the forward transform its
-    next diffusion reuses, so that each iterate is transformed once.
-
-    Dirichlet runs carry no coefficients: their energies leave only the
-    state's ``boxes``, which the next diffusion reads.
-    """
-    coef = None if cfg.bc == "dirichlet" else spectral_operator(
-        cfg.bc, state.grid.dim, state.grid.n).forward(state.values)
-    return dirichlet_energy(state, cfg.bc, cfg.mask, coef), coef
 
 
 def _residual(
@@ -232,7 +215,7 @@ def energy_decrease_wrap(
     cfg: SchemeConfig,
     tau: float,
     e_prev: float,
-) -> tuple[PartitionState, float | None, int, float, np.ndarray | None]:
+) -> tuple[PartitionState, float | None, int, float]:
     """Correct a fresh iterate until its energy does not exceed the previous one.
 
     The shift sigma is the single unknown of the scalar residual
@@ -241,17 +224,16 @@ def energy_decrease_wrap(
     on one fixed function of sigma, seeded at ``-tau**2`` and 0.  ``e_prev``
     is the previous iterate's energy.
 
-    Returns ``(state, sigma, secant_iterations, energy, coef)`` where sigma
-    is the last accepted support shift (None if no correction was needed),
-    energy is the returned state's energy, and coef its forward transform
-    for the next diffusion (periodic grids only, else None).  Raises
+    Returns ``(state, sigma, secant_iterations, energy)`` where sigma is the
+    last accepted support shift (None if no correction was needed) and
+    energy is the returned state's energy.  Raises
     SecantFailed when the search exhausts ``SECANT_MAX_ITERS``, stalls,
     degenerates a part, or its residual converges with the energy still
     above the bar; the caller decides the fallback.
     """
-    e_cand, coef_cand = _evaluate(candidate, cfg)
+    e_cand = dirichlet_energy(candidate, cfg.bc, cfg.mask)
     if e_cand <= e_prev:
-        return candidate, None, 0, e_cand, coef_cand
+        return candidate, None, 0, e_cand
 
     # seeds: the candidate itself (sigma_b = 0) and one trial at sigma_a = -tau**2;
     # a failure reports sigma_b, which each secant trial takes before it is evaluated
@@ -259,7 +241,8 @@ def energy_decrease_wrap(
     iters, reason = 0, "exhausted the iteration budget"
     try:
         seed = apply_sigma(candidate, sig_a)
-        f_a = _residual(_evaluate(seed, cfg)[0], e_prev, seed, previous, tau)
+        f_a = _residual(dirichlet_energy(seed, cfg.bc, cfg.mask), e_prev, seed, previous, tau)
+        del seed  # with the transform it holds: its residual is all the search needs
         f_b = _residual(e_cand, e_prev, candidate, previous, tau)
         while iters < SECANT_MAX_ITERS:
             sig_next = secant_update(sig_b, sig_a, f_b, f_a)
@@ -271,11 +254,11 @@ def energy_decrease_wrap(
                 break
             sig_a, f_a, sig_b = sig_b, f_b, sig_next
             current = apply_sigma(candidate, sig_b)
-            e_cur, coef = _evaluate(current, cfg)
+            e_cur = dirichlet_energy(current, cfg.bc, cfg.mask)
             f_b = _residual(e_cur, e_prev, current, previous, tau)
             iters += 1
             if e_cur <= e_prev:
-                return current, sig_b, iters, e_cur, coef
+                return current, sig_b, iters, e_cur
             if abs(f_b) <= SECANT_RESIDUAL_TOL * max(1.0, abs(e_prev)):
                 reason = f"converged its residual ({f_b:.3e}) with the energy still high"
                 break
@@ -337,10 +320,10 @@ def run(
 
     trace: EnergyTrace = []
     state = init
-    # each iterate's energy, its periodic forward transform that the next
-    # diffusion reuses, and its label map are computed once and carried to
-    # the next iteration
-    energy, coef = _evaluate(state, cfg)
+    # each iterate's energy and label map are computed once and carried to the
+    # next iteration; what its energy found (its periodic transform, its
+    # boxes) stays on the state, where the next heat step reads it
+    energy = dirichlet_energy(state, cfg.bc, cfg.mask)
     labels = label_map(state)
     row = _trace_row(state, 0, energy, None, 0, False)
     trace.append(row)
@@ -351,19 +334,19 @@ def run(
         tau = cfg.tau_at(n)
         previous, stopped = state, False
         try:
-            candidate = step(previous, cfg, tau, coef)
+            candidate = step(previous, cfg, tau)
             if cfg.energy_decreasing:
                 try:
-                    state, sigma, secant_iters, energy, coef = energy_decrease_wrap(
+                    state, sigma, secant_iters, energy = energy_decrease_wrap(
                         candidate, previous, cfg, tau, trace[-1].energy
                     )
                 except SecantFailed as err:
-                    # freeze the previous iterate, energy, coefficients and labels, and
+                    # freeze the previous iterate, energy and labels, and
                     # stop: a false stop (ROADMAP item 3), settled labels never reached
                     state, sigma, secant_iters, stopped = previous, err.sigma, err.iterations, True
             else:
                 state, sigma, secant_iters = candidate, None, 0
-                energy, coef = _evaluate(state, cfg)
+                energy = dirichlet_energy(state, cfg.bc, cfg.mask)
         except DegeneratePart as err:
             err.iteration = n + 1
             err.trace = trace

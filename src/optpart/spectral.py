@@ -10,10 +10,10 @@ zero.  Transforms run over the trailing ``dim`` axes of a (k, ...) stack.
 ``SpectralOperator.modes`` keeps; the rest cannot move any value.  On
 Dirichlet grids with n <= ``SINE_MATRIX_MAX_N`` a step of every mode is the
 heat kernel S diag(e^{-tau lambda}) S / 2n along each axis, in node space.
-``dirichlet_energy`` reads the periodic forward coefficients, which a run
-carries to the next heat step; the Dirichlet energy is 0.5 h^d times the sum
-over the axes of ||G u||^2 along the axis, G = diag(sqrt(lambda)) S /
-sqrt(2n), and on a mask forward differences.  Products skip exact zeros: each
+``dirichlet_energy`` reads a periodic state's ``spectrum``, as its next heat
+step does; the Dirichlet energy is 0.5 h^d times the sum over the axes of
+||G u||^2 along the axis, G = diag(sqrt(lambda)) S / sqrt(2n), and on a
+mask forward differences.  Products skip exact zeros: each
 part goes from the box of its nonzero nodes (``PartitionState.boxes``).  A
 masked heat step computes only the mask's box, and the step keeps the mask's
 nodes of it.
@@ -112,8 +112,8 @@ class SpectralOperator:
     """Forward/inverse transforms, heat decay and energy for one (bc, dim, n).
 
     Obtain instances through ``spectral_operator``, which caches them and their
-    tables.  ``forward``'s coefficients are read-only: on periodic grids they are
-    shared between the energy of an iterate and its next diffusion.
+    tables.  ``forward``'s coefficients are read-only, as a state's ``spectrum``
+    is, so that callers may share them.
 
     A heat step keeps ``modes(tau)`` modes per axis: sine modes 1..J, or
     wavenumbers |m| <= M.  Mode j is kept iff its one-axis multiplier
@@ -368,11 +368,6 @@ def _check_boundary_planes(values: np.ndarray, grid: GridSpec) -> None:
         raise ValueError("dirichlet semigroup requires zero values on the boundary planes")
 
 
-def _check_coef(bc: str, coef: np.ndarray | None) -> None:
-    if coef is not None and bc == "dirichlet":
-        raise ValueError("coef is for periodic grids: Dirichlet grids read the nodal values")
-
-
 def diffuse_stack(values: np.ndarray, grid: GridSpec, tau: float, bc: str,
                   mask: DomainMask | None = None, coef: np.ndarray | None = None,
                   boxes: tuple | None = None) -> np.ndarray:
@@ -384,17 +379,17 @@ def diffuse_stack(values: np.ndarray, grid: GridSpec, tau: float, bc: str,
     computed: the output is the box's heat step inside ``mask.box`` and +0.0
     outside it.  The caller keeps the mask's ``nodes``, which restricts the
     step to the mask, as ``scheme.step`` does with its gather.  ``coef``, if
-    given, must be the periodic forward transform of ``values`` (as a
-    periodic run computes for their energy), read in place of a forward
-    transform.  ``boxes``, if given, must be the per-part boxes of the
-    nonzero nodes of ``values`` (a state's ``boxes``), read in place of a
-    scan.  Ringing's tiny negative values are kept; the projections discard
-    them.
+    given, must be the periodic forward transform of ``values`` (a state's
+    ``spectrum``), read in place of a forward transform.  ``boxes``, if
+    given, must be the per-part boxes of the nonzero nodes of ``values`` (a
+    state's ``boxes``), read in place of a scan.  Ringing's tiny negative
+    values are kept; the projections discard them.
     """
     tau = check_tau(tau)
     check_domain(bc, mask)
     check_mask(mask, grid)
-    _check_coef(bc, coef)
+    if coef is not None and bc == "dirichlet":
+        raise ValueError("coef is for periodic grids: Dirichlet grids read the nodal values")
     op = spectral_operator(bc, grid.dim, grid.n)
     box = None if mask is None else mask.box
     modes = op.modes(tau)
@@ -456,21 +451,18 @@ def _energy_sine(values: np.ndarray, grid: GridSpec, boxes: tuple) -> float:
     return 0.5 * grid.cell_volume * total
 
 
-def dirichlet_energy(state: PartitionState, bc: str = "periodic", mask: DomainMask | None = None,
-                     coef: np.ndarray | None = None) -> float:
+def dirichlet_energy(state: PartitionState, bc: str = "periodic",
+                     mask: DomainMask | None = None) -> float:
     """Total gradient energy 0.5 * sum_i ||grad u_i||^2 of a partition.
 
     Spectral without a mask; forward differences with one.  The Dirichlet
-    energies go part by part over ``state.boxes`` and read node values only.
-    ``coef``, if given, must be the periodic forward transform of
-    ``state.values``, read in place of that transform.
+    energies go part by part over ``state.boxes`` and read node values only;
+    the periodic one reads ``state.spectrum``.
     """
     check_domain(bc, mask)
     check_mask(mask, state.grid)
-    _check_coef(bc, coef)
     if mask is not None:
         return _energy_masked(state.values, state.grid, state.boxes)
     if bc == "dirichlet":
         return _energy_sine(state.values, state.grid, state.boxes)
-    op = spectral_operator(bc, state.grid.dim, state.grid.n)
-    return op.energy(op.forward(state.values) if coef is None else coef)
+    return spectral_operator(bc, state.grid.dim, state.grid.n).energy(state.spectrum)

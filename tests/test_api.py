@@ -44,6 +44,8 @@ REMOVED = {
     optpart.scheme: [
         "SecantConfig", "step_four", "step_three_linear", "step_three_geometric",
         "_STEP_FUNCTIONS", "_resolve_tau", "residual_F",
+        # a periodic state keeps its own transform (PartitionState.spectrum)
+        "_evaluate", "spectral_operator",
     ],
     optpart.spectral: [
         "heat_semigroup_periodic", "heat_semigroup_dirichlet", "mask_restrict",
@@ -52,6 +54,7 @@ REMOVED = {
     optpart.cli: ["_spread_labels"],
     optpart.grid: ["Field", "discrete_l2_norm", "dirichlet_energy", "BoundaryCondition"],
     optpart.initial: ["MAX_SEED_ATTEMPTS", "_node_coordinates"],
+    optpart.DomainMask: ["node_count"],  # mask.nodes.size
     optpart.projection: [
         "_flat", "_runner_up", "_scatter_winner", "_ranked_positive", "_pair_set",
         "_ortho_ratio_multipliers", "_coupled_multipliers", "_closure_positivity",
@@ -90,6 +93,13 @@ def test_stopping_check_only_compares_label_maps():
     # run stops a frozen iterate itself; the label check has no flag for it
     assert list(inspect.signature(optpart.scheme.stopping_check).parameters) == [
         "prev_labels", "state"]
+
+
+def test_no_coefficients_pass_through_the_scheme():
+    # the energy and the next heat step read the state's spectrum and boxes
+    assert list(inspect.signature(optpart.scheme.step).parameters) == ["s", "cfg", "tau"]
+    assert list(inspect.signature(optpart.dirichlet_energy).parameters) == [
+        "state", "bc", "mask"]
 
 
 def test_every_plain_variant_has_a_projection():

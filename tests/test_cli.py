@@ -148,7 +148,7 @@ SETTINGS = {
     "--dim": ("3", "2", lambda s: s.grid.dim),
     "--algorithm": ("three-step-2", "three-step-1-ed", lambda s: s.cfg.variant),
     "--bc": ("dirichlet", "periodic", lambda s: s.cfg.bc),
-    "--mask": ("shape:disk", "shape:star5", lambda s: s.cfg.mask and s.cfg.mask.node_count),
+    "--mask": ("shape:disk", "shape:star5", lambda s: s.cfg.mask and s.cfg.mask.nodes.size),
     "--seed": ("5", "7", lambda s: s.seed),
     "--max-iters": ("10", "20", lambda s: s.cfg.n_max),
     "--out-dir": ("from-file", "from-flag", lambda s: s.out_dir),
@@ -207,7 +207,7 @@ def test_readme_flags_table_matches_the_parser():
 def test_parse_mask_shape_and_errors():
     grid = GridSpec(dim=2, n=32)
     mask = _parse_mask("shape:disk:radius=1.5", grid)
-    assert 0 < mask.node_count < grid.num_nodes
+    assert 0 < mask.nodes.size < grid.num_nodes
     with pytest.raises(CliError):
         _parse_mask("shape:disk:radius", grid)
     with pytest.raises(CliError):
@@ -223,7 +223,7 @@ def test_parse_mask_from_pgm_file(tmp_path):
     path = tmp_path / "mask.pgm"
     write_pgm(image, path)
     mask = _parse_mask(str(path), grid)
-    assert mask.node_count == 64
+    assert mask.nodes.size == 64
     with pytest.raises(CliError):
         _parse_mask(str(path), GridSpec(dim=2, n=32))
     with pytest.raises(CliError):

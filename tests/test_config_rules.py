@@ -39,6 +39,7 @@ MASKED_TORUS = ("a mask requires bc='dirichlet': the masked heat step and energy
                 "zero past the box edge, which is wrong on the periodic torus")
 MASK_GRID = "mask grid GridSpec(dim=2, n=8) does not match state grid GridSpec(dim=2, n=16)"
 TAU = "tau must be positive and finite, got {}"
+TAU_REAL = "tau must be a real number, got {!r}"
 DIRICHLET_COEF = "coef is for periodic grids: Dirichlet grids read the nodal values"
 NO_INTERIOR = "mask holds no interior node: every iterate would be 0 on it"
 
@@ -95,13 +96,23 @@ RULES = {
         ("SchemeConfig", lambda: SchemeConfig(k=2, tau=-0.1), TAU.format(-0.1)),
         ("SchemeConfig-warm-up", lambda: SchemeConfig(k=2, tau=(0.1, np.inf)),
          TAU.format(np.inf)),
+        ("diffuse_stack-bool", lambda: diffuse_stack(VALUES, GRID, True, "periodic"),
+         TAU_REAL.format(True)),
+        ("diffuse_stack-str", lambda: diffuse_stack(VALUES, GRID, "0.1", "periodic"),
+         TAU_REAL.format("0.1")),
+        ("SchemeConfig-bool", lambda: SchemeConfig(k=2, tau=True), TAU_REAL.format(True)),
+        ("SchemeConfig-str", lambda: SchemeConfig(k=2, tau="0.1"), TAU_REAL.format("0.1")),
+        ("diffuse_stack-numpy-bool", lambda: diffuse_stack(VALUES, GRID, np.True_, "periodic"),
+         TAU_REAL.format(np.True_)),
+        ("SchemeConfig-numpy-bool", lambda: SchemeConfig(k=2, tau=np.array([0.1, 0.2]) > 0.15),
+         TAU_REAL.format(False)),
+        # a list is not made one numeric array first, which would turn True into 1.0
+        ("SchemeConfig-warm-up-bool", lambda: SchemeConfig(k=2, tau=[0.5, True]),
+         TAU_REAL.format(True)),
+        ("SchemeConfig-warm-up-str", lambda: SchemeConfig(k=2, tau=(0.5, "0.1")),
+         TAU_REAL.format("0.1")),
     ],
     "dirichlet-coef": [
-        ("dirichlet_energy", lambda: dirichlet_energy(STATE, "dirichlet", coef=VALUES[:, 1:, 1:]),
-         DIRICHLET_COEF),
-        ("dirichlet_energy-masked",
-         lambda: dirichlet_energy(STATE, "dirichlet", MASK, coef=VALUES[:, 1:, 1:]),
-         DIRICHLET_COEF),
         # every mode kept at 16^2: the node-space heat step, which reads no coefficients
         ("diffuse_stack", lambda: diffuse_stack(VALUES, GRID, 0.1, "dirichlet",
                                                 coef=np.ones((2, 15, 15))), DIRICHLET_COEF),
@@ -144,7 +155,8 @@ def raised_strings() -> list[str]:
 
 @pytest.mark.parametrize("phrase", ["dim must be", "k must be >=", "unknown boundary condition",
                                     "a mask requires", "does not match state grid",
-                                    "positive and finite", "coef is for periodic grids",
+                                    "positive and finite", "tau must be a real number",
+                                    "coef is for periodic grids",
                                     "no interior node"])
 def test_each_rule_is_raised_in_one_place(phrase):
     assert sum(phrase in piece for piece in raised_strings()) == 1

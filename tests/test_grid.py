@@ -113,8 +113,8 @@ def test_domain_mask_scatter_inverts_the_gather(dim):
     out = m.scatter(stack.reshape(3, -1).take(m.nodes, axis=1), target)
     assert out is target
     assert np.array_equal(out.view(np.uint64), stack.view(np.uint64))
-    labels = m.scatter(np.arange(m.node_count, dtype=np.uint16), np.ones(g.shape, np.uint16))
-    assert np.array_equal(labels[m.indicator], np.arange(m.node_count))
+    labels = m.scatter(np.arange(m.nodes.size, dtype=np.uint16), np.ones(g.shape, np.uint16))
+    assert np.array_equal(labels[m.indicator], np.arange(m.nodes.size))
     assert not labels[~m.indicator].any()
 
 
@@ -128,8 +128,8 @@ def test_domain_mask_validation():
         DomainMask(g, np.ones((4, 5)))
     m = DomainMask(g, np.eye(4))
     assert m.indicator.dtype == bool
-    assert m.node_count == 4
-    assert make_mask(g, "full").node_count == 16
+    assert m.nodes.size == 4
+    assert make_mask(g, "full").nodes.size == 16
 
 
 def test_domain_mask_box_and_node_list_are_derived_once():

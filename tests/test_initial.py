@@ -195,7 +195,7 @@ def test_init_rejects_an_unknown_boundary_condition(bc):
 def test_init_fails_when_domain_is_too_small():
     grid = GridSpec(dim=2, n=8)
     mask = make_mask(grid, "disk", radius=0.5)
-    assert mask.node_count == 1
+    assert mask.nodes.size == 1
     with pytest.raises(InitFailed):
         voronoi_init(grid, 2, rng_seed=0, bc="dirichlet", mask=mask)
 
@@ -236,7 +236,7 @@ def test_init_stays_inside_the_mask():
 def test_full_mask_covers_every_node():
     grid = GridSpec(dim=2, n=16)
     mask = make_mask(grid, "full")
-    assert mask.node_count == 256
+    assert mask.nodes.size == 256
     assert np.all(mask.indicator == 1.0)
 
 
@@ -245,7 +245,7 @@ def test_disk_mask_area_matches_the_continuum():
     mask = make_mask(grid, "disk", radius=2.5)
     expected = np.pi * 2.5**2 / grid.cell_volume
     boundary_slack = 2.0 * np.pi * 2.5 / grid.spacing
-    assert abs(mask.node_count - expected) <= boundary_slack
+    assert abs(mask.nodes.size - expected) <= boundary_slack
 
 
 def test_square_with_holes_excludes_the_holes():
@@ -266,7 +266,7 @@ def test_square_with_holes_excludes_the_holes():
 def test_named_masks_are_nonempty_and_proper(shape):
     grid = GridSpec(dim=2, n=32)
     mask = make_mask(grid, shape)
-    assert 0 < mask.node_count < grid.num_nodes
+    assert 0 < mask.nodes.size < grid.num_nodes
 
 
 SHAPES = ["full", "disk", "ellipse", "triangle", "pentagon", "octagon", "star3", "star5",

@@ -91,14 +91,11 @@ def test_diffusion_from_given_coefficients_is_bitwise_the_same(bc, dim, n, tau, 
         assert same_bits(out, diffuse_stack(vals, g, tau, bc))
         assert same_bits(coef, kept)
         assert not coef.flags.writeable
-        assert dirichlet_energy(PartitionState(g, vals), bc, coef=coef) == dirichlet_energy(
-            PartitionState(g, vals), bc
-        )
-    else:  # the Dirichlet heat step and energy read node values only
+        # the transform a periodic state keeps for its energy and its next step
+        assert same_bits(PartitionState(g, vals).spectrum, coef)
+    else:  # the Dirichlet heat step reads node values only
         with pytest.raises(ValueError, match="coef is for periodic grids"):
             diffuse_stack(vals, g, tau, bc, coef=coef)
-        with pytest.raises(ValueError, match="coef is for periodic grids"):
-            dirichlet_energy(PartitionState(g, vals), bc, coef=coef)
     # the inverse multiplies the decay in, and only reads the coefficients
     block = op.block(op.modes(tau))
     coef, decay = coef[block], op.decay(tau)[block]
@@ -167,12 +164,23 @@ def test_uncorrected_iteration_costs_one_transform_each_way(monkeypatch, bc, mas
     }[n, bc]
     calls = {"forward": 0, "inverse": 0, "energy": 0}
     given_boxes = []
+    rfftn = np.fft.rfftn
+
+    def counted_rfftn(*args, **kwargs):
+        calls["forward"] += 1
+        return rfftn(*args, **kwargs)
+
+    # a periodic forward transform is one rfftn, wherever it is made: a
+    # state's spectrum or the operator's forward
+    monkeypatch.setattr(np.fft, "rfftn", counted_rfftn)
     for name in calls:
         original = getattr(SpectralOperator, name)
 
         def counted(self, *args, _name=name, _original=original):
-            calls[_name] += 1
-            if _name == "forward" and self.bc == "dirichlet":
+            if _name != "forward":
+                calls[_name] += 1
+            elif self.bc == "dirichlet":  # a periodic one is counted as its rfftn
+                calls[_name] += 1
                 given_boxes.append(args[2] is not None)
             return _original(self, *args)
 
@@ -181,7 +189,8 @@ def test_uncorrected_iteration_costs_one_transform_each_way(monkeypatch, bc, mas
     _, trace = run(cfg, voronoi_init(g, 3, 0, bc, mask))
     iterations = len(trace) - 1
     if bc == "periodic":
-        # one forward per iterate, shared by its energy and its next diffusion
+        # one forward per iterate, its spectrum, read by its energy and its
+        # next diffusion
         assert calls == {"forward": iterations + 1, "inverse": iterations,
                          "energy": iterations + 1}
     elif n == 24:
