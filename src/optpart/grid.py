@@ -78,6 +78,18 @@ def check_mask(mask: DomainMask | None, grid: GridSpec) -> None:
         raise ValueError(f"mask grid {mask.grid} does not match state grid {grid}")
 
 
+def check_support(state: PartitionState, bc: str, mask: DomainMask | None = None) -> None:
+    """ValueError unless the state's parts vanish on the index-0 boundary planes
+    of a Dirichlet grid and outside ``mask``."""
+    values = state.values
+    planes = (np.moveaxis(values, ax, 0)[0] for ax in range(1, values.ndim))
+    if bc == "dirichlet" and any(plane.any() for plane in planes):
+        raise ValueError("a dirichlet state must be zero on the index-0 boundary planes")
+    # part by part: no stack-sized gather
+    if mask is not None and any(part[~mask.indicator].any() for part in values):
+        raise ValueError("a masked state must be zero outside the mask")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform tensor-product grid on [-pi, pi]^dim with n nodes per axis."""
@@ -139,6 +151,11 @@ class PartitionState:
     def k(self) -> int:
         return self.values.shape[0]
 
+    @property
+    def nbytes(self) -> int:
+        """The values' ``nbytes``: the size of one state."""
+        return self.values.nbytes
+
     def with_values(self, values: np.ndarray, **found) -> "PartitionState":
         """A state of ``values`` on this grid, given the cached properties ``found``
         (``labels``, ``norms``, ``min_value``) that the caller computed with them."""
@@ -163,8 +180,9 @@ class PartitionState:
         """The periodic forward transform of the values, ``np.fft.rfftn`` over the
         grid axes (read-only).
 
-        Found on first use and kept: a periodic iterate's energy and its next
-        heat step read the same transform, so each iterate is transformed once.
+        Found on first use: a periodic iterate's energy and its next heat step
+        read the same transform, so each iterate is transformed once.  ``run``
+        releases it once that heat step has read it.
         """
         out = np.fft.rfftn(self.values, axes=tuple(range(-self.grid.dim, 0)))
         out.setflags(write=False)
@@ -233,10 +251,6 @@ class DomainMask:
 
 # ---------------------------------------------------------------------------
 # norms
-
-
-def _trailing_axes(values: np.ndarray, grid: GridSpec) -> tuple[int, ...]:
-    return tuple(range(values.ndim - grid.dim, values.ndim))
 
 
 def true_boxes(flags: np.ndarray, dim: int) -> list[tuple[slice, ...] | None]:

@@ -31,6 +31,7 @@ from .grid import (
     check_domain,
     check_k,
     check_mask,
+    check_support,
     check_tau,
     label_map,
     partition_norms,
@@ -141,7 +142,7 @@ OnIteration = Callable[[PartitionState, TraceRow], None]
 def step(s: PartitionState, cfg: SchemeConfig, tau: float) -> PartitionState:
     """One splitting iteration: diffuse, project with the variant's projection, normalize.
 
-    The diffusion reads what the energy of ``s`` has found: its periodic
+    The heat step reads what the energy of ``s`` has found: its periodic
     ``spectrum``, or on Dirichlet grids its ``boxes``.  The projection and
     the normalization work on the domain's nodes as a (k, M) stack: every
     node, a view of the diffusion's fresh output, or a mask's ``nodes``,
@@ -149,8 +150,7 @@ def step(s: PartitionState, cfg: SchemeConfig, tau: float) -> PartitionState:
     scattered back.  That output becomes the new state, which keeps the
     stack's label map, norms and minimum.
     """
-    found = {"coef": s.spectrum} if cfg.bc == "periodic" else {"boxes": s.boxes}
-    v = diffuse_stack(s.values, s.grid, tau, cfg.bc, cfg.mask, **found)
+    v = diffuse_stack(s, tau, cfg.bc, cfg.mask)
     parts = v.reshape(len(v), -1)
     if cfg.mask is not None:
         parts = parts.take(cfg.mask.nodes, axis=1)
@@ -193,20 +193,34 @@ def secant_update(sigma_s: float, sigma_prev: float, F_s: float, F_prev: float) 
     return sigma_s - F_s * (sigma_s - sigma_prev) / dF
 
 
-def apply_sigma(state: PartitionState, sigma: float) -> PartitionState:
+def apply_sigma(state: PartitionState, sigma: float,
+                mask: DomainMask | None = None) -> PartitionState:
     """Shift every part by sigma on its support, cut what drops to <= 0, renormalize.
 
     A node keeps ``value + sigma`` only while both the original value and the
     shifted one are positive; otherwise it is zeroed, so supports can only
-    shrink and disjointness survives exactly.
+    shrink and disjointness survives exactly.  On a mask the (k, M) stack of
+    the mask's nodes is shifted, as ``step`` projects it, and scattered back.
     """
     sigma = float(sigma)
     if sigma == 0.0:
         return state
-    v = state.values
-    shifted = v + sigma
-    np.copyto(shifted, 0.0, where=~((v > 0.0) & (shifted > 0.0)))
-    return state.with_values(norm_step(shifted, state.grid, out=shifted))
+    if mask is None:
+        shifted = state.values + sigma
+        keep = (state.values > 0.0) & (shifted > 0.0)
+    else:
+        # the new state's memory first, then the gathered stack shifted in place:
+        # a corrected masked2d-ed solve otherwise peaked up to 1.4 MB higher in RSS
+        out = np.empty(state.values.shape)
+        shifted = state.values.reshape(state.k, -1).take(mask.nodes, axis=1)
+        keep = shifted > 0.0
+        shifted += sigma
+        keep &= shifted > 0.0
+    np.copyto(shifted, 0.0, where=~keep)
+    norm_step(shifted, state.grid, out=shifted)
+    if mask is not None:
+        shifted = mask.scatter(shifted, out)
+    return state.with_values(shifted)
 
 
 def energy_decrease_wrap(
@@ -219,7 +233,7 @@ def energy_decrease_wrap(
     """Correct a fresh iterate until its energy does not exceed the previous one.
 
     The shift sigma is the single unknown of the scalar residual
-    ``F(sigma) = _residual(.., apply_sigma(candidate, sigma), previous, tau)``,
+    ``F(sigma) = _residual(.., apply_sigma(candidate, sigma, mask), previous, tau)``,
     and every secant trial shifts the original candidate, so the search works
     on one fixed function of sigma, seeded at ``-tau**2`` and 0.  ``e_prev``
     is the previous iterate's energy.
@@ -240,7 +254,7 @@ def energy_decrease_wrap(
     sig_a, sig_b = -tau * tau, 0.0
     iters, reason = 0, "exhausted the iteration budget"
     try:
-        seed = apply_sigma(candidate, sig_a)
+        seed = apply_sigma(candidate, sig_a, cfg.mask)
         f_a = _residual(dirichlet_energy(seed, cfg.bc, cfg.mask), e_prev, seed, previous, tau)
         del seed  # with the transform it holds: its residual is all the search needs
         f_b = _residual(e_cand, e_prev, candidate, previous, tau)
@@ -253,7 +267,7 @@ def energy_decrease_wrap(
                 )
                 break
             sig_a, f_a, sig_b = sig_b, f_b, sig_next
-            current = apply_sigma(candidate, sig_b)
+            current = apply_sigma(candidate, sig_b, cfg.mask)
             e_cur = dirichlet_energy(current, cfg.bc, cfg.mask)
             f_b = _residual(e_cur, e_prev, current, previous, tau)
             iters += 1
@@ -317,6 +331,7 @@ def run(
     check_mask(cfg.mask, init.grid)
     if not np.isfinite(init.values).all():
         raise ValueError("initial state has non-finite values")
+    check_support(init, cfg.bc, cfg.mask)
 
     trace: EnergyTrace = []
     state = init
@@ -357,6 +372,11 @@ def run(
         trace.append(row)
         if on_iteration is not None:
             on_iteration(state, row)
+        # an iterate that a callback keeps holds its values, not its transform;
+        # released here, where an unkept iterate is freed anyway (right after
+        # the step, the heap's top was trimmed and faulted back every iteration)
+        vars(previous).pop("spectrum", None)
         if stopped:
             break
+    vars(state).pop("spectrum", None)
     return state, trace

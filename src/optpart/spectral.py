@@ -1,22 +1,21 @@
 """The discrete Laplacian on the box [-pi, pi]^d: heat step and gradient energy.
 
-Periodic grids expand in the trigonometric basis through the real-to-complex
-FFT (``np.fft.rfftn``).  Dirichlet grids expand the interior nodes (index
-1..n-1 per axis) in the sine basis ``sin(j*(x+pi)/2)`` through the type-1
-DST, whose matrix is S = 2 sin(pi j l / n); the index-0 boundary planes are
-zero.  Transforms run over the trailing ``dim`` axes of a (k, ...) stack.
+Periodic grids expand in the trigonometric basis: the coefficients are a
+state's ``spectrum`` (``np.fft.rfftn``), which its energy and its next heat
+step read.  Dirichlet grids expand the interior nodes (index 1..n-1 per
+axis) in the sine basis ``sin(j*(x+pi)/2)`` through the type-1 DST, whose
+matrix is S = 2 sin(pi j l / n); the index-0 boundary planes are zero.
+Transforms run over the trailing ``dim`` axes of a (k, ...) stack.
 
-``diffuse_stack`` applies the exact heat semigroup through the modes
-``SpectralOperator.modes`` keeps; the rest cannot move any value.  On
+``diffuse_stack`` applies the exact heat semigroup to a state through the
+modes ``SpectralOperator.modes`` keeps; the rest cannot move any value.  On
 Dirichlet grids with n <= ``SINE_MATRIX_MAX_N`` a step of every mode is the
 heat kernel S diag(e^{-tau lambda}) S / 2n along each axis, in node space.
-``dirichlet_energy`` reads a periodic state's ``spectrum``, as its next heat
-step does; the Dirichlet energy is 0.5 h^d times the sum over the axes of
-||G u||^2 along the axis, G = diag(sqrt(lambda)) S / sqrt(2n), and on a
-mask forward differences.  Products skip exact zeros: each
-part goes from the box of its nonzero nodes (``PartitionState.boxes``).  A
-masked heat step computes only the mask's box, and the step keeps the mask's
-nodes of it.
+The Dirichlet energy is 0.5 h^d times the sum over the axes of ||G u||^2
+along the axis, G = diag(sqrt(lambda)) S / sqrt(2n), and on a mask forward
+differences.  Products skip exact zeros: each part goes from the box of its
+nonzero nodes (``PartitionState.boxes``).  A masked heat step computes only
+the mask's box, and the step keeps the mask's nodes of it.
 """
 
 from __future__ import annotations
@@ -32,11 +31,10 @@ from .grid import (
     DomainMask,
     GridSpec,
     PartitionState,
-    _trailing_axes,
     check_domain,
     check_mask,
+    check_support,
     check_tau,
-    true_boxes,
 )
 
 # Caps the sine modes per axis that go through dense products: a heat step
@@ -112,8 +110,8 @@ class SpectralOperator:
     """Forward/inverse transforms, heat decay and energy for one (bc, dim, n).
 
     Obtain instances through ``spectral_operator``, which caches them and their
-    tables.  ``forward``'s coefficients are read-only, as a state's ``spectrum``
-    is, so that callers may share them.
+    tables.  Coefficients are read-only, ``forward``'s (Dirichlet) as a state's
+    ``spectrum`` (periodic) is, so that callers may share them.
 
     A heat step keeps ``modes(tau)`` modes per axis: sine modes 1..J, or
     wavenumbers |m| <= M.  Mode j is kept iff its one-axis multiplier
@@ -237,24 +235,15 @@ class SpectralOperator:
             t.setflags(write=False)
         return tables
 
-    def forward(
-        self, values: np.ndarray, modes: int | None = None, boxes: tuple | None = None
-    ) -> np.ndarray:
-        """Coefficients of nodal values over the trailing grid axes (read-only).
+    def forward(self, values: np.ndarray, modes: int, boxes: tuple) -> np.ndarray:
+        """Dirichlet sine coefficients of nodal values over the trailing grid axes,
+        the block ``block(modes)`` of them (read-only); node 0 is not read.
 
-        With ``modes``, only the block ``block(modes)`` of them, which the
-        Dirichlet products (all but a full transform above
-        ``SINE_MATRIX_MAX_N``) compute part by part from ``boxes``, as a
-        state's ``boxes``, or else from a scan; node 0 is not read."""
-        if self.bc == "periodic":
-            coef = np.fft.rfftn(values, axes=self.axes)
-            if modes is not None:
-                coef = coef[self.block(modes)]
-            coef.setflags(write=False)
-            return coef
+        The products (all but a full transform above ``SINE_MATRIX_MAX_N``)
+        go part by part from ``boxes``, a state's ``boxes``.  A periodic
+        grid's coefficients are a state's ``spectrum``."""
         n = self.shape[0]
         interior = values[(...,) + (slice(1, None),) * self.dim]
-        modes = n - 1 if modes is None else modes
         if modes == n - 1 and n > SINE_MATRIX_MAX_N:
             coef = sp_fft.dstn(interior, type=1, axes=self.axes)
         else:
@@ -262,9 +251,6 @@ class SpectralOperator:
             coef = np.empty(values.shape[: -self.dim] + (modes,) * self.dim)
             # 3D: the work buffer of the first left product
             spare = np.empty((n - 1) * modes**2) if self.dim == 3 else None
-            if boxes is None:
-                # the whole stack is scanned: its contiguous memory is faster to read
-                boxes = true_boxes(values != 0.0, self.dim)
             for idx, box in zip(np.ndindex(coef.shape[: -self.dim]), boxes):
                 _box_products(interior[idx], _interior(box), cols, (rows,) * self.dim,
                               coef[idx], spare)
@@ -363,44 +349,34 @@ def spectral_operator(bc: str, dim: int, n: int) -> SpectralOperator:
 # heat step
 
 
-def _check_boundary_planes(values: np.ndarray, grid: GridSpec) -> None:
-    if any(np.any(np.moveaxis(values, ax, 0)[0] != 0.0) for ax in _trailing_axes(values, grid)):
-        raise ValueError("dirichlet semigroup requires zero values on the boundary planes")
+def diffuse_stack(state: PartitionState, tau: float, bc: str,
+                  mask: DomainMask | None = None) -> np.ndarray:
+    """Semigroup applied to the parts of a state, in a fresh (k, ...) array.
 
-
-def diffuse_stack(values: np.ndarray, grid: GridSpec, tau: float, bc: str,
-                  mask: DomainMask | None = None, coef: np.ndarray | None = None,
-                  boxes: tuple | None = None) -> np.ndarray:
-    """Semigroup applied to a (k, ...) stack of parts, in a fresh array.
-
-    With ``bc="dirichlet"``, which a mask requires, the parts must vanish on
-    the stored boundary planes (index 0 along every axis); the opposite faces
-    are implicit zero-Dirichlet images.  With a mask only the mask's box is
-    computed: the output is the box's heat step inside ``mask.box`` and +0.0
-    outside it.  The caller keeps the mask's ``nodes``, which restricts the
-    step to the mask, as ``scheme.step`` does with its gather.  ``coef``, if
-    given, must be the periodic forward transform of ``values`` (a state's
-    ``spectrum``), read in place of a forward transform.  ``boxes``, if
-    given, must be the per-part boxes of the nonzero nodes of ``values`` (a
-    state's ``boxes``), read in place of a scan.  Ringing's tiny negative
-    values are kept; the projections discard them.
+    It reads the state's ``spectrum`` on periodic grids and its ``boxes`` on
+    Dirichlet grids.  With ``bc="dirichlet"``, which a mask requires, the
+    parts must vanish on the stored boundary planes (index 0 along every
+    axis); the opposite faces are implicit zero-Dirichlet images.  With a
+    mask only the mask's box is computed: the output is the box's heat step
+    inside ``mask.box`` and +0.0 outside it.  The caller keeps the mask's
+    ``nodes``, which restricts the step to the mask, as ``scheme.step`` does
+    with its gather.  Ringing's tiny negative values are kept; the
+    projections discard them.
     """
-    tau = check_tau(tau)
+    tau, grid = check_tau(tau), state.grid
     check_domain(bc, mask)
     check_mask(mask, grid)
-    if coef is not None and bc == "dirichlet":
-        raise ValueError("coef is for periodic grids: Dirichlet grids read the nodal values")
+    check_support(state, bc)
     op = spectral_operator(bc, grid.dim, grid.n)
     box = None if mask is None else mask.box
     modes = op.modes(tau)
-    if bc == "dirichlet":
-        _check_boundary_planes(values, grid)
     if bc == "dirichlet" and modes == grid.n - 1 and grid.n <= SINE_MATRIX_MAX_N:
-        return op.heat(values, tau, boxes or true_boxes(values != 0.0, grid.dim), box)
+        return op.heat(state.values, tau, state.boxes, box)
     # the inverse multiplies the decay into read-only coefficients; as no
-    # name here holds them, a fresh product there frees the array it replaces
+    # name here holds them, a fresh product there frees the forward's own
     block = op.block(modes)
-    return op.inverse(op.forward(values, modes, boxes) if coef is None else coef[block],
+    return op.inverse(state.spectrum[block] if bc == "periodic"
+                      else op.forward(state.values, modes, state.boxes),
                       op.decay(tau)[block], box)
 
 

@@ -50,9 +50,11 @@ REMOVED = {
     optpart.spectral: [
         "heat_semigroup_periodic", "heat_semigroup_dirichlet", "mask_restrict",
         "_clamp_ringing", "RINGING_TOL", "_check_tau", "_check_mask", "_check_energy_domain",
+        "_check_boundary_planes",  # grid.check_support
     ],
     optpart.cli: ["_spread_labels"],
-    optpart.grid: ["Field", "discrete_l2_norm", "dirichlet_energy", "BoundaryCondition"],
+    optpart.grid: ["Field", "discrete_l2_norm", "dirichlet_energy", "BoundaryCondition",
+                   "_trailing_axes"],
     optpart.initial: ["MAX_SEED_ATTEMPTS", "_node_coordinates"],
     optpart.DomainMask: ["node_count"],  # mask.nodes.size
     optpart.projection: [
@@ -100,6 +102,11 @@ def test_no_coefficients_pass_through_the_scheme():
     assert list(inspect.signature(optpart.scheme.step).parameters) == ["s", "cfg", "tau"]
     assert list(inspect.signature(optpart.dirichlet_energy).parameters) == [
         "state", "bc", "mask"]
+    assert list(inspect.signature(optpart.spectral.diffuse_stack).parameters) == [
+        "state", "tau", "bc", "mask"]
+    # the Dirichlet forward alone: a periodic grid's is the state's spectrum
+    assert list(inspect.signature(optpart.spectral.SpectralOperator.forward).parameters) == [
+        "self", "values", "modes", "boxes"]
 
 
 def test_every_plain_variant_has_a_projection():

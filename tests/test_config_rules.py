@@ -40,7 +40,8 @@ MASKED_TORUS = ("a mask requires bc='dirichlet': the masked heat step and energy
 MASK_GRID = "mask grid GridSpec(dim=2, n=8) does not match state grid GridSpec(dim=2, n=16)"
 TAU = "tau must be positive and finite, got {}"
 TAU_REAL = "tau must be a real number, got {!r}"
-DIRICHLET_COEF = "coef is for periodic grids: Dirichlet grids read the nodal values"
+BOUNDARY = "a dirichlet state must be zero on the index-0 boundary planes"
+OUTSIDE_MASK = "a masked state must be zero outside the mask"
 NO_INTERIOR = "mask holds no interior node: every iterate would be 0 on it"
 
 
@@ -49,6 +50,20 @@ def boundary_only(grid: GridSpec) -> np.ndarray:
     indicator = np.zeros(grid.shape, dtype=bool)
     indicator[0] = True
     return indicator
+
+
+def state_with_one(grid: GridSpec, node: tuple) -> PartitionState:
+    """A k=2 state that is zero but for 1.0 at ``node`` of part 0."""
+    values = np.zeros((2,) + grid.shape)
+    values[(0,) + node] = 1.0
+    return PartitionState(grid, values)
+
+
+# a node on the last index-0 plane, and a node off the boundary planes outside MASK
+ON_BOUNDARY = state_with_one(GRID, (5, 0))
+ON_BOUNDARY_3D = state_with_one(GridSpec(3, 8), (0, 3, 3))
+OUTSIDE = state_with_one(GRID, (1, 1))
+assert not MASK.indicator[1, 1]
 
 RULES = {
     "dim": [
@@ -65,14 +80,14 @@ RULES = {
     ],
     "bc": [
         ("SchemeConfig", lambda: SchemeConfig(k=2, bc="neumann"), BC),
-        ("diffuse_stack", lambda: diffuse_stack(VALUES, GRID, 0.1, "neumann"), BC),
+        ("diffuse_stack", lambda: diffuse_stack(STATE, 0.1, "neumann"), BC),
         ("dirichlet_energy", lambda: dirichlet_energy(STATE, "neumann"), BC),
         ("voronoi_init", lambda: voronoi_init(GRID, 2, 0, "neumann"), BC),
         ("SpectralOperator", lambda: SpectralOperator("neumann", 2, 16), BC),
     ],
     "masked-torus": [
         ("SchemeConfig", lambda: SchemeConfig(k=2, mask=MASK), MASKED_TORUS),
-        ("diffuse_stack", lambda: diffuse_stack(VALUES, GRID, 0.1, "periodic", MASK),
+        ("diffuse_stack", lambda: diffuse_stack(STATE, 0.1, "periodic", MASK),
          MASKED_TORUS),
         ("dirichlet_energy", lambda: dirichlet_energy(STATE, "periodic", MASK), MASKED_TORUS),
         ("voronoi_init", lambda: voronoi_init(GRID, 2, 0, "periodic", MASK), MASKED_TORUS),
@@ -80,29 +95,29 @@ RULES = {
     "mask-grid": [
         ("run", lambda: run(SchemeConfig(k=2, bc="dirichlet", mask=OTHER_MASK), STATE),
          MASK_GRID),
-        ("diffuse_stack", lambda: diffuse_stack(VALUES, GRID, 0.1, "dirichlet", OTHER_MASK),
+        ("diffuse_stack", lambda: diffuse_stack(STATE, 0.1, "dirichlet", OTHER_MASK),
          MASK_GRID),
         ("dirichlet_energy", lambda: dirichlet_energy(STATE, "dirichlet", OTHER_MASK),
          MASK_GRID),
         ("voronoi_init", lambda: voronoi_init(GRID, 2, 0, "dirichlet", OTHER_MASK), MASK_GRID),
     ],
     "tau": [
-        ("diffuse_stack-0", lambda: diffuse_stack(VALUES, GRID, 0.0, "periodic"),
+        ("diffuse_stack-0", lambda: diffuse_stack(STATE, 0.0, "periodic"),
          TAU.format(0.0)),
-        ("diffuse_stack-inf", lambda: diffuse_stack(VALUES, GRID, np.inf, "periodic"),
+        ("diffuse_stack-inf", lambda: diffuse_stack(STATE, np.inf, "periodic"),
          TAU.format(np.inf)),
-        ("diffuse_stack-nan", lambda: diffuse_stack(VALUES, GRID, np.nan, "periodic"),
+        ("diffuse_stack-nan", lambda: diffuse_stack(STATE, np.nan, "periodic"),
          TAU.format(np.nan)),
         ("SchemeConfig", lambda: SchemeConfig(k=2, tau=-0.1), TAU.format(-0.1)),
         ("SchemeConfig-warm-up", lambda: SchemeConfig(k=2, tau=(0.1, np.inf)),
          TAU.format(np.inf)),
-        ("diffuse_stack-bool", lambda: diffuse_stack(VALUES, GRID, True, "periodic"),
+        ("diffuse_stack-bool", lambda: diffuse_stack(STATE, True, "periodic"),
          TAU_REAL.format(True)),
-        ("diffuse_stack-str", lambda: diffuse_stack(VALUES, GRID, "0.1", "periodic"),
+        ("diffuse_stack-str", lambda: diffuse_stack(STATE, "0.1", "periodic"),
          TAU_REAL.format("0.1")),
         ("SchemeConfig-bool", lambda: SchemeConfig(k=2, tau=True), TAU_REAL.format(True)),
         ("SchemeConfig-str", lambda: SchemeConfig(k=2, tau="0.1"), TAU_REAL.format("0.1")),
-        ("diffuse_stack-numpy-bool", lambda: diffuse_stack(VALUES, GRID, np.True_, "periodic"),
+        ("diffuse_stack-numpy-bool", lambda: diffuse_stack(STATE, np.True_, "periodic"),
          TAU_REAL.format(np.True_)),
         ("SchemeConfig-numpy-bool", lambda: SchemeConfig(k=2, tau=np.array([0.1, 0.2]) > 0.15),
          TAU_REAL.format(False)),
@@ -112,15 +127,21 @@ RULES = {
         ("SchemeConfig-warm-up-str", lambda: SchemeConfig(k=2, tau=(0.5, "0.1")),
          TAU_REAL.format("0.1")),
     ],
-    "dirichlet-coef": [
-        # every mode kept at 16^2: the node-space heat step, which reads no coefficients
-        ("diffuse_stack", lambda: diffuse_stack(VALUES, GRID, 0.1, "dirichlet",
-                                                coef=np.ones((2, 15, 15))), DIRICHLET_COEF),
-        ("diffuse_stack-kept-modes", lambda: diffuse_stack(VALUES, GRID, 10.0, "dirichlet",
-                                                           coef=np.ones((2, 15, 15))),
-         DIRICHLET_COEF),
-        ("diffuse_stack-masked", lambda: diffuse_stack(VALUES, GRID, 0.1, "dirichlet", MASK,
-                                                       np.ones((2, 15, 15))), DIRICHLET_COEF),
+    "support": [
+        # run refuses the initial state before its first trace row
+        ("run-boundary", lambda: run(SchemeConfig(k=2, bc="dirichlet"), ON_BOUNDARY), BOUNDARY),
+        ("run-boundary-3d", lambda: run(SchemeConfig(k=2, bc="dirichlet"), ON_BOUNDARY_3D),
+         BOUNDARY),
+        ("run-masked-boundary", lambda: run(SchemeConfig(k=2, bc="dirichlet", mask=MASK),
+                                            ON_BOUNDARY), BOUNDARY),
+        ("run-outside-mask", lambda: run(SchemeConfig(k=2, bc="dirichlet", mask=MASK), OUTSIDE),
+         OUTSIDE_MASK),
+        # every mode kept at 16^2 (the node-space heat step), and some modes
+        ("diffuse_stack", lambda: diffuse_stack(ON_BOUNDARY, 0.1, "dirichlet"), BOUNDARY),
+        ("diffuse_stack-kept-modes", lambda: diffuse_stack(ON_BOUNDARY, 10.0, "dirichlet"),
+         BOUNDARY),
+        ("diffuse_stack-masked", lambda: diffuse_stack(ON_BOUNDARY, 0.1, "dirichlet", MASK),
+         BOUNDARY),
     ],
     "mask-interior": [
         ("DomainMask-2d", lambda: DomainMask(GridSpec(2, 64), boundary_only(GridSpec(2, 64))),
@@ -156,7 +177,8 @@ def raised_strings() -> list[str]:
 @pytest.mark.parametrize("phrase", ["dim must be", "k must be >=", "unknown boundary condition",
                                     "a mask requires", "does not match state grid",
                                     "positive and finite", "tau must be a real number",
-                                    "coef is for periodic grids",
+                                    "zero on the index-0 boundary planes",
+                                    "zero outside the mask",
                                     "no interior node"])
 def test_each_rule_is_raised_in_one_place(phrase):
     assert sum(phrase in piece for piece in raised_strings()) == 1

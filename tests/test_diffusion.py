@@ -1,6 +1,7 @@
 """Heat semigroups checked against dense matrix exponentials and eigenmodes.
 
-Single fields go through ``diffuse_stack`` as stacks of one part.
+Single fields go through ``diffuse_stack`` as the first part of a state whose
+second part is zero.
 """
 
 import numpy as np
@@ -11,9 +12,14 @@ from optpart import DomainMask, GridSpec, PartitionState, dirichlet_energy, make
 from optpart.spectral import diffuse_stack
 
 
+def diffuse(values: np.ndarray, grid: GridSpec, tau: float, bc: str, mask=None) -> np.ndarray:
+    """The heat step of a (k, ...) stack, through a state of it."""
+    return diffuse_stack(PartitionState(grid, values), tau, bc, mask)
+
+
 def heat(f: np.ndarray, grid: GridSpec, tau: float, bc: str) -> np.ndarray:
-    """Diffuse one field for time tau: a k=1 stack through diffuse_stack."""
-    return diffuse_stack(f[None], grid, tau, bc)[0]
+    """Diffuse one field for time tau: the first part of a state with a zero second one."""
+    return diffuse(np.stack([f, np.zeros_like(f)]), grid, tau, bc)[0]
 
 
 def dense_periodic_kernel(n: int, tau: float) -> np.ndarray:
@@ -148,16 +154,16 @@ def test_mask_restrict():
     ind[2:6, 2:6] = True
     mask = DomainMask(g, ind)
     rng = np.random.default_rng(16)
-    f = rng.normal(size=(1,) + g.shape)
+    f = rng.normal(size=(2,) + g.shape)
     f[:, 0], f[:, :, 0] = 0.0, 0.0  # the Dirichlet boundary planes
-    plain = diffuse_stack(f, g, 0.1, "dirichlet")
-    out = diffuse_stack(f, g, 0.1, "dirichlet", mask)
+    plain = diffuse(f, g, 0.1, "dirichlet")
+    out = diffuse(f, g, 0.1, "dirichlet", mask)
     assert np.all(out[:, ~ind] == 0.0)
     assert np.array_equal(out[:, ind], plain[:, ind])
-    full = diffuse_stack(f, g, 0.1, "dirichlet", make_mask(g, "full"))
+    full = diffuse(f, g, 0.1, "dirichlet", make_mask(g, "full"))
     assert np.array_equal(full, plain)
     with pytest.raises(ValueError):
-        diffuse_stack(f, g, 0.1, "dirichlet", make_mask(GridSpec(dim=2, n=16), "full"))
+        diffuse(f, g, 0.1, "dirichlet", make_mask(GridSpec(dim=2, n=16), "full"))
 
 
 def test_masked_diffusion_requires_the_dirichlet_box():
@@ -166,15 +172,15 @@ def test_masked_diffusion_requires_the_dirichlet_box():
     # nodes; that is wrong on the torus
     g = GridSpec(dim=2, n=32)
     mask = make_mask(g, "disk")
-    f = np.where(mask.indicator, 1.0, 0.0)[None]
+    f = np.stack([np.where(mask.indicator, 1.0, 0.0)] * 2)
     with pytest.raises(ValueError, match="a mask requires bc='dirichlet'"):
-        diffuse_stack(f, g, 0.1, "periodic", mask)
-    out = diffuse_stack(f, g, 0.1, "dirichlet", mask)
+        diffuse(f, g, 0.1, "periodic", mask)
+    out = diffuse(f, g, 0.1, "dirichlet", mask)
     in_box = np.zeros(g.shape, dtype=bool)
     in_box[mask.box] = True
     assert np.all(out[:, ~in_box] == 0.0)
     # the node-space kernel's rows of the box round apart from the whole kernel's
-    plain = diffuse_stack(f, g, 0.1, "dirichlet")
+    plain = diffuse(f, g, 0.1, "dirichlet")
     assert np.max(np.abs(out[:, in_box] - plain[:, in_box])) <= 1e-15 * np.max(plain)
 
 
@@ -182,12 +188,12 @@ def test_diffuse_stack_matches_fieldwise_calls():
     g = GridSpec(dim=2, n=16)
     rng = np.random.default_rng(17)
     vals = rng.normal(size=(3,) + g.shape)
-    batched = diffuse_stack(vals, g, 0.2, "periodic")
+    batched = diffuse(vals, g, 0.2, "periodic")
     for i in range(3):
         single = heat(vals[i], g, 0.2, "periodic")
         assert np.abs(batched[i] - single).max() <= 1e-15
     with pytest.raises(ValueError):
-        diffuse_stack(vals, g, 0.2, "absorbing")
+        diffuse(vals, g, 0.2, "absorbing")
 
 
 def test_diffuse_stack_applies_mask():
@@ -197,7 +203,7 @@ def test_diffuse_stack_applies_mask():
     mask = DomainMask(g, ind)
     vals = np.zeros((2,) + g.shape)
     vals[:, 6:10, 6:10] = 1.0
-    out = diffuse_stack(vals, g, 0.1, "dirichlet", mask)
+    out = diffuse(vals, g, 0.1, "dirichlet", mask)
     assert np.all(out[:, ~ind] == 0.0)
 
 
@@ -206,6 +212,6 @@ def test_pure_diffusion_decreases_energy():
     rng = np.random.default_rng(18)
     vals = rng.normal(size=(2,) + g.shape)
     before = dirichlet_energy(PartitionState(g, vals), "periodic")
-    diffused = diffuse_stack(vals, g, 0.05, "periodic")
+    diffused = diffuse(vals, g, 0.05, "periodic")
     after = dirichlet_energy(PartitionState(g, diffused), "periodic")
     assert after <= before + 1e-12

@@ -6,12 +6,15 @@ in a fresh process and held to ``perfbench/reference.json`` by the rule
 the tests and not only in a benchmark run.  Five more masked2d-ed instances,
 three of which run the energy correction, and three more box3d instances, are
 pinned the same way, so that a change that is not bitwise is held to more
-than one instance of each.  Nothing under ``perfbench/`` is
-written: the solve's files go to a temporary directory, and ``-B`` keeps the
-interpreter from caching bytecode there.
+than one instance of each.  Each reference instance is also solved traced,
+as ``perfbench/run.py --trace`` does.  Nothing under ``perfbench/`` is
+written: the solve's files go to a temporary directory, ``-B`` keeps the
+interpreter from caching bytecode there, and the workload table is read with
+``runpy``, which caches none either.
 """
 
 import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -20,13 +23,14 @@ import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
+WORKLOADS = runpy.run_path(str(PERFBENCH / "workloads.py"))["WORKLOADS"]
 ENERGY_RTOL = 1e-12
 
 
-def solve(tmp_path, workload: str, seed: int) -> dict:
+def solve(tmp_path, workload: str, seed: int, *flags: str) -> dict:
     """The report of one solve of a workload instance, which must pass its checks."""
     cmd = [sys.executable, "-B", str(PERFBENCH / "instance.py"), "--workload", workload,
-           "--seed", str(seed), "--out", str(tmp_path)]
+           "--seed", str(seed), "--out", str(tmp_path), *flags]
     done = subprocess.run(cmd, capture_output=True, text=True, timeout=120, check=True)
     report = json.loads(done.stdout.splitlines()[-1])
     assert report["errors"] == []
@@ -40,6 +44,22 @@ def test_benchmark_reference_instance(tmp_path, workload):
     assert report["iterations"] == ref["iterations"]
     assert report["labels_sha256"] == ref["labels_sha256"]
     assert abs(report["energy"] - ref["energy"]) <= ENERGY_RTOL * abs(ref["energy"])
+
+
+@pytest.mark.parametrize("workload", sorted(REFERENCE))
+def test_traced_reference_instance(tmp_path, workload):
+    # every traced name is found and every busy layer records calls, so no
+    # layer reads as zero; the heat step's bytes note reads the state it takes
+    ref = REFERENCE[workload]
+    report = solve(tmp_path, workload, ref["seed"], "--trace")
+    assert report["missing"] == []
+    layers = report["layers"]
+    assert [name for name in WORKLOADS[workload]["busy"]
+            if layers.get(name, {}).get("calls", 0) == 0] == []
+    assert layers["diffuse_stack"]["notes"]["bytes"] > 0
+    # tracing moves no result
+    assert (report["iterations"], report["labels_sha256"]) == (ref["iterations"],
+                                                               ref["labels_sha256"])
 
 
 def masked_outcome(tmp_path, seed: int) -> tuple[int, int, str]:

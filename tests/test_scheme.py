@@ -8,7 +8,6 @@ import pytest
 
 import optpart.grid
 import optpart.scheme
-import optpart.spectral
 from optpart import (
     DegeneratePart,
     GridSpec,
@@ -181,6 +180,25 @@ def test_trace_norms_are_the_sums_norm_step_divides_by(dim, n, k, variant, bc, m
     assert max(row.max_norm_dev for row in trace) <= 4.5e-16
 
 
+def test_kept_iterates_hold_no_transform():
+    # each periodic iterate's transform (about one state size) is released
+    # once its heat step has read it, and the returned state's too, so a
+    # callback that keeps every iterate holds their values only
+    grid = GridSpec(2, 128)
+    cfg = SchemeConfig(k=6, variant="four_step", tau=0.25, n_max=20)
+    init = voronoi_init(grid, 6, 0)
+    run(cfg, init)  # warm-up: tables and caches
+    kept = []
+    tracemalloc.start()
+    final, trace = run(cfg, init, on_iteration=lambda s, r: kept.append(s))
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    assert len(trace) == len(kept) == 21 and kept[-1] is final
+    assert not any("spectrum" in vars(s) for s in kept)
+    # the initial values were allocated before tracing
+    assert held / ((len(kept) - 1) * init.nbytes) <= 1.1
+
+
 def test_secant_search_releases_its_seed_trial():
     # torus2d-ed, seed 0: its first correction (iteration 153) takes the seed
     # trial and one secant trial.  Each trial state holds its transform
@@ -335,11 +353,59 @@ def test_apply_sigma_never_revives_zero_nodes():
     assert np.array_equal(out.values > 0.0, s.values > 0.0)
 
 
+@pytest.mark.parametrize("mask_name", [None, "star5"])
+def test_apply_sigma_shifts_the_domain_nodes(monkeypatch, mask_name):
+    # on a mask, the (k, M) stack of the mask's nodes, as step projects it;
+    # the shifted array owns its memory, so the new state freezes it in
+    # place rather than copying it
+    grid = GridSpec(2, 64)
+    mask = make_mask(grid, mask_name) if mask_name else None
+    cfg = SchemeConfig(k=4, variant="three_step_linear", tau=0.1, bc="dirichlet", mask=mask,
+                       n_max=3)
+    state, _ = run(cfg, voronoi_init(grid, 4, 0, "dirichlet", mask))
+    given, with_values = [], PartitionState.with_values
+    monkeypatch.setattr(PartitionState, "with_values",
+                        lambda self, values, **found: given.append(values)
+                        or with_values(self, values, **found))
+    out = apply_sigma(state, -0.01, mask)
+    assert out.values is given[0]
+    nodes = np.arange(grid.num_nodes) if mask is None else mask.nodes
+    parts = state.values.reshape(4, -1)[:, nodes]
+    shifted = parts - 0.01
+    shifted[~((parts > 0.0) & (shifted > 0.0))] = 0.0
+    want = shifted / weighted_norms(shifted, grid)[:, None]
+    assert same_bits(out.values.reshape(4, -1)[:, nodes], want)
+    if mask is not None:
+        assert positive_zero(out.values[:, ~mask.indicator])
+        # the iterate is zero off the mask: only the norms' summation order moves
+        plain = apply_sigma(state, -0.01)
+        assert np.max(np.abs(out.values - plain.values)) <= 4e-16 * np.max(plain.values)
+
+
 def test_apply_sigma_degenerates_when_shift_swallows_a_part():
     grid = GridSpec(dim=2, n=4)
     s = two_node_state(grid, 0.01)
     with pytest.raises(DegeneratePart):
         apply_sigma(s, -10.0)
+
+
+def test_run_refuses_a_state_off_its_domain_before_the_first_row():
+    # a value outside the mask, or on a Dirichlet boundary plane, which the
+    # first step would drop without a word, after tracing row 0 with it
+    grid = GridSpec(2, 32)
+    mask = make_mask(grid, "disk")
+    init = voronoi_init(grid, 4, 0, "dirichlet", mask)
+    rows = []
+    for cfg, node, message in [
+        (SchemeConfig(k=4, bc="dirichlet", mask=mask), (0, 2, 2), "zero outside the mask"),
+        (SchemeConfig(k=4, bc="dirichlet"), (0, 16, 0), "zero on the index-0 boundary planes"),
+    ]:
+        assert not mask.indicator[node[1:]]
+        values = init.values.copy()
+        values[node] = 1.0
+        with pytest.raises(ValueError, match=message):
+            run(cfg, PartitionState(grid, values), on_iteration=lambda s, r: rows.append(r))
+    assert rows == []
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +666,7 @@ def audit_trace_energies(variant, bc, mask_name, n, tau, seed) -> tuple[int, int
             expected = step(PartitionState(grid, seen[-1][0].values), cfg, tau)
             if row.sigma is not None:
                 counts[0] += 1
-                expected = apply_sigma(expected, row.sigma)
+                expected = apply_sigma(expected, row.sigma, mask)
             assert np.array_equal(state.values, expected.values)
         seen.append((state, row))
 
@@ -657,8 +723,7 @@ def test_with_values_finds_its_own_boxes():
     moved = s.with_values(values)
     assert "boxes" not in moved.__dict__ and "spectrum" not in moved.__dict__
     assert moved.boxes == ((slice(2, 5), slice(3, 9)), None, (slice(7, 8), slice(7, 8)))
-    assert same_bits(moved.spectrum,
-                     optpart.spectral.spectral_operator("periodic", 2, 16).forward(values))
+    assert same_bits(moved.spectrum, np.fft.rfftn(values, axes=(1, 2)))
     assert not moved.spectrum.flags.writeable
     for name in ("boxes", "spectrum"):
         with pytest.raises(AttributeError):
@@ -686,7 +751,6 @@ def test_masked_ed_run_finds_boxes_once_per_evaluated_state(monkeypatch):
         return energy(state, *args)
 
     monkeypatch.setattr(optpart.grid, "true_boxes", scan)
-    monkeypatch.setattr(optpart.spectral, "true_boxes", scan)
     monkeypatch.setattr(optpart.scheme, "dirichlet_energy", counted)
     _, trace = run(cfg, init)
     assert any(row.secant_iters > 0 for row in trace)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import fft as sp_fft
 
+import optpart.grid
 from optpart import (
     DomainMask,
     GridSpec,
@@ -77,25 +78,20 @@ def test_one_cached_operator_per_grid():
                                        (3, 32, 1.0)])
 @pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
 @pytest.mark.parametrize("boxed", [False, True])
-def test_diffusion_from_given_coefficients_is_bitwise_the_same(bc, dim, n, tau, boxed):
+def test_heat_step_only_reads_the_state_coefficients(bc, dim, n, tau, boxed):
     # every coefficient path: 2D and 3D products (which decay into memory of
     # their own), irfftn and scipy's DST of every mode
     g = GridSpec(dim=dim, n=n)
-    vals = boundary_zero_stack(dim, n, 3)
+    state = PartitionState(g, boundary_zero_stack(dim, n, 3))
     op = spectral_operator(bc, g.dim, g.n)
-    coef = op.forward(vals)
+    coef = state.spectrum if bc == "periodic" else full_forward(op, state.values)
     assert not coef.flags.writeable
     kept = coef.copy()
     if bc == "periodic":
-        out = diffuse_stack(vals, g, tau, bc, coef=coef)
-        assert same_bits(out, diffuse_stack(vals, g, tau, bc))
-        assert same_bits(coef, kept)
-        assert not coef.flags.writeable
         # the transform a periodic state keeps for its energy and its next step
-        assert same_bits(PartitionState(g, vals).spectrum, coef)
-    else:  # the Dirichlet heat step reads node values only
-        with pytest.raises(ValueError, match="coef is for periodic grids"):
-            diffuse_stack(vals, g, tau, bc, coef=coef)
+        assert same_bits(coef, np.fft.rfftn(state.values, axes=op.axes))
+        diffuse_stack(state, tau, bc)
+        assert state.spectrum is coef and same_bits(coef, kept)
     # the inverse multiplies the decay in, and only reads the coefficients
     block = op.block(op.modes(tau))
     coef, decay = coef[block], op.decay(tau)[block]
@@ -104,7 +100,7 @@ def test_diffusion_from_given_coefficients_is_bitwise_the_same(bc, dim, n, tau, 
     assert same_bits(coef, kept[block])
 
 
-def test_masked_heat_step_refuses_coefficients_and_transforms_once(monkeypatch):
+def test_masked_heat_step_transforms_once(monkeypatch):
     # a masked2d-ed iterate (star5, k=6, tau=0.05 keeps 61 sine modes) at
     # 96^2, the largest grid whose full forward, like the kept-mode one, is
     # products; run carries no coefficients on Dirichlet grids
@@ -113,13 +109,10 @@ def test_masked_heat_step_refuses_coefficients_and_transforms_once(monkeypatch):
     cfg = SchemeConfig(k=6, variant="three_step_linear_ed", tau=0.05, bc="dirichlet", mask=mask,
                        n_max=3)
     state, _ = run(cfg, voronoi_init(g, 6, 0, "dirichlet", mask))
-    coef = spectral_operator("dirichlet", 2, 96).forward(state.values)
-    with pytest.raises(ValueError, match="coef is for periodic grids"):
-        diffuse_stack(state.values, g, 0.05, "dirichlet", mask, coef)
     made, forward = [], SpectralOperator.forward
     monkeypatch.setattr(SpectralOperator, "forward",
                         lambda self, *args: made.append(forward(self, *args)) or made[-1])
-    diffuse_stack(state.values, g, 0.05, "dirichlet", mask)
+    diffuse_stack(state, 0.05, "dirichlet", mask)
     # the heat step's own forward transform stays read-only
     assert len(made) == 1 and not made[0].flags.writeable
 
@@ -138,17 +131,6 @@ def test_masked_energy_requires_the_dirichlet_box():
     assert dirichlet_energy(state, "dirichlet", mask) > 0.0
 
 
-def test_dirichlet_boundary_check_holds_with_given_coefficients():
-    # given coefficients, which a Dirichlet heat step refuses, bypass no check
-    g = GridSpec(dim=2, n=16)
-    vals = np.ones((1,) + g.shape)
-    coef = spectral_operator("dirichlet", g.dim, g.n).forward(vals)
-    with pytest.raises(ValueError, match="coef is for periodic grids"):
-        diffuse_stack(vals, g, 0.2, "dirichlet", coef=coef)
-    with pytest.raises(ValueError, match="boundary planes"):
-        diffuse_stack(vals, g, 0.2, "dirichlet")
-
-
 @pytest.mark.parametrize("bc,mask_name,n,tau", [
     ("periodic", None, 24, 0.1), ("dirichlet", None, 24, 0.1), ("dirichlet", "disk", 24, 0.1),
     # heat steps that keep only some modes: 27 of 63, |m| <= 13 of 32
@@ -163,25 +145,20 @@ def test_uncorrected_iteration_costs_one_transform_each_way(monkeypatch, bc, mas
         (24, "dirichlet"): 23, (24, "periodic"): 12, (64, "dirichlet"): 27, (64, "periodic"): 13,
     }[n, bc]
     calls = {"forward": 0, "inverse": 0, "energy": 0}
-    given_boxes = []
     rfftn = np.fft.rfftn
 
     def counted_rfftn(*args, **kwargs):
         calls["forward"] += 1
         return rfftn(*args, **kwargs)
 
-    # a periodic forward transform is one rfftn, wherever it is made: a
-    # state's spectrum or the operator's forward
+    # a periodic forward transform is one rfftn, a state's spectrum; a
+    # Dirichlet one the operator's forward
     monkeypatch.setattr(np.fft, "rfftn", counted_rfftn)
     for name in calls:
         original = getattr(SpectralOperator, name)
 
         def counted(self, *args, _name=name, _original=original):
-            if _name != "forward":
-                calls[_name] += 1
-            elif self.bc == "dirichlet":  # a periodic one is counted as its rfftn
-                calls[_name] += 1
-                given_boxes.append(args[2] is not None)
+            calls[_name] += 1
             return _original(self, *args)
 
         monkeypatch.setattr(SpectralOperator, name, counted)
@@ -201,7 +178,6 @@ def test_uncorrected_iteration_costs_one_transform_each_way(monkeypatch, bc, mas
         # kept modes: each heat step transforms from the boxes its state's
         # energy found, and back
         assert calls == {"forward": iterations, "inverse": iterations, "energy": 0}
-        assert given_boxes == [True] * iterations
 
 
 def in_box(mask) -> np.ndarray:
@@ -236,8 +212,8 @@ def positive_zero(a) -> bool:
 @pytest.mark.parametrize("dim,n,tau", [(2, 12, 0.3), (3, 8, 0.3), (2, 98, 0.3), (2, 98, 0.01)],
                          ids=["2-12", "3-8", "2-98", "2-98-tau0.01"])
 @pytest.mark.parametrize("domain", ["periodic", "dirichlet", "masked"])
-@pytest.mark.parametrize("given_coef", [False, True])
-def test_heat_step_buffers(dim, n, tau, domain, given_coef):
+@pytest.mark.parametrize("found", [False, True])
+def test_heat_step_buffers(dim, n, tau, domain, found):
     g = GridSpec(dim, n)
     bc = "periodic" if domain == "periodic" else "dirichlet"
     rng = np.random.default_rng(dim * n)
@@ -250,17 +226,17 @@ def test_heat_step_buffers(dim, n, tau, domain, given_coef):
             np.moveaxis(vals, ax, 0)[0] = -0.0
     kept_vals = vals.copy()
     op = spectral_operator(bc, dim, n)
-    if given_coef and bc == "dirichlet":  # a Dirichlet heat step reads node values only
-        with pytest.raises(ValueError, match="coef is for periodic grids"):
-            diffuse_stack(vals, g, tau, bc, mask, op.forward(vals))
-        return
-    coef = op.forward(vals) if given_coef else None
+    state = PartitionState(g, vals)
+    if found:  # what a run's energy finds before the heat step reads it
+        getattr(state, "spectrum" if bc == "periodic" else "boxes")
+    a = diffuse_stack(state, tau, bc, mask)
+    coef = vars(state).get("spectrum")
     kept_coef = None if coef is None else coef.copy()
-    a = diffuse_stack(vals, g, tau, bc, mask, coef)
-    b = diffuse_stack(vals, g, tau, bc, mask, coef)
-    assert same_bits(vals, kept_vals)
+    b = diffuse_stack(state, tau, bc, mask)
+    assert same_bits(state.values, kept_vals)
+    assert (coef is not None) == (bc == "periodic")
     if coef is not None:
-        assert same_bits(coef, kept_coef)
+        assert same_bits(coef, kept_coef) and state.spectrum is coef
         assert not coef.flags.writeable
     want = old_diffuse_stack(kept_vals, g, tau, bc, mask)
     assert same_bits(a, b)
@@ -276,7 +252,8 @@ def test_heat_step_buffers(dim, n, tau, domain, given_coef):
         assert np.max(np.abs(a - want)) <= 1e-14 * np.max(np.abs(want))
     assert a.flags.owndata and b.flags.owndata
     assert not np.shares_memory(a, b)
-    assert not any(np.shares_memory(x, y) for x in (a, b) for y in (vals, coef) if y is not None)
+    assert not any(np.shares_memory(x, y) for x in (a, b) for y in (state.values, coef)
+                   if y is not None)
     if bc == "dirichlet":
         assert all(positive_zero(np.moveaxis(a, ax, 0)[0]) for ax in range(1, dim + 1))
     if mask is not None:
@@ -298,6 +275,16 @@ def boundary_zero_stack(dim, n, seed, k=3):
     return vals
 
 
+def kept_forward(op, values, modes):
+    """The Dirichlet forward of ``modes`` modes per axis, from a scan's boxes."""
+    return op.forward(values, modes, true_boxes(values != 0.0, op.dim))
+
+
+def full_forward(op, values):
+    """The Dirichlet forward of every mode, from a scan's boxes."""
+    return kept_forward(op, values, op.shape[0] - 1)
+
+
 @pytest.mark.parametrize("n", [8, 28, 96])
 def test_sine_matrix_squares_to_2n_times_the_identity(n):
     op = spectral_operator("dirichlet", 2, n)
@@ -314,7 +301,7 @@ def test_sine_matrix_transform_matches_scipy_dst(dim, n):
     op = spectral_operator("dirichlet", dim, n)
     vals = boundary_zero_stack(dim, n, dim * n, k=1 if dim == 3 else 3)
     kept = vals.copy()
-    coef = op.forward(vals)
+    coef = full_forward(op, vals)
     assert same_bits(vals, kept)
     assert not coef.flags.writeable
     want = sp_fft.dstn(interior(vals, dim), type=1, axes=op.axes)
@@ -331,7 +318,7 @@ def test_sine_matrix_path_is_pinned_to_n_at_most_96(monkeypatch):
     # at n = 98 full transforms are scipy's DST both ways, bit for bit
     op = spectral_operator("dirichlet", 2, 98)
     vals = boundary_zero_stack(2, 98, 98)
-    coef = op.forward(vals)
+    coef = full_forward(op, vals)
     assert same_bits(coef, sp_fft.dstn(interior(vals, 2), type=1, axes=op.axes))
     want = sp_fft.idstn(coef, type=1, axes=op.axes)
     assert same_bits(interior(op.inverse(coef, 1.0), 2), want)
@@ -345,13 +332,13 @@ def test_sine_matrix_path_is_pinned_to_n_at_most_96(monkeypatch):
     monkeypatch.setattr(spectral.sp_fft, "idstn", no_dst)
     op = spectral_operator("dirichlet", 2, 96)
     vals = boundary_zero_stack(2, 96, 96)
-    out = diffuse_stack(vals, GridSpec(2, 96), 0.1, "dirichlet")
+    out = diffuse_stack(PartitionState(GridSpec(2, 96), vals), 0.1, "dirichlet")
     assert out.shape == vals.shape
-    assert op.inverse(op.forward(vals), 1.0).shape == vals.shape
+    assert op.inverse(full_forward(op, vals), 1.0).shape == vals.shape
     op = spectral_operator("dirichlet", 2, 98)
     vals = boundary_zero_stack(2, 98, 98)
     for modes in (27, SINE_MATRIX_MAX_N - 1, SINE_MATRIX_MAX_N):
-        coef = op.forward(vals, modes)
+        coef = kept_forward(op, vals, modes)
         assert coef.shape == (3, modes, modes)
         assert op.inverse(coef, 1.0).shape == vals.shape
 
@@ -385,15 +372,13 @@ def test_kept_modes_are_pinned():
 def test_kept_mode_heat_step_matches_the_full_spectrum(bc, dim, n, tau):
     # the dropped modes move no value by more than 2**-53 * max|input|
     g = GridSpec(dim, n)
-    op = spectral_operator(bc, dim, n)
     vals = np.random.default_rng(dim * n).normal(size=(2,) + g.shape)
     if bc == "dirichlet":
         for ax in range(1, dim + 1):
             np.moveaxis(vals, ax, 0)[0] = 0.0
     want = old_diffuse_stack(vals, g, tau, bc)
-    for coef in (None, op.forward(vals)) if bc == "periodic" else (None,):
-        got = diffuse_stack(vals, g, tau, bc, coef=coef)
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(vals))
+    got = diffuse_stack(PartitionState(g, vals), tau, bc)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(vals))
 
 
 @pytest.mark.parametrize("bc,n,tau,shapes", [
@@ -456,12 +441,12 @@ def test_kept_mode_forward_of_disjoint_parts_is_the_whole_stack_product(
     # each part's box is a small share of the interior: the products crop
     boxes = true_boxes(vals != 0.0, dim)
     assert all(math.prod(s.stop - s.start for s in box) < 0.5 * (n - 1) ** dim for box in boxes)
-    got = op.forward(vals, modes)
+    got = op.forward(vals, modes, boxes)
     assert not got.flags.writeable
     want = batched_forward(op, vals, modes)
     if n <= SINE_MATRIX_MAX_N:
         # the J-block of the full forward
-        full = op.forward(vals)[op.block(modes)]
+        full = op.forward(vals, n - 1, boxes)[op.block(modes)]
         assert np.max(np.abs(full - want)) <= 1e-15 * np.max(np.abs(want))
     # the nodes left out add only exact zeros
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
@@ -482,7 +467,7 @@ def test_full_forward_of_disjoint_parts_is_the_whole_stack_product(
     boxes = true_boxes(vals != 0.0, dim)
     assert sum(math.prod(s.stop - s.start for s in box) for box in boxes) < 0.5 * (
         len(vals) * (n - 1) ** dim)
-    got = op.forward(vals)
+    got = op.forward(vals, n - 1, boxes)
     assert not got.flags.writeable
     want = batched_forward(op, vals, n - 1)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
@@ -498,7 +483,7 @@ def test_kept_mode_forward_of_empty_single_node_and_dense_parts(dim, n, tau):
     cols, rows = op._sine_tables(modes)
     # a forward of nonzero parts frees its coefficients: the next forward's
     # fresh array may reuse them, so skipped parts must be written
-    op.forward(boundary_zero_stack(dim, n, n, k=4), modes)
+    kept_forward(op, boundary_zero_stack(dim, n, n, k=4), modes)
     vals = np.zeros((4,) + (n,) * dim)
     # part 0 is zero; part 1 is nonzero only on a boundary plane, which the
     # transform does not read
@@ -506,7 +491,7 @@ def test_kept_mode_forward_of_empty_single_node_and_dense_parts(dim, n, tau):
     node = (9, 20, 5)[:dim]
     vals[(2,) + node] = 2.5
     vals[3] = boundary_zero_stack(dim, n, n, k=1)[0]
-    coef = op.forward(vals, modes)
+    coef = kept_forward(op, vals, modes)
     assert positive_zero(coef[:2])
     # one node: sums of one product each, in the transform's order; a BLAS
     # sum starts from +0.0, so an exact zero of the sine table gives +0.0
@@ -531,11 +516,12 @@ def test_masked_heat_step_is_the_restricted_box_heat_step(dim, n, tau, mask_name
     assert math.prod(s.stop - s.start for s in mask.box) < 0.9 * n**dim
     dense = np.where(mask.indicator, boundary_zero_stack(dim, n, n), 0.0)
     for vals in (iterate, dense):
-        got = diffuse_stack(vals, g, tau, "dirichlet", mask)
+        got = diffuse_stack(PartitionState(g, vals), tau, "dirichlet", mask)
         assert got.flags.owndata
         # the box's heat step on the mask's box, which a step's gather restricts
         # to the mask's nodes
-        want = np.where(in_box(mask), diffuse_stack(vals, g, tau, "dirichlet"), 0.0)
+        want = np.where(in_box(mask), diffuse_stack(PartitionState(g, vals), tau, "dirichlet"),
+                        0.0)
         # 3D, and 2D in the box off the mask: OpenBLAS multiplies the box's
         # shorter axes in another summation order
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
@@ -550,17 +536,15 @@ def test_masked_heat_step_is_the_restricted_box_heat_step(dim, n, tau, mask_name
     (3, 28, 0.2, "disk"),  # every mode, through the node-space heat kernel
     (2, 64, 0.25, None),
 ])
-def test_heat_step_from_given_boxes_is_bitwise_the_same(monkeypatch, dim, n, tau, mask_name):
-    # a state's boxes, found for its masked energy, stand in for the forward
-    # transform's own scan, which then does not run
+def test_heat_step_reads_the_state_boxes(monkeypatch, dim, n, tau, mask_name):
+    # a state's boxes, found for its energy, are all the heat step scans for
     g = GridSpec(dim, n)
     iterate, mask = masked_iterate(dim, n, tau, mask_name)
+    want = diffuse_stack(PartitionState(g, iterate.copy()), tau, "dirichlet", mask)
     state = PartitionState(g, iterate.copy())
-    want = diffuse_stack(state.values, g, tau, "dirichlet", mask)
-    boxes = state.boxes
-    assert boxes == tuple(true_boxes(state.values != 0.0, dim))
-    monkeypatch.setattr(spectral, "true_boxes", None)
-    assert same_bits(diffuse_stack(state.values, g, tau, "dirichlet", mask, boxes=boxes), want)
+    assert state.boxes == tuple(true_boxes(state.values != 0.0, dim))
+    monkeypatch.setattr(optpart.grid, "true_boxes", None)
+    assert same_bits(diffuse_stack(state, tau, "dirichlet", mask), want)
 
 
 def dst_energy(values, grid):
@@ -635,7 +619,7 @@ def test_every_mode_heat_step_is_the_node_space_kernel(monkeypatch, dim, n, tau,
     monkeypatch.setattr(SpectralOperator, "forward", no_transform)
     monkeypatch.setattr(SpectralOperator, "inverse", no_transform)
     for vals in (iterate, dense):
-        got = diffuse_stack(vals, g, tau, "dirichlet", mask)
+        got = diffuse_stack(PartitionState(g, vals), tau, "dirichlet", mask)
         # tau = 0.01 rings by 1e-10 at 64^2: no value is snapped
         want = old_diffuse_stack(vals, g, tau, "dirichlet", mask, snap=False)
         assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
