@@ -181,12 +181,19 @@ class PartitionState:
         grid axes (read-only).
 
         Found on first use: a periodic iterate's energy and its next heat step
-        read the same transform, so each iterate is transformed once.  ``run``
-        releases it once that heat step has read it.
+        read the same transform, so each iterate is transformed once.  It stays
+        on the state until ``release_spectrum``, which ``run`` calls once that
+        heat step has read it.
         """
         out = np.fft.rfftn(self.values, axes=tuple(range(-self.grid.dim, 0)))
         out.setflags(write=False)
         return out
+
+    def release_spectrum(self) -> None:
+        """Drop the cached ``spectrum``, if found: a state kept after its heat step
+        holds its values, not a second state's worth of coefficients.  Read
+        again, the spectrum is found again, bitwise the same."""
+        vars(self).pop("spectrum", None)
 
     @cached_property
     def labels(self) -> np.ndarray:

@@ -354,7 +354,8 @@ def diffuse_stack(state: PartitionState, tau: float, bc: str,
     """Semigroup applied to the parts of a state, in a fresh (k, ...) array.
 
     It reads the state's ``spectrum`` on periodic grids and its ``boxes`` on
-    Dirichlet grids.  With ``bc="dirichlet"``, which a mask requires, the
+    Dirichlet grids, and both stay cached on the state it is given (a
+    spectrum until ``PartitionState.release_spectrum``).  With ``bc="dirichlet"``, which a mask requires, the
     parts must vanish on the stored boundary planes (index 0 along every
     axis); the opposite faces are implicit zero-Dirichlet images.  With a
     mask only the mask's box is computed: the output is the box's heat step

@@ -197,6 +197,8 @@ def test_kept_iterates_hold_no_transform():
     assert not any("spectrum" in vars(s) for s in kept)
     # the initial values were allocated before tracing
     assert held / ((len(kept) - 1) * init.nbytes) <= 1.1
+    # a released transform is found again when read, bitwise the same
+    assert same_bits(final.spectrum, np.fft.rfftn(final.values, axes=(1, 2)))
 
 
 def test_secant_search_releases_its_seed_trial():

@@ -11,7 +11,7 @@ Random masks may hold a single node, which leaves too few for k cells.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from optpart import (
@@ -60,6 +60,37 @@ def configurations(draw):
     return grid, cfg, draw(st.integers(0, 2**16))
 
 
+def example_case(dim, n, bc, mask, k, variant, tau, seed):
+    """A configuration as ``configurations`` draws it; ``mask`` is None, a
+    named shape, or "centre" for the single centre node."""
+    grid = GridSpec(dim, n)
+    if mask == "centre":
+        indicator = np.zeros(grid.shape, bool)
+        indicator[(n // 2,) * dim] = True
+        mask = DomainMask(grid, indicator)
+    elif mask is not None:
+        mask = make_mask(grid, mask)
+    cfg = SchemeConfig(k=k, variant=variant, tau=tau, bc=bc, mask=mask, n_max=N_MAX)
+    return grid, cfg, seed
+
+
+# one configuration for each known ending, which between them take every
+# heat-step route: the sweep covers both whatever the draws are
+EXAMPLES = {
+    "settled": (2, 8, "periodic", None, 2, "four_step", 1e-3, 0),  # periodic every mode
+    "degenerate": (2, 8, "periodic", None, 2, "four_step", 5.0, 0),  # periodic kept modes
+    "frozen": (2, 16, "dirichlet", None, 2, "three_step_geometric_ed", 1.0, 0),  # kept modes
+    "cap": (3, 10, "dirichlet", "full", 6, "four_step", 0.2, 0),  # node space
+    "init-failed": (2, 8, "dirichlet", "centre", 2, "four_step", 0.05, 0),
+}
+
+
+def with_examples(test):
+    for args in EXAMPLES.values():
+        test = example(example_case(*args))(test)
+    return test
+
+
 def heat_route(grid: GridSpec, cfg: SchemeConfig) -> str:
     op = spectral_operator(cfg.bc, grid.dim, grid.n)
     every = grid.n // 2 if cfg.bc == "periodic" else grid.n - 1
@@ -104,6 +135,7 @@ def test_sweep_of_admitted_configurations():
     @settings(max_examples=300, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(configurations())
+    @with_examples
     def sweep(case):
         grid, cfg, seed = case
         routes.add(heat_route(grid, cfg))
@@ -111,7 +143,7 @@ def test_sweep_of_admitted_configurations():
         assert endings <= ENDINGS
 
     sweep()
-    # the draws reach every heat-step route and every known ending
+    # the examples alone reach every heat-step route and every known ending
     assert routes == {"periodic-kept-modes", "periodic-every-mode", "dirichlet-kept-modes",
                       "node-space"}
     assert endings == ENDINGS
