@@ -144,20 +144,17 @@ def step(s: PartitionState, cfg: SchemeConfig, tau: float) -> PartitionState:
 
     The heat step reads what the energy of ``s`` has found: its periodic
     ``spectrum``, or on Dirichlet grids its ``boxes``.  The projection and
-    the normalization work on the domain's nodes as a (k, M) stack: every
-    node, a view of the diffusion's fresh output, or a mask's ``nodes``,
-    gathered from it (which restricts the heat step to the mask) and
-    scattered back.  That output becomes the new state, which keeps the
+    the normalization work in the heat step's fresh output, as a (k, M)
+    stack of the domain's nodes: every node, or a mask's ``nodes``, which
+    are then scattered into the new state's memory.  The new state keeps the
     stack's label map, norms and minimum.
     """
     v = diffuse_stack(s, tau, cfg.bc, cfg.mask)
     parts = v.reshape(len(v), -1)
-    if cfg.mask is not None:
-        parts = parts.take(cfg.mask.nodes, axis=1)
     norm_step(PROJECTIONS[cfg.variant.removesuffix("_ed")](parts, out=parts), s.grid, out=parts)
     labels = support_labels(parts)
     if cfg.mask is not None:
-        cfg.mask.scatter(parts, v)
+        v = cfg.mask.scatter(parts, np.empty(s.values.shape))
         labels = cfg.mask.scatter(labels, np.empty(s.grid.shape, labels.dtype))
     # each node holds k - 1 >= 1 zeros, so the stack holds the state's minimum
     return s.with_values(v, labels=labels.reshape(s.grid.shape),

@@ -8,14 +8,15 @@ matrix is S = 2 sin(pi j l / n); the index-0 boundary planes are zero.
 Transforms run over the trailing ``dim`` axes of a (k, ...) stack.
 
 ``diffuse_stack`` applies the exact heat semigroup to a state through the
-modes ``SpectralOperator.modes`` keeps; the rest cannot move any value.  On
-Dirichlet grids with n <= ``SINE_MATRIX_MAX_N`` a step of every mode is the
-heat kernel S diag(e^{-tau lambda}) S / 2n along each axis, in node space.
-The Dirichlet energy is 0.5 h^d times the sum over the axes of ||G u||^2
-along the axis, G = diag(sqrt(lambda)) S / sqrt(2n), and on a mask forward
+modes ``SpectralOperator.modes`` keeps; the rest cannot move any value.  The
+Dirichlet heat step is ``SpectralOperator.heat``, one loop over the parts:
+with n <= ``SINE_MATRIX_MAX_N`` a step of every mode is the heat kernel
+S diag(e^{-tau lambda}) S / 2n along each axis, in node space.  The
+Dirichlet energy is 0.5 h^d times the sum over the axes of ||G u||^2 along
+the axis, G = diag(sqrt(lambda)) S / sqrt(2n), and on a mask forward
 differences.  Products skip exact zeros: each part goes from the box of its
 nonzero nodes (``PartitionState.boxes``).  A masked heat step computes only
-the mask's box, and the step keeps the mask's nodes of it.
+the mask's box and returns the mask's nodes of it.
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ from .grid import (
     check_tau,
 )
 
-# Caps the sine modes per axis that go through dense products: a heat step
-# that would keep more than SINE_MATRIX_MAX_N - 1 keeps every mode, which is
-# the node-space heat kernel for n <= SINE_MATRIX_MAX_N and scipy's DST both
-# ways above.  Fixed, not timed at run time, so that a configuration's output
+# Caps the Dirichlet heat step's dense products: the node-space heat kernel
+# of every mode runs for n <= SINE_MATRIX_MAX_N, and the pair of J kept sine
+# columns, down and back up, for J <= SINE_MATRIX_MAX_N - 1.  A step that
+# would keep more modes keeps every mode, which above the cap is scipy's DST
+# both ways.  Fixed, not timed at run time, so that a configuration's output
 # never varies; README.md gives the timings it rests on.
 SINE_MATRIX_MAX_N = 96
 
@@ -79,14 +81,6 @@ def _left_products(arr: np.ndarray, mats, axes, buffers) -> np.ndarray:
     return arr
 
 
-def _zero_outside(out: np.ndarray, box: tuple[slice, ...]) -> np.ndarray:
-    """``out`` set to 0.0 outside ``box`` along its trailing axes, in place."""
-    for ax, s in zip(range(-len(box), 0), box):
-        np.moveaxis(out, ax, 0)[: s.start] = 0.0
-        np.moveaxis(out, ax, 0)[s.stop :] = 0.0
-    return out
-
-
 def _interior(box: tuple[slice, ...] | None) -> tuple[slice, ...] | None:
     """A box of nodes as slices of interior nodes (l for node l + 1), None if it has none."""
     box = box and tuple(slice(max(s.start - 1, 0), s.stop - 1) for s in box)
@@ -94,12 +88,9 @@ def _interior(box: tuple[slice, ...] | None) -> tuple[slice, ...] | None:
 
 
 def _box_products(part: np.ndarray, box, last: np.ndarray, leads, out, spare) -> np.ndarray:
-    """One part's interior values on an ``_interior`` box (None: zeros) times ``last``
-    (rows by node) along the last axis, then ``leads[ax]`` (columns by node) along each
-    leading axis ax, backwards, into ``out`` (through ``spare`` in 3D)."""
-    if box is None:
-        out[...] = 0.0
-        return out
+    """One part's interior values on an ``_interior`` box times ``last`` (rows by node)
+    along the last axis, then ``leads[ax]`` (columns by node) along each leading axis
+    ax, backwards, into ``out`` (through ``spare`` in 3D)."""
     leading = range(-2, -part.ndim - 1, -1)
     return _left_products(np.matmul(part[box], last[box[-1]]),
                           [leads[ax][:, box[ax]] for ax in leading], leading,
@@ -107,11 +98,11 @@ def _box_products(part: np.ndarray, box, last: np.ndarray, leads, out, spare) ->
 
 
 class SpectralOperator:
-    """Forward/inverse transforms, heat decay and energy for one (bc, dim, n).
+    """Heat steps, heat decay and energy for one (bc, dim, n).
 
     Obtain instances through ``spectral_operator``, which caches them and their
-    tables.  Coefficients are read-only, ``forward``'s (Dirichlet) as a state's
-    ``spectrum`` (periodic) is, so that callers may share them.
+    tables.  A Dirichlet heat step is ``heat``, from node values; a periodic
+    one is ``inverse`` of a block of a state's read-only ``spectrum``.
 
     A heat step keeps ``modes(tau)`` modes per axis: sine modes 1..J, or
     wavenumbers |m| <= M.  Mode j is kept iff its one-axis multiplier
@@ -235,96 +226,97 @@ class SpectralOperator:
             t.setflags(write=False)
         return tables
 
-    def forward(self, values: np.ndarray, modes: int, boxes: tuple) -> np.ndarray:
-        """Dirichlet sine coefficients of nodal values over the trailing grid axes,
-        the block ``block(modes)`` of them (read-only); node 0 is not read.
+    def heat(self, values: np.ndarray, tau: float, boxes,
+             mask: DomainMask | None = None) -> np.ndarray:
+        """The Dirichlet heat step of a (k, ...) stack, one part at a time.
 
-        The products (all but a full transform above ``SINE_MATRIX_MAX_N``)
-        go part by part from ``boxes``, a state's ``boxes``.  A periodic
-        grid's coefficients are a state's ``spectrum``."""
-        n = self.shape[0]
-        interior = values[(...,) + (slice(1, None),) * self.dim]
-        if modes == n - 1 and n > SINE_MATRIX_MAX_N:
-            coef = sp_fft.dstn(interior, type=1, axes=self.axes)
-        else:
-            cols, rows = self._sine_tables(modes)
-            coef = np.empty(values.shape[: -self.dim] + (modes,) * self.dim)
-            # 3D: the work buffer of the first left product
-            spare = np.empty((n - 1) * modes**2) if self.dim == 3 else None
-            for idx, box in zip(np.ndindex(coef.shape[: -self.dim]), boxes):
-                _box_products(interior[idx], _interior(box), cols, (rows,) * self.dim,
-                              coef[idx], spare)
-        coef.setflags(write=False)
-        return coef
-
-    def heat(self, values: np.ndarray, tau: float, boxes, box=None) -> np.ndarray:
-        """The Dirichlet heat step of every mode: ``heat_kernel(tau)`` along each axis.
-
-        Each part goes from its box in ``boxes`` (a state's ``boxes``) through one
-        part-sized buffer, and only the nodes in ``box`` (as ``inverse``'s) are
-        written; the output is +0.0 outside it."""
-        n, kernel = self.shape[0], self.heat_kernel(tau)
-        box = tuple(slice(max(s.start, 1), s.stop) for s in box or (slice(0, n),) * self.dim)
-        rows = tuple(slice(s.start - 1, s.stop - 1) for s in box)  # may be empty
-        result = np.empty(tuple(s.stop - s.start for s in box))
-        spare = np.empty((n - 1) * math.prod(result.shape[1:])) if self.dim == 3 else None
-        out = np.empty(values.shape)
-        interior = values[(...,) + (slice(1, None),) * self.dim]
-        for idx, nonzero in zip(np.ndindex(values.shape[: -self.dim]), boxes):
-            out[idx][box] = _box_products(interior[idx], _interior(nonzero), kernel[:, rows[-1]],
-                                          [kernel[r] for r in rows], result, spare)
-        return _zero_outside(out, box)
-
-    def inverse(
-        self, coef: np.ndarray, decay: np.ndarray | float, box: tuple[slice, ...] | None = None
-    ) -> np.ndarray:
-        """Nodal values of full or ``block``-kept coefficients times ``decay``;
-        Dirichlet boundary planes are 0.
-
-        With ``box``, per-axis node slices such as ``DomainMask.box``, the
-        output is +0.0 outside the box, and the products compute only the
-        nodes inside it, from the table rows of those nodes.  ``coef`` is only
-        read: the products write ``coef * decay`` into the buffer that their
-        first left product does not write (the output's memory in 2D, their
-        work buffer in 3D), the full transforms into one fresh array.
+        Each part goes from its box in ``boxes`` (a state's ``boxes``) along
+        the route ``modes(tau)`` picks: every mode on n <= ``SINE_MATRIX_MAX_N``
+        is ``heat_kernel(tau)`` along each axis; J < n - 1 kept modes are the J
+        sine columns down, the decay, and ``_inverse_tables(J)`` back up; every
+        mode above the cap is scipy's ``dstn``/``idstn`` of the whole stack.
+        Only the interior nodes of the grid, or of the mask's box, are
+        computed, from their tables' rows.  The output is the (k, ...) stack,
+        +0.0 on the index-0 planes, or with a mask the (k, M) stack at
+        ``mask.nodes``, +0.0 at the inside nodes on an index-0 plane.
         """
-        n, kept = self.shape[0], coef.shape[-1]
-        lead = coef.shape[: coef.ndim - self.dim]
-        # a Dirichlet grid's node 0 is zero, and its tables' row l is node l + 1
-        first = int(self.bc == "dirichlet")
-        box = tuple(slice(max(s.start, first), s.stop) for s in box or (slice(0, n),) * self.dim)
-        # every mode goes through irfftn, or above SINE_MATRIX_MAX_N through scipy's DST
-        if self.bc == "periodic":
-            transform = kept == n // 2 + 1
+        n, dim, modes = self.shape[0], self.dim, self.modes(tau)
+        interior = values[(...,) + (slice(1, None),) * dim]
+        full_dst = modes == n - 1 and n > SINE_MATRIX_MAX_N
+        if full_dst:
+            # one stack-sized array, decayed and transformed back in place;
+            # the output is allocated after it
+            whole = sp_fft.dstn(interior, type=1, axes=self.axes)
+            whole *= self.decay(tau)
+            whole = sp_fft.idstn(whole, type=1, axes=self.axes, overwrite_x=True)
+        elif modes == n - 1:
+            kernel = self.heat_kernel(tau)
         else:
-            transform = kept == n - 1 and n > SINE_MATRIX_MAX_N
-        if transform:  # rebinding frees coefficients that no caller's name holds
-            coef = coef * decay
-        if transform and self.bc == "periodic":
-            return _zero_outside(np.fft.irfftn(coef, s=self.shape, axes=self.axes), box)
+            (cols, sines), (leading, last) = self._sine_tables(modes), self._inverse_tables(modes)
+            decay = self.decay(tau)[self.block(modes)]
+        # the nodes the output holds: the grid's, or the mask's box; the
+        # products write their interior (inner), from the table rows of those nodes
+        box = (slice(0, n),) * dim if mask is None else mask.box
+        inner = tuple(slice(int(s.start == 0), None) for s in box)
+        rows = tuple(slice(max(s.start, 1) - 1, s.stop - 1) for s in box)
+        if mask is None:
+            out = np.empty(values.shape)
+            for ax in range(1, dim + 1):
+                np.moveaxis(out, ax, 0)[0] = 0.0
+        else:
+            out = np.empty(values.shape[:-dim] + mask.nodes.shape)
+            # one box-sized buffer, whose index-0 planes stay +0.0
+            written, taken = np.zeros(tuple(s.stop - s.start for s in box)), mask.indicator[box]
+        # the products' two work buffers, each a part's interior or more
+        work = () if full_dst else [np.empty((n - 1) ** (dim - 1) * modes) for _ in range(2)]
+        for idx, nonzero in zip(np.ndindex(values.shape[:-dim]), boxes):
+            dest, nonzero = (out[idx] if mask is None else written)[inner], _interior(nonzero)
+            if full_dst:
+                dest[...] = whole[idx][rows]
+            elif nonzero is None:
+                dest[...] = 0.0
+            elif modes == n - 1:
+                dest[...] = _box_products(interior[idx], nonzero, kernel[:, rows[-1]],
+                                          [kernel[r] for r in rows], *work)
+            else:
+                coef = _box_products(interior[idx], nonzero, cols, (sines,) * dim, *work)
+                coef *= decay
+                # the leading axes first, so that the last product, along the
+                # last axis, writes straight into dest
+                np.matmul(_left_products(coef, [leading[r] for r in rows[:-1]],
+                                         range(-dim, -1), work[::-1]),
+                          last[:, rows[-1]], out=dest)
+            if mask is not None:
+                out[idx] = written[taken]
+        return out
+
+    def inverse(self, coef: np.ndarray, decay: np.ndarray | float) -> np.ndarray:
+        """Periodic nodal values of full or ``block``-kept coefficients times ``decay``.
+
+        Every mode goes through ``irfftn`` of one fresh product.  ``coef`` is
+        only read: the products write ``coef * decay`` into the buffer that
+        their first left product does not write (the output's memory in 2D,
+        their work buffer in 3D).
+        """
+        lead, kept = coef.shape[: -self.dim], coef.shape[-1]
+        if kept == self.shape[0] // 2 + 1:
+            return np.fft.irfftn(coef * decay, s=self.shape, axes=self.axes)
+        leading, last = self._inverse_tables(kept - 1)
         out = np.empty(lead + self.shape)
-        dest = out[(...,) + box]
-        rows = tuple(slice(s.start - first, s.stop - first) for s in box)
-        if transform:
-            dest[...] = sp_fft.idstn(coef, type=1, axes=self.axes, overwrite_x=True)[(...,) + rows]
-            return _zero_outside(out, box)
-        leading, last = self._inverse_tables(kept if self.bc == "dirichlet" else kept - 1)
         # the leading axes first, so that the last product, along the last
-        # axis, writes straight into the output (its strided box); the left
-        # products alternate between the output's memory (J <= n-1 and
-        # M <= n/4 leave room) and one work buffer, ending in the buffer
-        spare = np.empty(lead + (len(leading),) * (self.dim - 1) + (kept,), coef.dtype)
+        # axis, writes straight into the output; the left products alternate
+        # between the output's memory (M <= n/4 leaves room) and one work
+        # buffer, ending in the buffer
+        spare = np.empty(lead + self.shape[:-1] + (kept,), coef.dtype)
         room = out.reshape(-1).view(coef.dtype)
         buffers = (spare, room) if self.dim == 2 else (room, spare)
         # where the first left product does not write
         coef = np.multiply(coef, decay, out=buffers[-1].reshape(-1)[: coef.size]
                            .reshape(coef.shape))
-        partial = _left_products(coef, [leading[r] for r in rows[:-1]], range(-self.dim, -1),
-                                 buffers)
-        _zero_outside(out, box)  # the left products are done with its memory
-        # a complex partial's interleaved real and imaginary parts meet the
+        partial = _left_products(coef, [leading] * (self.dim - 1), range(-self.dim, -1), buffers)
+        # the complex partial's interleaved real and imaginary parts meet the
         # real table's rows
-        np.matmul(partial.view(np.float64), last[:, rows[-1]], out=dest)
+        np.matmul(partial.view(np.float64), last, out=out)
         return out
 
     @lru_cache(maxsize=32)
@@ -351,34 +343,29 @@ def spectral_operator(bc: str, dim: int, n: int) -> SpectralOperator:
 
 def diffuse_stack(state: PartitionState, tau: float, bc: str,
                   mask: DomainMask | None = None) -> np.ndarray:
-    """Semigroup applied to the parts of a state, in a fresh (k, ...) array.
+    """Semigroup applied to the parts of a state, in a fresh (k, ...) array,
+    or with a mask a fresh (k, M) array at ``mask.nodes``.
 
-    It reads the state's ``spectrum`` on periodic grids and its ``boxes`` on
-    Dirichlet grids, and both stay cached on the state it is given (a
-    spectrum until ``PartitionState.release_spectrum``).  With ``bc="dirichlet"``, which a mask requires, the
-    parts must vanish on the stored boundary planes (index 0 along every
-    axis); the opposite faces are implicit zero-Dirichlet images.  With a
-    mask only the mask's box is computed: the output is the box's heat step
-    inside ``mask.box`` and +0.0 outside it.  The caller keeps the mask's
-    ``nodes``, which restricts the step to the mask, as ``scheme.step`` does
-    with its gather.  Ringing's tiny negative values are kept; the
-    projections discard them.
+    It reads the state's ``spectrum`` on periodic grids (``SpectralOperator.inverse``)
+    and its ``boxes`` on Dirichlet grids (``SpectralOperator.heat``), and both
+    stay cached on the state it is given (a spectrum until
+    ``PartitionState.release_spectrum``).  With ``bc="dirichlet"``, which a
+    mask requires, the parts must vanish on the stored boundary planes
+    (index 0 along every axis); the opposite faces are implicit
+    zero-Dirichlet images.  With a mask only the mask's box is computed: the
+    output is the box's heat step at the mask's nodes, which restricts the
+    step to the mask, and +0.0 at those on an index-0 plane.  Ringing's tiny
+    negative values are kept; the projections discard them.
     """
     tau, grid = check_tau(tau), state.grid
     check_domain(bc, mask)
     check_mask(mask, grid)
     check_support(state, bc)
     op = spectral_operator(bc, grid.dim, grid.n)
-    box = None if mask is None else mask.box
-    modes = op.modes(tau)
-    if bc == "dirichlet" and modes == grid.n - 1 and grid.n <= SINE_MATRIX_MAX_N:
-        return op.heat(state.values, tau, state.boxes, box)
-    # the inverse multiplies the decay into read-only coefficients; as no
-    # name here holds them, a fresh product there frees the forward's own
-    block = op.block(modes)
-    return op.inverse(state.spectrum[block] if bc == "periodic"
-                      else op.forward(state.values, modes, state.boxes),
-                      op.decay(tau)[block], box)
+    if bc == "dirichlet":
+        return op.heat(state.values, tau, state.boxes, mask)
+    block = op.block(op.modes(tau))
+    return op.inverse(state.spectrum[block], op.decay(tau)[block])
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,8 @@ REMOVED = {
                    "_trailing_axes"],
     optpart.initial: ["MAX_SEED_ATTEMPTS", "_node_coordinates"],
     optpart.DomainMask: ["node_count"],  # mask.nodes.size
+    # the Dirichlet heat step transforms each part itself
+    optpart.spectral.SpectralOperator: ["forward"],
     optpart.projection: [
         "_flat", "_runner_up", "_scatter_winner", "_ranked_positive", "_pair_set",
         "_ortho_ratio_multipliers", "_coupled_multipliers", "_closure_positivity",
@@ -104,9 +106,12 @@ def test_no_coefficients_pass_through_the_scheme():
         "state", "bc", "mask"]
     assert list(inspect.signature(optpart.spectral.diffuse_stack).parameters) == [
         "state", "tau", "bc", "mask"]
-    # the Dirichlet forward alone: a periodic grid's is the state's spectrum
-    assert list(inspect.signature(optpart.spectral.SpectralOperator.forward).parameters) == [
-        "self", "values", "modes", "boxes"]
+    # the Dirichlet heat step reads the state's boxes, the periodic inverse a
+    # block of its spectrum
+    operator = optpart.spectral.SpectralOperator
+    assert list(inspect.signature(operator.heat).parameters) == [
+        "self", "values", "tau", "boxes", "mask"]
+    assert list(inspect.signature(operator.inverse).parameters) == ["self", "coef", "decay"]
 
 
 def test_every_plain_variant_has_a_projection():

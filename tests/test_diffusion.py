@@ -9,7 +9,9 @@ import pytest
 from scipy.linalg import expm
 
 from optpart import DomainMask, GridSpec, PartitionState, dirichlet_energy, make_mask
-from optpart.spectral import diffuse_stack
+from optpart.spectral import SINE_MATRIX_MAX_N, diffuse_stack, spectral_operator
+from scipy_heat import at_nodes, on_index0_planes, positive_zero
+from test_projection import same_bits
 
 
 def diffuse(values: np.ndarray, grid: GridSpec, tau: float, bc: str, mask=None) -> np.ndarray:
@@ -148,7 +150,7 @@ def test_dirichlet_rejects_nonzero_boundary_values():
 
 
 def test_mask_restrict():
-    # the mask zeroes the diffused field outside and leaves it untouched inside
+    # a masked step holds the mask's nodes only, each the unmasked step's value
     g = GridSpec(dim=2, n=8)
     ind = np.zeros(g.shape, dtype=bool)
     ind[2:6, 2:6] = True
@@ -158,30 +160,28 @@ def test_mask_restrict():
     f[:, 0], f[:, :, 0] = 0.0, 0.0  # the Dirichlet boundary planes
     plain = diffuse(f, g, 0.1, "dirichlet")
     out = diffuse(f, g, 0.1, "dirichlet", mask)
-    assert np.all(out[:, ~ind] == 0.0)
-    assert np.array_equal(out[:, ind], plain[:, ind])
+    assert out.shape == (2, 16)
+    assert np.array_equal(out, plain[:, ind])
     full = diffuse(f, g, 0.1, "dirichlet", make_mask(g, "full"))
-    assert np.array_equal(full, plain)
+    assert np.array_equal(full, plain.reshape(2, -1))
     with pytest.raises(ValueError):
         diffuse(f, g, 0.1, "dirichlet", make_mask(GridSpec(dim=2, n=16), "full"))
 
 
 def test_masked_diffusion_requires_the_dirichlet_box():
     # as the masked energy and SchemeConfig do: the masked heat step runs the
-    # box's semigroup on the mask's box, which a step restricts to the mask's
-    # nodes; that is wrong on the torus
+    # box's semigroup on the mask's box and keeps the mask's nodes; that is
+    # wrong on the torus
     g = GridSpec(dim=2, n=32)
     mask = make_mask(g, "disk")
     f = np.stack([np.where(mask.indicator, 1.0, 0.0)] * 2)
     with pytest.raises(ValueError, match="a mask requires bc='dirichlet'"):
         diffuse(f, g, 0.1, "periodic", mask)
     out = diffuse(f, g, 0.1, "dirichlet", mask)
-    in_box = np.zeros(g.shape, dtype=bool)
-    in_box[mask.box] = True
-    assert np.all(out[:, ~in_box] == 0.0)
+    assert out.shape == (2, mask.nodes.size)
     # the node-space kernel's rows of the box round apart from the whole kernel's
     plain = diffuse(f, g, 0.1, "dirichlet")
-    assert np.max(np.abs(out[:, in_box] - plain[:, in_box])) <= 1e-15 * np.max(plain)
+    assert np.max(np.abs(out - at_nodes(plain, mask))) <= 1e-15 * np.max(plain)
 
 
 def test_diffuse_stack_matches_fieldwise_calls():
@@ -204,7 +204,49 @@ def test_diffuse_stack_applies_mask():
     vals = np.zeros((2,) + g.shape)
     vals[:, 6:10, 6:10] = 1.0
     out = diffuse(vals, g, 0.1, "dirichlet", mask)
-    assert np.all(out[:, ~ind] == 0.0)
+    assert out.shape == (2, 64)
+    plain = diffuse(vals, g, 0.1, "dirichlet")
+    assert np.max(np.abs(out - plain[:, ind])) <= 1e-15 * np.max(plain)
+
+
+def route(op, tau) -> str:
+    n = op.shape[0]
+    if op.modes(tau) < n - 1:
+        return "kept-modes"
+    return "kernel" if n <= SINE_MATRIX_MAX_N else "dst"
+
+
+@pytest.mark.parametrize("dim,n,tau,expected", [
+    (2, 16, 0.1, "kernel"), (2, 64, 0.25, "kept-modes"), (2, 98, 0.01, "dst"),
+    (3, 12, 0.1, "kernel"), (3, 32, 0.25, "kept-modes"), (3, 98, 1e-3, "dst"),
+])
+def test_masked_heat_step_on_index0_planes(dim, n, tau, expected):
+    # a mask's inside nodes on an index-0 plane count in M but lie outside the
+    # interior the heat step computes: they are +0.0, and every other node is
+    # the unmasked step's value
+    g = GridSpec(dim, n)
+    assert route(spectral_operator("dirichlet", dim, n), tau) == expected
+    holed = np.ones(g.shape, dtype=bool)
+    holed[(slice(n // 4, n // 2),) * dim] = False
+    corner = np.zeros(g.shape, dtype=bool)
+    corner[(slice(0, n // 2 + 1),) * dim] = True
+    rng = np.random.default_rng(n)
+    for mask in (make_mask(g, "full"), DomainMask(g, holed), DomainMask(g, corner)):
+        vals = np.where(mask.indicator, rng.normal(size=(2,) + g.shape), 0.0)
+        for ax in range(1, dim + 1):
+            np.moveaxis(vals, ax, 0)[0] = 0.0
+        planes = on_index0_planes(mask)
+        assert planes.any() and not planes.all()
+        got = diffuse(vals, g, tau, "dirichlet", mask)
+        assert got.shape == (2, mask.nodes.size)
+        assert positive_zero(got[:, planes])
+        want = at_nodes(diffuse(vals, g, tau, "dirichlet"), mask)
+        if mask.box == (slice(0, n),) * dim:
+            # the grid's box: the same products as the unmasked step's
+            assert same_bits(got, want)
+        else:
+            # OpenBLAS multiplies the corner box's shorter axes in another order
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_pure_diffusion_decreases_energy():

@@ -138,17 +138,20 @@ def test_identical_parts_degenerate_with_iteration_index():
 
 @pytest.mark.parametrize("dim,n,k,variant,bc,mask_name,tau,bound", [
     (3, 28, 8, "four_step", "dirichlet", None, 0.2, 2.0),
-    (2, 192, 6, "three_step_linear", "dirichlet", "star5", 0.05, 2.0),
+    # the masked heat step returns the mask's nodes: 1.55 when it returned
+    # the box's (k, N) stack, which the step gathered from
+    (2, 192, 6, "three_step_linear", "dirichlet", "star5", 0.05, 1.45),
     (2, 128, 6, "three_step_geometric", "periodic", None, 0.25, 2.0),
     # every mode kept, above n = 96: the heat step's own coefficients go
-    # through scipy's DST, which overwrites a fresh decayed copy
+    # through scipy's DST, decayed and transformed back in place
     (2, 128, 6, "three_step_linear", "dirichlet", "star5", 0.002, 2.0),
 ])
 def test_step_allocates_little_beyond_the_new_state(dim, n, k, variant, bc, mask_name, tau,
                                                     bound):
     # the projection and the normalization work in the diffusion's output;
-    # the inverse decays coefficients into memory of its own, the output's
-    # or (3D) its one work buffer, and frees any decayed copy's source
+    # the heat step's products go part by part through part-sized buffers,
+    # and the periodic inverse decays coefficients into memory of its own,
+    # the output's or (3D) its one work buffer
     grid = GridSpec(dim, n)
     mask = make_mask(grid, mask_name) if mask_name else None
     cfg = SchemeConfig(k=k, variant=variant, tau=tau, bc=bc, mask=mask)

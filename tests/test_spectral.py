@@ -27,6 +27,7 @@ from optpart.spectral import (
     diffuse_stack,
     spectral_operator,
 )
+from scipy_heat import at_nodes, on_index0_planes, positive_zero, scipy_heat
 from test_projection import same_bits
 
 
@@ -76,45 +77,61 @@ def test_one_cached_operator_per_grid():
 
 @pytest.mark.parametrize("dim,n,tau", [(2, 16, 0.2), (2, 32, 1.0), (2, 98, 0.01), (3, 16, 0.2),
                                        (3, 32, 1.0)])
-@pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
-@pytest.mark.parametrize("boxed", [False, True])
+@pytest.mark.parametrize("bc,boxed", [("periodic", False), ("dirichlet", False),
+                                      ("dirichlet", True)])
 def test_heat_step_only_reads_the_state_coefficients(bc, dim, n, tau, boxed):
-    # every coefficient path: 2D and 3D products (which decay into memory of
-    # their own), irfftn and scipy's DST of every mode
+    # every route: 2D and 3D products (which decay into memory of their own),
+    # irfftn, the node-space kernel and scipy's DST of every mode
     g = GridSpec(dim=dim, n=n)
     state = PartitionState(g, boundary_zero_stack(dim, n, 3))
     op = spectral_operator(bc, g.dim, g.n)
-    coef = state.spectrum if bc == "periodic" else full_forward(op, state.values)
+    if bc == "dirichlet":
+        # the heat step's coefficients are its own, and the values only read;
+        # boxed, a mask's box computes part of the nodes
+        mask = None
+        if boxed:
+            indicator = np.zeros(g.shape, dtype=bool)
+            indicator[(slice(3, n - 5),) * dim] = True
+            mask = DomainMask(g, indicator)
+        kept = state.values.copy()
+        got = diffuse_stack(state, tau, bc, mask)
+        assert same_bits(state.values, kept)
+        want = scipy_heat(kept, g, tau, bc, snap=False)
+        want = want if mask is None else at_nodes(want, mask)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        return
+    coef = state.spectrum
     assert not coef.flags.writeable
     kept = coef.copy()
-    if bc == "periodic":
-        # the transform a periodic state keeps for its energy and its next step
-        assert same_bits(coef, np.fft.rfftn(state.values, axes=op.axes))
-        diffuse_stack(state, tau, bc)
-        assert state.spectrum is coef and same_bits(coef, kept)
+    # the transform a periodic state keeps for its energy and its next step
+    assert same_bits(coef, np.fft.rfftn(state.values, axes=op.axes))
+    diffuse_stack(state, tau, bc)
+    assert state.spectrum is coef and same_bits(coef, kept)
     # the inverse multiplies the decay in, and only reads the coefficients
     block = op.block(op.modes(tau))
     coef, decay = coef[block], op.decay(tau)[block]
-    box = (slice(3, n - 5),) * dim if boxed else None
-    assert same_bits(op.inverse(coef, decay, box), op.inverse(coef * decay, 1.0, box))
+    assert same_bits(op.inverse(coef, decay), op.inverse(coef * decay, 1.0))
     assert same_bits(coef, kept[block])
 
 
-def test_masked_heat_step_transforms_once(monkeypatch):
+def test_masked_heat_step_transforms_each_part_once(monkeypatch):
     # a masked2d-ed iterate (star5, k=6, tau=0.05 keeps 61 sine modes) at
-    # 96^2, the largest grid whose full forward, like the kept-mode one, is
+    # 96^2, the largest grid whose every-mode step, like the kept-mode one, is
     # products; run carries no coefficients on Dirichlet grids
     g = GridSpec(dim=2, n=96)
     mask = make_mask(g, "star5")
     cfg = SchemeConfig(k=6, variant="three_step_linear_ed", tau=0.05, bc="dirichlet", mask=mask,
                        n_max=3)
     state, _ = run(cfg, voronoi_init(g, 6, 0, "dirichlet", mask))
-    made, forward = [], SpectralOperator.forward
-    monkeypatch.setattr(SpectralOperator, "forward",
-                        lambda self, *args: made.append(forward(self, *args)) or made[-1])
-    diffuse_stack(state, 0.05, "dirichlet", mask)
-    # the heat step's own forward transform stays read-only
-    assert len(made) == 1 and not made[0].flags.writeable
+    op = spectral_operator("dirichlet", 2, 96)
+    assert op.modes(0.05) == 61
+    tables, products = [], spectral._box_products
+    monkeypatch.setattr(spectral, "_box_products",
+                        lambda *args: tables.append(args[2]) or products(*args))
+    out = diffuse_stack(state, 0.05, "dirichlet", mask)
+    # one forward transform per part, from its box through the kept sine columns
+    assert len(tables) == 6 and all(t is op._sine_tables(61)[0] for t in tables)
+    assert out.shape == (6, mask.nodes.size)
 
 
 def test_masked_energy_requires_the_dirichlet_box():
@@ -144,17 +161,17 @@ def test_uncorrected_iteration_costs_one_transform_each_way(monkeypatch, bc, mas
     assert spectral_operator(bc, 2, n).modes(tau) == {
         (24, "dirichlet"): 23, (24, "periodic"): 12, (64, "dirichlet"): 27, (64, "periodic"): 13,
     }[n, bc]
-    calls = {"forward": 0, "inverse": 0, "energy": 0}
+    calls = {"rfftn": 0, "heat": 0, "inverse": 0, "energy": 0, "_inverse_tables": 0}
     rfftn = np.fft.rfftn
 
     def counted_rfftn(*args, **kwargs):
-        calls["forward"] += 1
+        calls["rfftn"] += 1
         return rfftn(*args, **kwargs)
 
     # a periodic forward transform is one rfftn, a state's spectrum; a
-    # Dirichlet one the operator's forward
+    # Dirichlet step is one heat call, whose kept modes read the inverse tables
     monkeypatch.setattr(np.fft, "rfftn", counted_rfftn)
-    for name in calls:
+    for name in list(calls)[1:]:
         original = getattr(SpectralOperator, name)
 
         def counted(self, *args, _name=name, _original=original):
@@ -168,45 +185,15 @@ def test_uncorrected_iteration_costs_one_transform_each_way(monkeypatch, bc, mas
     if bc == "periodic":
         # one forward per iterate, its spectrum, read by its energy and its
         # next diffusion
-        assert calls == {"forward": iterations + 1, "inverse": iterations,
-                         "energy": iterations + 1}
-    elif n == 24:
-        # every mode: the heat kernel works in node space, and the energy
-        # (sine gradient factor or finite differences) reads the node values
-        assert calls == {"forward": 0, "inverse": 0, "energy": 0}
+        assert calls == {"rfftn": iterations + 1, "heat": 0, "inverse": iterations,
+                         "energy": iterations + 1, "_inverse_tables": iterations * (n == 64)}
     else:
-        # kept modes: each heat step transforms from the boxes its state's
-        # energy found, and back
-        assert calls == {"forward": iterations, "inverse": iterations, "energy": 0}
-
-
-def in_box(mask) -> np.ndarray:
-    """The indicator of the mask's box: the nodes a masked heat step computes."""
-    out = np.zeros(mask.grid.shape, dtype=bool)
-    out[mask.box] = True
-    return out
-
-
-def old_diffuse_stack(values, grid, tau, bc, mask=None, snap=True):
-    """The heat step through FFTs and scipy's DST, with a zero-filled output
-    and ``np.where`` for the mask's box: the reference.  ``snap`` zeroes
-    negative values above -1e-12, as the heat step once did."""
-    op = spectral_operator(bc, grid.dim, grid.n)
-    if bc == "periodic":
-        out = np.fft.irfftn(np.fft.rfftn(values, axes=op.axes) * op.decay(tau),
-                            s=grid.shape, axes=op.axes)
-    else:
-        interior = (...,) + (slice(1, None),) * grid.dim
-        coef = sp_fft.dstn(values[interior], type=1, axes=op.axes) * op.decay(tau)
-        out = np.zeros(values.shape[:1] + grid.shape)
-        out[interior] = sp_fft.idstn(coef, type=1, axes=op.axes)
-    if snap:
-        out[(out > -1e-12) & (out < 0.0)] = 0.0
-    return out if mask is None else np.where(in_box(mask), out, 0.0)
-
-
-def positive_zero(a) -> bool:
-    return bool(np.all(a == 0.0) and not np.signbit(a).any())
+        # one heat step per iteration, from the boxes its state's energy
+        # found (sine gradient factor or finite differences, from node
+        # values); every mode is the kernel, in node space, and kept modes
+        # transform each part down and back up
+        assert calls == {"rfftn": 0, "heat": iterations, "inverse": 0, "energy": 0,
+                         "_inverse_tables": 0 if n == 24 else iterations}
 
 
 @pytest.mark.parametrize("dim,n,tau", [(2, 12, 0.3), (3, 8, 0.3), (2, 98, 0.3), (2, 98, 0.01)],
@@ -238,7 +225,9 @@ def test_heat_step_buffers(dim, n, tau, domain, found):
     if coef is not None:
         assert same_bits(coef, kept_coef) and state.spectrum is coef
         assert not coef.flags.writeable
-    want = old_diffuse_stack(kept_vals, g, tau, bc, mask)
+    want = scipy_heat(kept_vals, g, tau, bc)
+    if mask is not None:
+        want = at_nodes(want, mask)
     assert same_bits(a, b)
     every_mode = op.modes(tau) == (n // 2 if bc == "periodic" else n - 1)
     # at n = 98, tau = 0.3 keeps 27 sine modes of 97 and |m| <= 12 of 49;
@@ -254,10 +243,13 @@ def test_heat_step_buffers(dim, n, tau, domain, found):
     assert not np.shares_memory(a, b)
     assert not any(np.shares_memory(x, y) for x in (a, b) for y in (state.values, coef)
                    if y is not None)
-    if bc == "dirichlet":
-        assert all(positive_zero(np.moveaxis(a, ax, 0)[0]) for ax in range(1, dim + 1))
     if mask is not None:
-        assert positive_zero(a[:, ~in_box(mask)])
+        # the mask's nodes, +0.0 on the index-0 planes, which the random mask reaches
+        assert a.shape == (3, mask.nodes.size)
+        assert on_index0_planes(mask).any()
+        assert positive_zero(a[:, on_index0_planes(mask)])
+    elif bc == "dirichlet":
+        assert all(positive_zero(np.moveaxis(a, ax, 0)[0]) for ax in range(1, dim + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +267,9 @@ def boundary_zero_stack(dim, n, seed, k=3):
     return vals
 
 
-def kept_forward(op, values, modes):
-    """The Dirichlet forward of ``modes`` modes per axis, from a scan's boxes."""
-    return op.forward(values, modes, true_boxes(values != 0.0, op.dim))
-
-
-def full_forward(op, values):
-    """The Dirichlet forward of every mode, from a scan's boxes."""
-    return kept_forward(op, values, op.shape[0] - 1)
+def whole_boxes(op, k):
+    """Every part's box as the whole interior: the products over the whole stack."""
+    return [(slice(1, op.shape[0]),) * op.dim] * k
 
 
 @pytest.mark.parametrize("n", [8, 28, 96])
@@ -297,31 +284,30 @@ def test_sine_matrix_squares_to_2n_times_the_identity(n):
 
 @pytest.mark.parametrize("n", [8, 28, 96])
 @pytest.mark.parametrize("dim", [2, 3])
-def test_sine_matrix_transform_matches_scipy_dst(dim, n):
+def test_sine_matrix_heat_step_matches_scipy_dst(dim, n):
+    # every mode, through the node-space kernel: within rounding of scipy's
+    # dstn and idstn
+    g = GridSpec(dim, n)
     op = spectral_operator("dirichlet", dim, n)
-    vals = boundary_zero_stack(dim, n, dim * n, k=1 if dim == 3 else 3)
+    assert op.modes(1e-3) == n - 1
+    vals = boundary_zero_stack(dim, n, dim * n, k=2 if dim == 3 else 3)
     kept = vals.copy()
-    coef = full_forward(op, vals)
+    got = op.heat(vals, 1e-3, whole_boxes(op, len(vals)))
     assert same_bits(vals, kept)
-    assert not coef.flags.writeable
-    want = sp_fft.dstn(interior(vals, dim), type=1, axes=op.axes)
-    assert np.max(np.abs(coef - want)) <= 1e-14 * np.max(np.abs(want))
-    kept_coef = coef.copy()
-    back = op.inverse(coef, 1.0)  # the matrix path only reads its coefficients
-    assert same_bits(coef, kept_coef)
-    assert np.max(np.abs(back - vals)) <= 1e-14 * np.max(np.abs(vals))
-    assert all(positive_zero(np.moveaxis(back, ax, 0)[0]) for ax in range(1, dim + 1))
+    want = scipy_heat(vals, g, 1e-3, "dirichlet", snap=False)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert all(positive_zero(np.moveaxis(got, ax, 0)[0]) for ax in range(1, dim + 1))
 
 
 def test_sine_matrix_path_is_pinned_to_n_at_most_96(monkeypatch):
     assert SINE_MATRIX_MAX_N == 96
-    # at n = 98 full transforms are scipy's DST both ways, bit for bit
+    # at n = 98 a step of every mode is scipy's DST both ways, bit for bit
+    g = GridSpec(2, 98)
     op = spectral_operator("dirichlet", 2, 98)
     vals = boundary_zero_stack(2, 98, 98)
-    coef = full_forward(op, vals)
-    assert same_bits(coef, sp_fft.dstn(interior(vals, 2), type=1, axes=op.axes))
-    want = sp_fft.idstn(coef, type=1, axes=op.axes)
-    assert same_bits(interior(op.inverse(coef, 1.0), 2), want)
+    assert op.modes(0.01) == 97
+    want = scipy_heat(vals, g, 0.01, "dirichlet", snap=False)
+    assert same_bits(diffuse_stack(PartitionState(g, vals), 0.01, "dirichlet"), want)
 
     # at n = 96, and for fewer than every mode at n = 98, scipy's DST is
     # never called
@@ -330,17 +316,16 @@ def test_sine_matrix_path_is_pinned_to_n_at_most_96(monkeypatch):
 
     monkeypatch.setattr(spectral.sp_fft, "dstn", no_dst)
     monkeypatch.setattr(spectral.sp_fft, "idstn", no_dst)
-    op = spectral_operator("dirichlet", 2, 96)
-    vals = boundary_zero_stack(2, 96, 96)
-    out = diffuse_stack(PartitionState(GridSpec(2, 96), vals), 0.1, "dirichlet")
-    assert out.shape == vals.shape
-    assert op.inverse(full_forward(op, vals), 1.0).shape == vals.shape
-    op = spectral_operator("dirichlet", 2, 98)
-    vals = boundary_zero_stack(2, 98, 98)
-    for modes in (27, SINE_MATRIX_MAX_N - 1, SINE_MATRIX_MAX_N):
-        coef = kept_forward(op, vals, modes)
-        assert coef.shape == (3, modes, modes)
-        assert op.inverse(coef, 1.0).shape == vals.shape
+    small = boundary_zero_stack(2, 96, 96)
+    for tau, modes in ((0.01, 95), (0.1, 43)):
+        assert spectral_operator("dirichlet", 2, 96).modes(tau) == modes
+        out = diffuse_stack(PartitionState(GridSpec(2, 96), small), tau, "dirichlet")
+        assert out.shape == small.shape
+    # SINE_MATRIX_MAX_N - 1 kept modes are the most that go through products
+    for tau, modes in ((0.3, 25), (0.0207, SINE_MATRIX_MAX_N - 1)):
+        assert op.modes(tau) == modes
+        out = diffuse_stack(PartitionState(g, vals), tau, "dirichlet")
+        assert out.shape == vals.shape
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +361,7 @@ def test_kept_mode_heat_step_matches_the_full_spectrum(bc, dim, n, tau):
     if bc == "dirichlet":
         for ax in range(1, dim + 1):
             np.moveaxis(vals, ax, 0)[0] = 0.0
-    want = old_diffuse_stack(vals, g, tau, bc)
+    want = scipy_heat(vals, g, tau, bc)
     got = diffuse_stack(PartitionState(g, vals), tau, bc)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(vals))
 
@@ -404,18 +389,6 @@ def test_kept_mode_tables_are_read_only_and_cached_per_tau(bc, n, tau, shapes):
 # mask's box
 
 
-def batched_forward(op, values, modes):
-    """The kept-mode sine forward of the whole stack in one product per axis:
-    the reference."""
-    cols, rows = op._sine_tables(modes)
-    coef = np.matmul(interior(values, op.dim), cols)
-    for ax in range(-2, -op.dim - 1, -1):
-        shape = coef.shape
-        coef = np.matmul(rows, coef.reshape(-1, shape[ax], math.prod(shape[ax + 1 :])))
-        coef = coef.reshape(shape[:ax] + (modes,) + shape[ax + 1 :])
-    return coef
-
-
 def masked_iterate(dim, n, tau, mask_name, k=6):
     """A Dirichlet solver iterate on a named mask (None: the whole box):
     nonnegative, pairwise disjoint supports."""
@@ -427,80 +400,67 @@ def masked_iterate(dim, n, tau, mask_name, k=6):
 
 
 @pytest.mark.parametrize("dim,n,tau,mask_name,bitwise", [
+    # kept modes
     (2, 192, 0.05, "star5", True),
     # OpenBLAS multiplies matrices this small in another summation order
     (2, 64, 0.25, "disk", False),
     (3, 32, 0.25, "disk", False),
-])
-def test_kept_mode_forward_of_disjoint_parts_is_the_whole_stack_product(
-        dim, n, tau, mask_name, bitwise):
-    vals, _ = masked_iterate(dim, n, tau, mask_name)
-    op = spectral_operator("dirichlet", dim, n)
-    modes = op.modes(tau)
-    assert modes < n - 1
-    # each part's box is a small share of the interior: the products crop
-    boxes = true_boxes(vals != 0.0, dim)
-    assert all(math.prod(s.stop - s.start for s in box) < 0.5 * (n - 1) ** dim for box in boxes)
-    got = op.forward(vals, modes, boxes)
-    assert not got.flags.writeable
-    want = batched_forward(op, vals, modes)
-    if n <= SINE_MATRIX_MAX_N:
-        # the J-block of the full forward
-        full = op.forward(vals, n - 1, boxes)[op.block(modes)]
-        assert np.max(np.abs(full - want)) <= 1e-15 * np.max(np.abs(want))
-    # the nodes left out add only exact zeros
-    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-    assert same_bits(got, want) or not bitwise
-
-
-@pytest.mark.parametrize("dim,n,tau,mask_name,bitwise", [
-    (2, 96, 0.05, None, True),
-    (2, 64, 0.25, "disk", True),
+    # every mode, through the node-space kernel
+    (2, 96, 0.01, None, True),
+    (2, 64, 0.01, "disk", True),
     # OpenBLAS multiplies the 3D boxes' shorter axes in another summation order
     (3, 28, 0.2, None, False),
 ])
-def test_full_forward_of_disjoint_parts_is_the_whole_stack_product(
-        dim, n, tau, mask_name, bitwise):
+def test_heat_step_of_disjoint_parts_is_the_whole_stack_step(dim, n, tau, mask_name, bitwise):
+    # each part from its box against each part from the whole interior
     vals, _ = masked_iterate(dim, n, tau, mask_name)
     op = spectral_operator("dirichlet", dim, n)
+    assert (op.modes(tau) < n - 1) == (n in (192, 32) or tau == 0.25)
     # the boxes hold under half of the stack's interior nodes: the products crop
     boxes = true_boxes(vals != 0.0, dim)
     assert sum(math.prod(s.stop - s.start for s in box) for box in boxes) < 0.5 * (
         len(vals) * (n - 1) ** dim)
-    got = op.forward(vals, n - 1, boxes)
-    assert not got.flags.writeable
-    want = batched_forward(op, vals, n - 1)
+    got = op.heat(vals, tau, boxes)
+    want = op.heat(vals, tau, whole_boxes(op, len(vals)))
+    # the nodes left out add only exact zeros
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
     assert same_bits(got, want) or not bitwise
+    reference = scipy_heat(vals, GridSpec(dim, n), tau, "dirichlet", snap=False)
+    assert np.max(np.abs(got - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
 @pytest.mark.parametrize("dim,n,tau", [(2, 64, 0.25), (3, 32, 0.25),
                                        # every mode
                                        (2, 64, 1e-3), (3, 28, 0.2)])
-def test_kept_mode_forward_of_empty_single_node_and_dense_parts(dim, n, tau):
+def test_heat_step_of_empty_single_node_and_dense_parts(dim, n, tau):
+    g = GridSpec(dim, n)
     op = spectral_operator("dirichlet", dim, n)
-    modes = op.modes(tau)
-    cols, rows = op._sine_tables(modes)
-    # a forward of nonzero parts frees its coefficients: the next forward's
-    # fresh array may reuse them, so skipped parts must be written
-    kept_forward(op, boundary_zero_stack(dim, n, n, k=4), modes)
+    # a heat step of nonzero parts frees its buffers: the next step's fresh
+    # arrays may reuse them, so skipped parts must be written
+    op.heat(boundary_zero_stack(dim, n, n, k=4), tau, whole_boxes(op, 4))
     vals = np.zeros((4,) + (n,) * dim)
     # part 0 is zero; part 1 is nonzero only on a boundary plane, which the
-    # transform does not read
+    # heat step does not read
     vals[1, 0] = 3.0
     node = (9, 20, 5)[:dim]
     vals[(2,) + node] = 2.5
     vals[3] = boundary_zero_stack(dim, n, n, k=1)[0]
-    coef = kept_forward(op, vals, modes)
-    assert positive_zero(coef[:2])
-    # one node: sums of one product each, in the transform's order; a BLAS
-    # sum starts from +0.0, so an exact zero of the sine table gives +0.0
-    single = 2.5 * cols[node[-1] - 1]
-    for l in reversed(node[:-1]):
-        single = np.multiply.outer(rows[:, l - 1], single) + 0.0
-    assert same_bits(coef[2], single)
+    got = op.heat(vals, tau, true_boxes(vals != 0.0, dim))
+    assert positive_zero(got[:2])
+    want = scipy_heat(vals, g, tau, "dirichlet", snap=False)
+    for i in (2, 3):
+        assert np.max(np.abs(got[i] - want[i])) <= 1e-14 * np.max(np.abs(want[i]))
+    if op.modes(tau) == n - 1:
+        # one node through the kernel: sums of one product each, in the
+        # step's order; a BLAS sum starts from +0.0, so an exact zero of the
+        # kernel gives +0.0
+        kernel = op.heat_kernel(tau)
+        single = 2.5 * kernel[node[-1] - 1] + 0.0
+        for l in reversed(node[:-1]):
+            single = np.multiply.outer(kernel[:, l - 1], single) + 0.0
+        assert same_bits(interior(got[2], dim), single)
     # a dense part's box is the whole interior
-    assert same_bits(coef[3], batched_forward(op, vals[3:], modes)[0])
+    assert same_bits(got[3], op.heat(vals, tau, whole_boxes(op, 4))[3])
 
 
 @pytest.mark.parametrize("dim,n,tau,mask_name", [
@@ -509,25 +469,21 @@ def test_kept_mode_forward_of_empty_single_node_and_dense_parts(dim, n, tau):
     (3, 28, 0.2, "disk"),  # every mode, through the node-space heat kernel
     (2, 98, 0.01, "disk"),  # every mode, through scipy's DST
 ])
-def test_masked_heat_step_is_the_restricted_box_heat_step(dim, n, tau, mask_name):
+def test_masked_heat_step_is_the_box_heat_step_at_the_mask_nodes(dim, n, tau, mask_name):
     g = GridSpec(dim, n)
     iterate, mask = masked_iterate(dim, n, tau, mask_name, k=3)
-    # the mask's box leaves nodes out: the inverse crops
+    # the mask's box leaves nodes out: the products crop
     assert math.prod(s.stop - s.start for s in mask.box) < 0.9 * n**dim
     dense = np.where(mask.indicator, boundary_zero_stack(dim, n, n), 0.0)
     for vals in (iterate, dense):
         got = diffuse_stack(PartitionState(g, vals), tau, "dirichlet", mask)
-        assert got.flags.owndata
-        # the box's heat step on the mask's box, which a step's gather restricts
-        # to the mask's nodes
-        want = np.where(in_box(mask), diffuse_stack(PartitionState(g, vals), tau, "dirichlet"),
-                        0.0)
-        # 3D, and 2D in the box off the mask: OpenBLAS multiplies the box's
-        # shorter axes in another summation order
+        assert got.flags.owndata and got.shape == (3, mask.nodes.size)
+        # the heat step of the box, on the mask's nodes
+        want = at_nodes(diffuse_stack(PartitionState(g, vals), tau, "dirichlet"), mask)
+        # 3D: OpenBLAS multiplies the box's shorter axes in another summation order
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
         if dim == 2:
-            assert same_bits(got[:, mask.indicator], want[:, mask.indicator])
-        assert positive_zero(got[:, ~in_box(mask)])
+            assert same_bits(got, want)
 
 
 @pytest.mark.parametrize("dim,n,tau,mask_name", [
@@ -613,17 +569,22 @@ def test_every_mode_heat_step_is_the_node_space_kernel(monkeypatch, dim, n, tau,
     if mask is not None:
         dense = np.where(mask.indicator, dense, 0.0)
 
+    # tau = 0.01 rings by 1e-10 at 64^2: no value is snapped
+    wants = [scipy_heat(vals, g, tau, "dirichlet", snap=False) for vals in (iterate, dense)]
+
     def no_transform(*args, **kwargs):
         raise AssertionError("a transform on the node-space route")
 
-    monkeypatch.setattr(SpectralOperator, "forward", no_transform)
-    monkeypatch.setattr(SpectralOperator, "inverse", no_transform)
-    for vals in (iterate, dense):
+    monkeypatch.setattr(SpectralOperator, "_inverse_tables", no_transform)
+    monkeypatch.setattr(spectral.sp_fft, "dstn", no_transform)
+    monkeypatch.setattr(spectral.sp_fft, "idstn", no_transform)
+    for vals, want in zip((iterate, dense), wants):
         got = diffuse_stack(PartitionState(g, vals), tau, "dirichlet", mask)
-        # tau = 0.01 rings by 1e-10 at 64^2: no value is snapped
-        want = old_diffuse_stack(vals, g, tau, "dirichlet", mask, snap=False)
+        if mask is not None:
+            want = at_nodes(want, mask)
         assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
         assert got.flags.owndata
-        assert all(positive_zero(np.moveaxis(got, ax, 0)[0]) for ax in range(1, dim + 1))
-        if mask is not None:
-            assert positive_zero(got[:, ~in_box(mask)])
+        if mask is None:
+            assert all(positive_zero(np.moveaxis(got, ax, 0)[0]) for ax in range(1, dim + 1))
+        else:
+            assert got.shape == (len(vals), mask.nodes.size)
