@@ -320,19 +320,11 @@ def write_vtk_labels(labels: np.ndarray, grid: GridSpec, path: Path | str):
 
 def export_labels(state: PartitionState, path: Path | str):
     """Write the label map: P5 PGM in 2D, legacy VTK in 3D."""
-    export_tiling(state, 1, path)
-
-
-def export_tiling(state: PartitionState, reps: int, path: Path | str):
-    """Write the label map tiled reps times per axis (periodic partitions only)
-    as ``export_labels`` writes it; the tiled map covers the box."""
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    labels = np.tile(label_map(state), (reps,) * state.grid.dim)
+    labels = label_map(state)
     if labels.ndim == 2:  # the k labels spread over the gray levels 0..255
         write_pgm(np.round(labels.T * (255.0 / (state.k - 1))).astype(np.uint8), path)
     else:
-        write_vtk_labels(labels, GridSpec(3, labels.shape[0]), path)
+        write_vtk_labels(labels, state.grid, path)
 
 
 def dump_fields(state: PartitionState, out_dir: Path):

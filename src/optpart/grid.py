@@ -197,8 +197,9 @@ class PartitionState:
 
     @cached_property
     def labels(self) -> np.ndarray:
-        """``support_labels`` of the values: the label map of an iterate."""
-        return _frozen_array(support_labels(self.values), None)
+        """The label map: what the step or shift that made the state wrote, else
+        ``label_map`` of the values; in the narrowest unsigned dtype that holds k - 1."""
+        return _frozen_array(label_map(self), None)
 
     @cached_property
     def norms(self) -> np.ndarray:
@@ -289,7 +290,8 @@ def weighted_norms(values: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def partition_norms(state: PartitionState) -> np.ndarray:
-    """The state's ``norms``: the sums ``norm_step`` divides by, shape (k,)."""
+    """The state's ``norms``, shape (k,): those of its parts as the step or shift that
+    made it normalised them, summed over its stack, not the divisors ``norm_step`` used."""
     return state.norms
 
 
@@ -297,8 +299,9 @@ def top_two(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodewise largest value, runner-up and lowest-index winner over the leading axis.
 
     The runner-up is the second order statistic, ties counted, floored at 0:
-    an empty competitor set counts as 0, as it does in every projection.
-    One running pass over the k contiguous rows, instead of a sort along the
+    an empty competitor set counts as 0, as it does in every projection.  The
+    winner comes in the narrowest unsigned dtype that holds k - 1.  One
+    running pass over the k contiguous rows, instead of a sort along the
     strided leading axis; values must not be NaN.
     """
     top = np.array(values[0], dtype=float)
@@ -312,7 +315,7 @@ def top_two(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # row i takes the node only if strictly larger; i exceeds every earlier winner
         np.maximum(winner, np.multiply(row > top, winner.dtype.type(i), out=won), out=winner)
         np.maximum(top, row, out=top)
-    return top, second, winner.astype(np.intp)
+    return top, second, winner
 
 
 def max_support_overlap(state: PartitionState) -> float:
@@ -321,15 +324,5 @@ def max_support_overlap(state: PartitionState) -> float:
 
 
 def label_map(state: PartitionState) -> np.ndarray:
-    """Lowest-index argmax over parts at each node."""
+    """Lowest-index argmax over parts at each node, in the narrowest unsigned dtype."""
     return top_two(state.values)[2]
-
-
-def support_labels(values: np.ndarray) -> np.ndarray:
-    """``label_map`` of a (k, ...) stack of nonnegative parts with pairwise disjoint
-    supports, as every iterate is (each node's positive part, else 0), in the
-    narrowest unsigned dtype."""
-    labels = np.zeros(values.shape[1:], dtype=np.min_scalar_type(len(values) - 1))
-    for i in range(1, len(values)):
-        np.copyto(labels, i, where=values[i] > 0.0)
-    return labels

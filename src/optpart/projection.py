@@ -1,22 +1,23 @@
 """Nodewise constraint projections and the normalization step.
 
 All projections act independently at each grid node on the k-tuple of part
-values (leading axis indexes parts).  Each one keeps at most one part
-nonzero per node, which is what makes pairwise products of the outputs
-exactly zero in floating point, not just small.  They find each node's
-winner and runner-up in one running pass over the k part rows
-(``grid.top_two``, as the label map does), with no sort along the part axis.
-Like numpy's ufuncs they return a fresh array, or write into ``out``, which
-may be the input itself: they read all of it before they write.  The
-Lagrange multipliers of the constraints stay implicit in these closed
-forms; ``tests/multipliers.py`` recovers them to audit the projections.
+values.  Each is a closed form in the node's largest value ``top`` and its
+runner-up ``second`` (``grid.top_two``, one running pass over the k part
+rows, floored at 0): it gives the value that the node's winner keeps, and
+every other part of the node gets 0.  A value that is not positive means
+that no part survives at the node, so at most one part is nonzero per node,
+which is what makes pairwise products of the outputs exactly zero in
+floating point, not just small.  Like numpy's ufuncs they return a fresh
+array, or write into ``out``, which may be ``top`` itself.  The Lagrange
+multipliers of the constraints stay implicit in these closed forms;
+``tests/multipliers.py`` recovers them to audit the projections.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridSpec, top_two, weighted_norms
+from .grid import GridSpec, weighted_norms
 
 DEGENERATE_NORM_TOL = 1e-14
 
@@ -32,63 +33,43 @@ class DegeneratePart(RuntimeError):
 
 
 def positivity_step(parts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Clamp negative nodal values to zero, part by part."""
+    """Clamp negative nodal values to zero; applied to ``top``, the clamp of every part,
+    as the runner-up is floored at 0 already."""
     return np.maximum(np.asarray(parts, dtype=float), 0.0, out=out)
 
 
-def _winner_rows(k: int, winner: np.ndarray, keep: np.ndarray, value: np.ndarray,
-                 out: np.ndarray | None) -> np.ndarray:
-    """Stack of k parts holding ``value`` in each node's winner row where ``keep``, else 0."""
-    won = np.where(keep, winner, -1)
-    out = np.empty((k,) + won.shape) if out is None else out
-    out.fill(0.0)
-    for i in range(k):
-        np.copyto(out[i], value, where=won == i)
-    return out
-
-
-def ortho_step_ratio(parts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def ortho_step_ratio(top: np.ndarray, second: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Disjoint-support projection of a nonnegative tuple, ratio form.
 
-    At each node the strict maximizer keeps ``(top^2 - second^2) / top`` and
-    every other part is zeroed; ties leave all parts zero.
+    The strict maximizer keeps ``(top^2 - second^2) / top``; a tie keeps 0.
     """
-    arr = np.asarray(parts, dtype=float)
-    top, second, winner = top_two(arr)
-    keep = top > second  # strict maximizer exists; top > 0, as second >= 0
-    safe = np.where(keep, top, 1.0)
     # (top^2 - second^2) / top evaluated as a subtraction from top, so the
-    # result stays inside [0, top] in floating point, not just in exact math
-    value = top - second * (second / safe)
-    return _winner_rows(arr.shape[0], winner, keep, value, out)
+    # result stays inside [0, top] in floating point, not just in exact math;
+    # on a tie second / top is 1 and the result exactly 0
+    ratio = np.divide(second, np.where(top > 0.0, top, 1.0))
+    return np.subtract(top, np.multiply(second, ratio, out=ratio), out=out)
 
 
-def ortho_pos_step_linear(parts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def ortho_pos_step_linear(top: np.ndarray, second: np.ndarray,
+                          out: np.ndarray | None = None) -> np.ndarray:
     """Combined positivity + disjointness projection, gap form.
 
-    The strict maximizer survives with the gap to the runner-up clamped at
-    zero, ``top - max(second, 0)``; everything else, including every
-    nonpositive value, is zeroed.
+    The strict maximizer keeps the gap to the runner-up, ``top - max(second,
+    0)``; a tie or a nonpositive maximum keeps nothing.
     """
-    arr = np.asarray(parts, dtype=float)
-    top, second, winner = top_two(arr)
-    keep = top > second  # strict maximizer exists; top > 0, as second >= 0
-    value = top - second
-    return _winner_rows(arr.shape[0], winner, keep, value, out)
+    return np.subtract(top, second, out=out)
 
 
-def ortho_pos_step_geometric(parts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def ortho_pos_step_geometric(top: np.ndarray, second: np.ndarray,
+                             out: np.ndarray | None = None) -> np.ndarray:
     """Combined positivity + disjointness projection, geometric-mean form.
 
-    The lowest-index maximizer survives with ``top - sqrt(top * max(second,
-    0))`` whenever it is positive; the subtraction is floored at zero to keep
-    exact nonnegativity when the rounded sqrt overshoots on near-ties.
+    The lowest-index maximizer keeps ``top - sqrt(top * max(second, 0))``
+    where that is positive, which it is not where ``top <= 0``.
     """
-    arr = np.asarray(parts, dtype=float)
-    top, second, winner = top_two(arr)
-    keep = top > 0.0
-    value = np.maximum(top - np.sqrt(top * second), 0.0)
-    return _winner_rows(arr.shape[0], winner, keep, value, out)
+    root = np.sqrt(np.multiply(top, second))
+    return np.subtract(top, root, out=out)
 
 
 def norm_step(parts: np.ndarray, grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:

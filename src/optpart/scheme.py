@@ -4,9 +4,9 @@ Every iteration is one ``step``: diffuse all parts by the exact heat
 semigroup, project them back onto nonnegative values with disjoint supports,
 and rescale each to unit discrete norm.  The projections act nodewise, so
 the constraints hold exactly at every iterate, not just in the limit.  On a
-mask they touch only the mask's nodes, and the step leaves the label map that
-the check stopping a run compares, and the trace's norms and minimum, found
-on those nodes.  The variants differ only in the projection, ``PROJECTIONS[variant]``:
+mask they touch only the mask's nodes, and the iterate keeps the label map
+that the check stopping a run compares, and the trace's norms and minimum,
+found on those nodes.  The variants differ only in the projection, ``PROJECTIONS[variant]``:
 
     four_step              positivity clamp, then ratio disjointness
     three_step_linear      combined gap projection
@@ -33,9 +33,8 @@ from .grid import (
     check_mask,
     check_support,
     check_tau,
-    label_map,
     partition_norms,
-    support_labels,
+    top_two,
     weighted_norms,
 )
 from .projection import (
@@ -60,13 +59,15 @@ SECANT_STALL_TOL = 1e-300
 SECANT_MAX_ITERS = 50
 SECANT_RESIDUAL_TOL = 1e-10
 
-# The projection step of each variant.  The lambdas look the projections up
-# in this module when called, so a wrapper installed over one of these module
-# attributes (a tracer, a call counter) sees every call the schemes make.
-PROJECTIONS: dict[str, Callable[..., np.ndarray]] = {
-    "four_step": lambda v, out=None: ortho_step_ratio(positivity_step(v, out=out), out=out),
-    "three_step_linear": lambda v, out=None: ortho_pos_step_linear(v, out=out),
-    "three_step_geometric": lambda v, out=None: ortho_pos_step_geometric(v, out=out),
+# The projection step of each variant: each node's largest value and runner-up
+# (``top_two``) to the value its winner keeps, written over ``top``.  The
+# lambdas look the projections up in this module when called, so a wrapper
+# over one of these module attributes (a tracer) sees every call the schemes make.
+PROJECTIONS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
+    "four_step": lambda top, second: ortho_step_ratio(positivity_step(top, out=top), second,
+                                                      out=top),
+    "three_step_linear": lambda top, second: ortho_pos_step_linear(top, second, out=top),
+    "three_step_geometric": lambda top, second: ortho_pos_step_geometric(top, second, out=top),
 }
 
 
@@ -143,22 +144,44 @@ def step(s: PartitionState, cfg: SchemeConfig, tau: float) -> PartitionState:
     """One splitting iteration: diffuse, project with the variant's projection, normalize.
 
     The heat step reads what the energy of ``s`` has found: its periodic
-    ``spectrum``, or on Dirichlet grids its ``boxes``.  The projection and
-    the normalization work in the heat step's fresh output, as a (k, M)
-    stack of the domain's nodes: every node, or a mask's ``nodes``, which
-    are then scattered into the new state's memory.  The new state keeps the
-    stack's label map, norms and minimum.
+    ``spectrum``, or on Dirichlet grids its ``boxes``.  Its fresh output is
+    a (k, M) stack of the domain's nodes, every node or a mask's ``nodes``;
+    each node's winner and the value the projection leaves it make the new
+    state (``_iterate``), written over that stack.
     """
     v = diffuse_stack(s, tau, cfg.bc, cfg.mask)
-    parts = v.reshape(len(v), -1)
-    norm_step(PROJECTIONS[cfg.variant.removesuffix("_ed")](parts, out=parts), s.grid, out=parts)
-    labels = support_labels(parts)
-    if cfg.mask is not None:
-        v = cfg.mask.scatter(parts, np.empty(s.values.shape))
-        labels = cfg.mask.scatter(labels, np.empty(s.grid.shape, labels.dtype))
+    top, second, winner = top_two(v.reshape(len(v), -1))
+    value = PROJECTIONS[cfg.variant.removesuffix("_ed")](top, second)  # over top
+    # freed before a mask's new state is allocated: a 192^2 star5 step's
+    # tracemalloc peak is 1.38 state sizes, and 1.43 with second held
+    del second
+    return _iterate(s, winner, value, v, cfg.mask)
+
+
+def _iterate(s: PartitionState, labels: np.ndarray, value: np.ndarray, out: np.ndarray,
+             mask: DomainMask | None) -> PartitionState:
+    """The state holding, at each node of the domain (every node, or a mask's ``nodes``),
+    ``value`` in part ``labels`` where it is positive, else 0 and label 0, normalized.
+
+    ``labels`` and ``value`` are overwritten, and the parts are written over
+    ``out``, (k, ...) memory of the domain's nodes, which becomes the state's
+    values or on a mask is scattered into them.  The state keeps the label
+    map, norms and minimum found there.
+    """
+    dead = ~(value > 0.0)
+    np.copyto(value, 0.0, where=dead)
+    np.copyto(labels, 0, where=dead)
+    parts = out.reshape(len(out), -1)
+    for i, row in enumerate(parts):
+        row.fill(0.0)
+        np.copyto(row, value, where=np.equal(labels, i, out=dead))
+    norm_step(parts, s.grid, out=parts)
     # each node holds k - 1 >= 1 zeros, so the stack holds the state's minimum
-    return s.with_values(v, labels=labels.reshape(s.grid.shape),
-                         norms=weighted_norms(parts, s.grid), min_value=float(parts.min()))
+    found = {"norms": weighted_norms(parts, s.grid), "min_value": float(parts.min())}
+    if mask is not None:
+        out = mask.scatter(parts, np.empty(s.values.shape))
+        labels = mask.scatter(labels, np.empty(s.grid.shape, labels.dtype))
+    return s.with_values(out, labels=labels.reshape(s.grid.shape), **found)
 
 
 # ---------------------------------------------------------------------------
@@ -194,31 +217,22 @@ def apply_sigma(state: PartitionState, sigma: float,
                 mask: DomainMask | None = None) -> PartitionState:
     """Shift every part by sigma on its support, cut what drops to <= 0, renormalize.
 
-    A node keeps ``value + sigma`` only while both the original value and the
-    shifted one are positive; otherwise it is zeroed, so supports can only
-    shrink and disjointness survives exactly.  On a mask the (k, M) stack of
-    the mask's nodes is shifted, as ``step`` projects it, and scattered back.
+    Each node of the domain (every node, or a mask's ``nodes``) keeps its
+    value in its label's part, ``state.labels``, plus sigma only while both
+    the value and the shifted one are positive; otherwise it is zeroed, so
+    supports can only shrink and disjointness survives exactly.  The state
+    must have disjoint supports, as every iterate has.
     """
     sigma = float(sigma)
     if sigma == 0.0:
         return state
-    # the new state's memory first, which the new state freezes in place: a
-    # corrected masked2d-ed solve otherwise peaked up to 1.2 MB higher in RSS
-    out = np.empty(state.values.shape)
-    parts = state.values.reshape(state.k, -1)
-    if mask is None:
-        shifted = out.reshape(state.k, -1)
-        shifted[...] = parts
-    else:
-        shifted = parts.take(mask.nodes, axis=1)
-    keep = shifted > 0.0
-    shifted += sigma
-    keep &= shifted > 0.0
-    np.copyto(shifted, 0.0, where=~keep)
-    norm_step(shifted, state.grid, out=shifted)
-    if mask is not None:
-        mask.scatter(shifted, out)
-    return state.with_values(out)
+    nodes = np.arange(state.grid.num_nodes) if mask is None else mask.nodes
+    labels = state.labels.reshape(-1)[nodes]
+    value = state.values.reshape(state.k, -1)[labels, nodes]
+    np.add(value, sigma, out=value, where=value > 0.0)
+    # the new state's memory, which it freezes in place, or on a mask the stack
+    out = np.empty(state.values.shape if mask is None else (state.k, nodes.size))
+    return _iterate(state, labels, value, out, mask)
 
 
 def energy_decrease_wrap(
@@ -337,7 +351,7 @@ def run(
     # next iteration; what its energy found (its periodic transform, its
     # boxes) stays on the state, where the next heat step reads it
     energy = dirichlet_energy(state, cfg.bc, cfg.mask)
-    labels = label_map(state)
+    labels = state.labels
     row = _trace_row(state, 0, energy, None, 0, False)
     trace.append(row)
     if on_iteration is not None:

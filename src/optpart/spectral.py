@@ -42,8 +42,10 @@ from .grid import (
 # of every mode runs for n <= SINE_MATRIX_MAX_N, and the pair of J kept sine
 # columns, down and back up, for J <= SINE_MATRIX_MAX_N - 1.  A step that
 # would keep more modes keeps every mode, which above the cap is scipy's DST
-# both ways.  Fixed, not timed at run time, so that a configuration's output
-# never varies; README.md gives the timings it rests on.
+# both ways.  Fixed, not timed at run time, so that a configuration always
+# takes the same route; README.md gives the timings it rests on.  Its output
+# can still vary with the BLAS thread count, which may change the summation
+# order of a large product (README.md names the cases seen).
 SINE_MATRIX_MAX_N = 96
 
 # Caps the wavenumbers |m| <= M a periodic heat step keeps for products: a

@@ -1,4 +1,10 @@
-"""Multiplier recovery: a test oracle for the nodewise projections.
+"""Test oracles for the nodewise steps: dense stacks and multiplier recovery.
+
+A projection maps each node's largest value and runner-up to the value its
+winner keeps; ``densify`` turns that into the (k, ...) stack a step writes,
+which is what the other oracles and the tests compare.  ``dense_apply_sigma``
+is the support shift as it was written over the whole stack, before the
+schemes shifted one value per node.
 
 ``recover_multipliers`` reconstructs multiplier fields that certify a
 projection output as the solution of the implicit coupled update it
@@ -14,7 +20,46 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from optpart.grid import GridSpec, top_two, weighted_norms
+from optpart.grid import DomainMask, GridSpec, PartitionState, top_two, weighted_norms
+from optpart.projection import norm_step
+
+
+def densify(projection, parts) -> np.ndarray:
+    """The (k, ...) stack that ``projection(top, second)`` makes of ``parts``: each
+    node's winner (``top_two``) holds the value where it is positive, every other
+    part 0.  ``parts`` is read, not written."""
+    top, second, winner = top_two(np.asarray(parts, dtype=float))
+    value = projection(top, second).reshape(-1)
+    out = np.zeros(np.shape(parts))
+    flat = out.reshape(len(out), -1)
+    nodes = np.flatnonzero(value > 0.0)
+    flat[winner.reshape(-1)[nodes], nodes] = value[nodes]
+    return out
+
+
+def dense_apply_sigma(state: PartitionState, sigma: float,
+                      mask: DomainMask | None = None) -> PartitionState:
+    """Shift every part by sigma on its support, cut what drops to <= 0, renormalize,
+    over the whole (k, N) stack, or a mask's (k, M); the state keeps the norms
+    of that stack."""
+    sigma = float(sigma)
+    if sigma == 0.0:
+        return state
+    out = np.empty(state.values.shape)
+    parts = state.values.reshape(state.k, -1)
+    if mask is None:
+        shifted = out.reshape(state.k, -1)
+        shifted[...] = parts
+    else:
+        shifted = parts.take(mask.nodes, axis=1)
+    keep = shifted > 0.0
+    shifted += sigma
+    keep &= shifted > 0.0
+    np.copyto(shifted, 0.0, where=~keep)
+    norm_step(shifted, state.grid, out=shifted)
+    if mask is not None:
+        mask.scatter(shifted, out)
+    return state.with_values(out, norms=weighted_norms(shifted, state.grid))
 
 
 @dataclass(frozen=True)

@@ -52,9 +52,10 @@ REMOVED = {
         "_clamp_ringing", "RINGING_TOL", "_check_tau", "_check_mask", "_check_energy_domain",
         "_check_boundary_planes",  # grid.check_support
     ],
-    optpart.cli: ["_spread_labels"],
+    optpart.cli: ["_spread_labels", "export_tiling"],
+    # an iterate's label map is the one its step or shift wrote
     optpart.grid: ["Field", "discrete_l2_norm", "dirichlet_energy", "BoundaryCondition",
-                   "_trailing_axes"],
+                   "_trailing_axes", "support_labels"],
     optpart.initial: ["MAX_SEED_ATTEMPTS", "_node_coordinates"],
     optpart.DomainMask: ["node_count"],  # mask.nodes.size
     # the Dirichlet heat step transforms each part itself
@@ -63,6 +64,8 @@ REMOVED = {
         "_flat", "_runner_up", "_scatter_winner", "_ranked_positive", "_pair_set",
         "_ortho_ratio_multipliers", "_coupled_multipliers", "_closure_positivity",
         "RATIO", "LINEAR", "GEOMETRIC", "recover_multipliers", "MultiplierDiagnostics",
+        # the projections give each node's kept value; scheme._iterate writes the stack
+        "_winner_rows",
     ],
 }
 

@@ -17,7 +17,6 @@ from optpart.cli import (
     _parse_number,
     dump_fields,
     export_labels,
-    export_tiling,
     main,
     parse_config,
     read_pgm,
@@ -287,24 +286,6 @@ def test_export_labels_2d_orientation(tmp_path):
     assert np.all(image[:, 4:] == 255)
 
 
-def test_export_tiling_repeats_the_label_map(tmp_path):
-    grid = GridSpec(dim=2, n=8)
-    state = voronoi_init(grid, 3, rng_seed=1)
-    single = tmp_path / "one.pgm"
-    base = tmp_path / "base.pgm"
-    export_tiling(state, 1, single)
-    export_labels(state, base)
-    assert single.read_bytes() == base.read_bytes()
-    tiled = tmp_path / "two.pgm"
-    export_tiling(state, 2, tiled)
-    big = read_pgm(tiled)
-    small = read_pgm(base)
-    assert big.shape == (16, 16)
-    assert np.array_equal(big, np.tile(small, (2, 2)))
-    with pytest.raises(ValueError):
-        export_tiling(state, 0, tmp_path / "zero.pgm")
-
-
 def test_export_labels_3d_vtk(tmp_path):
     grid = GridSpec(dim=3, n=4)
     vals = np.zeros((2,) + grid.shape)
@@ -322,16 +303,6 @@ def test_export_labels_3d_vtk(tmp_path):
     flat = np.array(" ".join(text[start:]).split(), dtype=int)
     assert flat.size == 64
     assert np.array_equal(flat.reshape(grid.shape, order="F"), label_map(state))
-
-
-def test_export_tiling_3d(tmp_path):
-    state = voronoi_init(GridSpec(dim=3, n=4), 2, rng_seed=0)
-    export_tiling(state, 2, tmp_path / "two.vtk")
-    text = (tmp_path / "two.vtk").read_text().splitlines()
-    assert "DIMENSIONS 8 8 8" in text
-    assert f"SPACING {np.pi / 4:.17g} {np.pi / 4:.17g} {np.pi / 4:.17g}" in text
-    flat = np.array(" ".join(text[text.index("LOOKUP_TABLE default") + 1 :]).split(), dtype=int)
-    assert np.array_equal(flat.reshape((8, 8, 8), order="F"), np.tile(label_map(state), (2, 2, 2)))
 
 
 def old_write_vtk_labels(labels, grid, path):
@@ -371,18 +342,17 @@ def test_vtk_writer_holds_one_plane_of_strings(tmp_path):
     assert (tmp_path / "labels.vtk").read_bytes() == (tmp_path / "old.vtk").read_bytes()
 
 
-@pytest.mark.parametrize("n,k,reps", [(4, 2, 1), (6, 16, 1), (8, 11, 1), (10, 5, 1), (4, 3, 3)])
-def test_vtk_writer_matches_the_per_value_writer_byte_for_byte(tmp_path, n, k, reps):
-    # (n * reps)^3 = 64, 216, 512, 1000 and 1728 nodes leave 1, 0, 8, 1 and 0
-    # values on the last line, which holds 9 when full
+@pytest.mark.parametrize("n,k", [(4, 2), (6, 16), (8, 11), (10, 5), (12, 3)])
+def test_vtk_writer_matches_the_per_value_writer_byte_for_byte(tmp_path, n, k):
+    # n^3 = 64, 216, 512, 1000 and 1728 nodes leave 1, 0, 8, 1 and 0 values
+    # on the last line, which holds 9 when full
     grid = GridSpec(dim=3, n=n)
     state = voronoi_init(grid, k, rng_seed=n + k)
-    labels = np.tile(label_map(state), (reps,) * 3)
-    big = GridSpec(dim=3, n=n * reps)
-    write_vtk_labels(labels, big, tmp_path / "new.vtk")
-    old_write_vtk_labels(labels, big, tmp_path / "old.vtk")
+    labels = label_map(state)
+    write_vtk_labels(labels, grid, tmp_path / "new.vtk")
+    old_write_vtk_labels(labels, grid, tmp_path / "old.vtk")
     assert (tmp_path / "new.vtk").read_bytes() == (tmp_path / "old.vtk").read_bytes()
-    export_tiling(state, reps, tmp_path / "export.vtk")
+    export_labels(state, tmp_path / "export.vtk")
     assert (tmp_path / "export.vtk").read_bytes() == (tmp_path / "old.vtk").read_bytes()
 
 
@@ -457,13 +427,19 @@ def test_3d_dirichlet_output_does_not_depend_on_blas_threads(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     # 61 of 127 sine modes: (127, 127) @ (127, 61) products per part
-    ["--bc", "dirichlet", "--mask", "shape:star5", "--tau", "0.05",
+    ["--grid", "128", "--bc", "dirichlet", "--mask", "shape:star5", "--tau", "0.05",
      "--algorithm", "three-step-1-ed"],
     # |m| <= 13 of 64: the last axis' (128, 28) @ (28, 128) product per part
-    ["--bc", "periodic", "--tau", "0.25", "--algorithm", "three-step-2-ed"],
-], ids=["masked", "periodic"])
+    ["--grid", "128", "--bc", "periodic", "--tau", "0.25", "--algorithm", "three-step-2-ed"],
+    # 62 of 191 sine modes, every node: the trace differs, the labels do not
+    pytest.param(
+        ["--grid", "192", "--bc", "dirichlet", "--tau", "0.05", "--algorithm", "four-step"],
+        marks=pytest.mark.xfail(strict=True, reason=(
+            "OpenBLAS sums the kept-mode product (191, 62) @ (62, 191) in another "
+            "order on two threads than on one"))),
+], ids=["masked", "periodic", "unmasked-192"])
 def test_2d_kept_mode_output_does_not_depend_on_blas_threads(tmp_path, argv):
-    argv = ["--k", "6", "--grid", "128", "--seed", "3", "--max-iters", "60", *argv]
+    argv = ["--k", "6", "--seed", "3", "--max-iters", "60", *argv]
     assert_output_does_not_depend_on_blas_threads(tmp_path, argv, ("trace.csv", "labels.pgm"))
 
 

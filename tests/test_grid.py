@@ -18,7 +18,7 @@ from optpart import (
     run,
     voronoi_init,
 )
-from optpart.grid import support_labels, true_boxes, weighted_norms
+from optpart.grid import true_boxes, weighted_norms
 from optpart.scheme import apply_sigma
 
 
@@ -233,34 +233,37 @@ def test_label_map_breaks_ties_at_lowest_index():
     assert np.array_equal(label_map(s), np.transpose([[0, 1, 0, 0]] * 4))
 
 
-def test_support_labels_of_disjoint_supports():
-    # node row 2 is zero in every part; the map of the stack is that of label_map
+def test_labels_of_disjoint_supports():
+    # node row 2 is zero in every part, and takes part 0, as in label_map
     s = columns([[0.5, 0.0, 0.0, 0.0], [0.0, 0.7, 0.0, 0.2]])
-    assert support_labels(s.values).dtype == np.uint8
+    assert s.labels.dtype == label_map(s).dtype == np.uint8
     assert not s.labels.flags.writeable and s.labels is s.labels
-    for got in (support_labels(s.values), s.labels, label_map(s)):
+    for got in (s.labels, label_map(s)):
         assert np.array_equal(got, np.transpose([[0, 1, 0, 1]] * 4))
 
 
 @pytest.mark.parametrize("k,dtype", [(255, np.uint8), (256, np.uint8), (257, np.uint16)])
-def test_support_labels_past_the_narrow_dtype(k, dtype):
+def test_labels_past_the_narrow_dtype(k, dtype):
     # k = 256 is the last k whose labels fit one byte
     g = GridSpec(dim=2, n=18)
     vals = np.zeros((k, g.num_nodes))
     vals[np.arange(k), np.arange(k)[::-1] + 1] = 1.0
     s = PartitionState(g, vals.reshape((k,) + g.shape))
-    got = support_labels(s.values)
-    assert got.dtype == dtype
+    got = label_map(s)
+    assert got.dtype == s.labels.dtype == dtype
     flat = got.reshape(-1)
     assert flat[1] == k - 1 and flat[k] == 0 and flat[0] == 0
-    assert np.array_equal(got, label_map(s))
+    assert np.array_equal(got, np.argmax(s.values, axis=0))
+    assert np.array_equal(s.labels, got)
 
 
-def test_support_labels_where_a_shift_zeroes_the_winner():
+def test_shift_labels_where_it_zeroes_the_winner():
     s = columns([[0.9, 0.1, 0.0, 0.0], [0.0, 0.0, 0.6, 0.05]])
     shifted = apply_sigma(s, -0.2)
-    # the shift cuts part 0 at node row 1 and part 1 at row 3: no part is left there
-    assert np.array_equal(support_labels(shifted.values), np.transpose([[0, 0, 1, 0]] * 4))
+    # the shift cuts part 0 at node row 1 and part 1 at row 3: no part is left
+    # there, and the label the shift leaves is 0, as in label_map
+    assert "labels" in vars(shifted) and shifted.labels.dtype == np.uint8
+    assert np.array_equal(shifted.labels, np.transpose([[0, 0, 1, 0]] * 4))
     assert np.array_equal(shifted.labels, label_map(shifted))
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import optpart.grid
 import optpart.scheme
 from optpart import (
     VARIANTS,
@@ -19,7 +20,7 @@ from optpart import (
     run,
     voronoi_init,
 )
-from optpart.grid import top_two
+from optpart.grid import top_two, weighted_norms
 from optpart.projection import (
     norm_step,
     ortho_pos_step_geometric,
@@ -27,7 +28,7 @@ from optpart.projection import (
     ortho_step_ratio,
     positivity_step,
 )
-from multipliers import recover_multipliers
+from multipliers import dense_apply_sigma, densify, recover_multipliers
 
 ORTHO_STEPS = {
     "four_step": ortho_step_ratio,
@@ -63,36 +64,36 @@ def test_positivity_step_solves_its_onesided_system():
 
 
 def test_ortho_ratio_examples():
-    out = ortho_step_ratio(col(0.8, 0.6))
+    out = densify(ortho_step_ratio, col(0.8, 0.6))
     assert out[0, 0] == pytest.approx(0.35, rel=1e-14)
     assert out[1, 0] == 0.0
-    tied = ortho_step_ratio(col(0.4, 0.4))
+    tied = densify(ortho_step_ratio, col(0.4, 0.4))
     assert np.all(tied == 0.0)
-    out3 = ortho_step_ratio(col(3.0, 2.0, 1.0))
+    out3 = densify(ortho_step_ratio, col(3.0, 2.0, 1.0))
     assert out3[0, 0] == 5.0 / 3.0
     assert np.all(out3[1:] == 0.0)
 
 
 def test_ortho_linear_examples():
-    out = ortho_pos_step_linear(col(0.8, 0.6))
+    out = densify(ortho_pos_step_linear, col(0.8, 0.6))
     assert out[0, 0] == pytest.approx(0.2, rel=1e-14)
     assert out[1, 0] == 0.0
-    assert np.all(ortho_pos_step_linear(col(-0.3, -0.1)) == 0.0)
-    out3 = ortho_pos_step_linear(col(3.0, 2.0, 1.0))
+    assert np.all(densify(ortho_pos_step_linear, col(-0.3, -0.1)) == 0.0)
+    out3 = densify(ortho_pos_step_linear, col(3.0, 2.0, 1.0))
     assert out3[0, 0] == 1.0
     assert np.all(out3[1:] == 0.0)
     # negative runner-up is treated as zero
-    neg = ortho_pos_step_linear(col(0.7, -0.2))
+    neg = densify(ortho_pos_step_linear, col(0.7, -0.2))
     assert neg[0, 0] == 0.7
     assert neg[1, 0] == 0.0
 
 
 def test_ortho_geometric_examples():
-    out = ortho_pos_step_geometric(col(0.8, 0.6))
+    out = densify(ortho_pos_step_geometric, col(0.8, 0.6))
     assert out[0, 0] == pytest.approx(0.8 - np.sqrt(0.48), rel=1e-12)
     assert out[1, 0] == 0.0
-    assert np.all(ortho_pos_step_geometric(col(0.5, 0.5)) == 0.0)
-    neg = ortho_pos_step_geometric(col(0.5, -0.2))
+    assert np.all(densify(ortho_pos_step_geometric, col(0.5, 0.5)) == 0.0)
+    neg = densify(ortho_pos_step_geometric, col(0.5, -0.2))
     assert neg[0, 0] == 0.5
     assert neg[1, 0] == 0.0
 
@@ -100,19 +101,19 @@ def test_ortho_geometric_examples():
 def test_geometric_tie_goes_to_lowest_index():
     # equal positive values: index 0 wins the node but the value cancels to 0;
     # a strictly larger later part must win outright
-    out = ortho_pos_step_geometric(col(0.3, 0.9, 0.9))
+    out = densify(ortho_pos_step_geometric, col(0.3, 0.9, 0.9))
     assert out[1, 0] == pytest.approx(0.9 - np.sqrt(0.81), abs=1e-15)
     assert out[0, 0] == 0.0 and out[2, 0] == 0.0
 
 
 def test_single_part_stacks():
     v = col(0.4)
-    assert np.array_equal(ortho_step_ratio(v), v)
-    assert np.array_equal(ortho_pos_step_linear(v), v)
-    assert np.array_equal(ortho_pos_step_geometric(v), v)
+    assert np.array_equal(densify(ortho_step_ratio, v), v)
+    assert np.array_equal(densify(ortho_pos_step_linear, v), v)
+    assert np.array_equal(densify(ortho_pos_step_geometric, v), v)
     neg = col(-0.4)
-    assert np.all(ortho_pos_step_linear(neg) == 0.0)
-    assert np.all(ortho_pos_step_geometric(neg) == 0.0)
+    assert np.all(densify(ortho_pos_step_linear, neg) == 0.0)
+    assert np.all(densify(ortho_pos_step_geometric, neg) == 0.0)
 
 
 def test_norm_step_examples():
@@ -165,7 +166,7 @@ def stacks(min_value, max_value):
 @given(stacks(0.0, 5.0))
 @settings(max_examples=150, deadline=None)
 def test_ratio_output_is_disjoint_nonnegative_dominant(v):
-    out = ortho_step_ratio(v)
+    out = densify(ortho_step_ratio, v)
     assert out.min() >= 0.0
     assert np.count_nonzero(out, axis=0).max() <= 1
     live = out > 0.0
@@ -178,7 +179,7 @@ def test_ratio_output_is_disjoint_nonnegative_dominant(v):
 @given(v=stacks(-5.0, 5.0))
 @settings(max_examples=150, deadline=None)
 def test_combined_steps_are_disjoint_nonnegative_dominant(step, v):
-    out = step(v)
+    out = densify(step, v)
     assert out.min() >= 0.0
     assert np.count_nonzero(out, axis=0).max() <= 1
     live = out > 0.0
@@ -190,7 +191,7 @@ def test_combined_steps_are_disjoint_nonnegative_dominant(step, v):
 @given(stacks(-5.0, 5.0))
 @settings(max_examples=100, deadline=None)
 def test_linear_step_already_enforces_positivity(v):
-    out = ortho_pos_step_linear(v)
+    out = densify(ortho_pos_step_linear, v)
     assert np.array_equal(positivity_step(out), out)
 
 
@@ -198,7 +199,7 @@ def test_linear_step_already_enforces_positivity(v):
 @settings(max_examples=100, deadline=None)
 def test_pairwise_products_vanish_exactly(v):
     for step in ORTHO_STEPS.values():
-        out = step(v)
+        out = densify(step, v)
         k = out.shape[0]
         for i in range(k):
             for j in range(i + 1, k):
@@ -211,15 +212,15 @@ def test_argmax_scaling_invariance():
     rng = np.random.default_rng(22)
     v = rng.uniform(0.0, 1.0, size=(4, 300))
     for step in ORTHO_STEPS.values():
-        base = np.argmax(step(v), axis=0)
-        scaled = np.argmax(step(2.5 * v), axis=0)
+        base = np.argmax(densify(step, v), axis=0)
+        scaled = np.argmax(densify(step, 2.5 * v), axis=0)
         assert np.array_equal(base, scaled)
 
 
 # ---------------------------------------------------------------------------
-# the one-pass kernels against the part-axis sort, argmax and scatter they
-# replaced, kept here as the reference; the reference projections take the
-# schemes' ``out`` and return a fresh array, as a caller must allow
+# the one-pass kernels and the nodewise projections against the part-axis
+# sort, argmax and scatter over the whole stack that they replaced, kept here
+# as the reference
 
 
 def _ref_top_two(parts):
@@ -238,7 +239,7 @@ def _ref_scatter(shape, winner, keep, value):
     return out.reshape(shape)
 
 
-def ref_ratio(parts, out=None):
+def ref_ratio(parts):
     top, second, winner = _ref_top_two(parts)
     second = np.maximum(second, 0.0)
     keep = top > second
@@ -246,20 +247,20 @@ def ref_ratio(parts, out=None):
     return _ref_scatter(np.shape(parts), winner, keep, top - second * (second / safe))
 
 
-def ref_linear(parts, out=None):
+def ref_linear(parts):
     top, second, winner = _ref_top_two(parts)
     keep = (top > second) & (top > 0.0)
     return _ref_scatter(np.shape(parts), winner, keep, top - np.maximum(second, 0.0))
 
 
-def ref_geometric(parts, out=None):
+def ref_geometric(parts):
     top, second, winner = _ref_top_two(parts)
     value = np.maximum(top - np.sqrt(top * np.maximum(second, 0.0)), 0.0)
     return _ref_scatter(np.shape(parts), winner, top > 0.0, value)
 
 
 def ref_label_map(state):
-    return np.argmax(state.values, axis=0)
+    return np.argmax(state.values, axis=0).astype(np.min_scalar_type(state.k - 1))
 
 
 def ref_max_support_overlap(state):
@@ -272,6 +273,21 @@ REFERENCE = {
     ortho_pos_step_linear: ref_linear,
     ortho_pos_step_geometric: ref_geometric,
 }
+REF_PROJECTIONS = {
+    "four_step": lambda parts: ref_ratio(positivity_step(parts)),
+    "three_step_linear": ref_linear,
+    "three_step_geometric": ref_geometric,
+}
+
+
+def ref_step(s, cfg, tau):
+    """The step as it was written over the whole (k, M) stack: the dense reference
+    projection, then norm_step; the state keeps the stack's norms."""
+    v = optpart.scheme.diffuse_stack(s, tau, cfg.bc, cfg.mask)
+    parts = REF_PROJECTIONS[cfg.variant.removesuffix("_ed")](v.reshape(len(v), -1))
+    norm_step(parts, s.grid, out=parts)
+    values = parts if cfg.mask is None else cfg.mask.scatter(parts, np.empty(s.values.shape))
+    return s.with_values(values.reshape(s.values.shape), norms=weighted_norms(parts, s.grid))
 
 
 def same_bits(a, b) -> bool:
@@ -307,8 +323,12 @@ def node_stacks(draw, min_k=1):
 def test_projections_match_the_sorting_reference_bitwise(v):
     before = v.copy()
     for step, ref in REFERENCE.items():
-        assert same_bits(step(v), ref(v)), step.__name__
-        assert same_bits(step(positivity_step(v)), ref(positivity_step(v))), step.__name__
+        assert same_bits(densify(step, v), ref(v)), step.__name__
+        assert same_bits(densify(step, positivity_step(v)), ref(positivity_step(v))), step.__name__
+    # four_step clamps top alone: with the runner-up floored at 0, the bits of
+    # clamping every part
+    for variant, project in optpart.scheme.PROJECTIONS.items():
+        assert same_bits(densify(project, v), REF_PROJECTIONS[variant](v)), variant
     try:
         norm_step(v, GridSpec(v.ndim - 1, v.shape[-1]))
     except DegeneratePart:
@@ -320,18 +340,24 @@ def test_projections_match_the_sorting_reference_bitwise(v):
 @settings(max_examples=200, deadline=None)
 @np.errstate(invalid="ignore")
 def test_out_is_the_input_bitwise(v):
-    # each projection and norm_step, written into a writable copy of its
-    # input, gives the bits of its fresh output
+    # positivity_step and norm_step, written into a writable copy of their
+    # input, and each projection, written over a copy of top, give the bits
+    # of their fresh output
     grid = GridSpec(v.ndim - 1, v.shape[-1])
     normalize = lambda u, out=None: norm_step(u, grid, out=out)
-    steps = [positivity_step, *ORTHO_STEPS.values(), normalize]
-    for step in steps:
+    for step in (positivity_step, normalize):
         try:
             want = step(v)
         except DegeneratePart:
             continue
         w = v.copy()
         assert step(w, out=w) is w
+        assert same_bits(w, want)
+    top, second, _ = top_two(v)
+    for step in ORTHO_STEPS.values():
+        want = step(top, second)
+        w = top.copy()
+        assert step(w, second, out=w) is w
         assert same_bits(w, want)
 
 
@@ -368,7 +394,7 @@ def test_projections_discard_ringing_bitwise(k, nodes, data):
     v = data.draw(hnp.arrays(np.float64, (k, nodes), elements=elements))
     snapped = np.where((v > -1e-12) & (v < 0.0), 0.0, v)
     for variant, project in optpart.scheme.PROJECTIONS.items():
-        assert same_bits(project(v), project(snapped)), variant
+        assert same_bits(densify(project, v), densify(project, snapped)), variant
 
 
 def _recorded_run(cfg, init):
@@ -391,10 +417,10 @@ def test_runs_match_the_sorting_reference_bitwise(monkeypatch, variant, bc, mask
     cfg = SchemeConfig(k=4, variant=variant, tau=tau, bc=bc, mask=mask, n_max=15)
     init = voronoi_init(grid, 4, 3, bc, mask)
     iterates, rows = _recorded_run(cfg, init)
-    for step, ref in REFERENCE.items():
-        monkeypatch.setattr(optpart.scheme, step.__name__, ref)
-    monkeypatch.setattr(optpart.scheme, "label_map", ref_label_map)
-    monkeypatch.setattr(optpart.scheme, "support_labels", lambda v: np.argmax(v, axis=0))
+    # the reference states carry no label map: the argmax of their values
+    monkeypatch.setattr(optpart.scheme, "step", ref_step)
+    monkeypatch.setattr(optpart.scheme, "apply_sigma", dense_apply_sigma)
+    monkeypatch.setattr(optpart.grid, "label_map", ref_label_map)
     ref_iterates, ref_rows = _recorded_run(cfg, init)
     assert rows == ref_rows
     assert len(iterates) == len(ref_iterates) > 1
@@ -408,7 +434,7 @@ def test_runs_match_the_sorting_reference_bitwise(monkeypatch, variant, bc, mask
 def test_multipliers_linear_worked_example():
     tau = 0.1
     b = col(0.8, 0.6)
-    a = ortho_pos_step_linear(b)
+    a = densify(ortho_pos_step_linear, b)
     d = recover_multipliers(b, a, tau, "three_step_linear")
     assert d.ortho[0, 1, 0] == pytest.approx(-1.0 / tau, rel=1e-14)
     assert d.ortho[1, 0, 0] == d.ortho[0, 1, 0]
@@ -420,7 +446,7 @@ def test_multipliers_linear_worked_example():
 def test_multipliers_ratio_worked_example():
     tau = 0.1
     b = col(0.8, 0.6)
-    a = ortho_step_ratio(b)
+    a = densify(ortho_step_ratio, b)
     d = recover_multipliers(b, a, tau, "four_step")
     assert d.ortho[0, 1, 0] == pytest.approx(-0.75 / tau, rel=1e-12)
     assert np.all(d.positivity == 0.0)
@@ -431,7 +457,7 @@ def test_multipliers_ratio_worked_example_with_rest():
     # winner part 1, runner-up part 0, part 2 ranked third; 2 * tau = 1
     tau = 0.5
     b = col(0.5, 1.0, 0.25)
-    a = ortho_step_ratio(b)
+    a = densify(ortho_step_ratio, b)
     assert np.array_equal(a, col(0.0, 0.75, 0.0))
     d = recover_multipliers(b, a, tau, "four_step")
     head = -(2.0 * 0.5**2 - 0.25**2) / (1.0 * 0.5)  # -(2 b_r^2 - rest) / (2 tau b_w b_r)
@@ -449,13 +475,13 @@ def test_multipliers_rank_tied_maxima_by_index():
     # part 3 ranks below both; 2 * tau = 1
     tau = 0.5
     b = col(0.5, 1.0, 1.0, 1.0)
-    d = recover_multipliers(b, ortho_pos_step_linear(b), tau, "three_step_linear")
+    d = recover_multipliers(b, densify(ortho_pos_step_linear, b), tau, "three_step_linear")
     # head pair -1/tau; the pairs below the winner -max ratio / tau
     want = [[0.0, 0.0, -4.0, -4.0], [0.0, 0.0, -2.0, 0.0],
             [-4.0, -2.0, 0.0, -2.0], [-4.0, 0.0, -2.0, 0.0]]
     assert np.array_equal(d.ortho[..., 0], want)
     assert d.max_residual == 0.0
-    d = recover_multipliers(b, ortho_step_ratio(b), tau, "four_step")
+    d = recover_multipliers(b, densify(ortho_step_ratio, b), tau, "four_step")
     head = -(2.0 * 1.0 - (0.5**2 + 1.0)) / 1.0
     want = [[0.0, -0.5, -0.5, 0.0], [-0.5, 0.0, head, -1.0],
             [-0.5, head, 0.0, -1.0], [0.0, -1.0, -1.0, 0.0]]
@@ -467,7 +493,7 @@ def test_multipliers_zero_input_node():
     tau = 0.25
     b = col(0.7, 0.0)
     for variant, step in ORTHO_STEPS.items():
-        a = step(b)
+        a = densify(step, b)
         d = recover_multipliers(b, a, tau, variant)
         assert np.all(d.ortho == 0.0)
         assert np.all(d.positivity == 0.0)
@@ -478,7 +504,7 @@ def test_multipliers_negative_input_gets_positive_lambda():
     tau = 0.5
     b = col(0.6, -0.4)
     for variant in ("three_step_linear", "three_step_geometric"):
-        a = ORTHO_STEPS[variant](b)
+        a = densify(ORTHO_STEPS[variant], b)
         d = recover_multipliers(b, a, tau, variant)
         assert d.positivity[1, 0] == pytest.approx(0.4 / tau, rel=1e-14)
         assert d.max_residual <= 1e-12
@@ -490,7 +516,7 @@ def test_multiplier_reconstruction_on_random_tuples(variant, k):
     rng = np.random.default_rng(100 + k)
     lo = 0.0 if variant == "four_step" else -1.0
     b = rng.uniform(lo, 1.0, size=(k, 2000))
-    a = ORTHO_STEPS[variant](b)
+    a = densify(ORTHO_STEPS[variant], b)
     d = recover_multipliers(b, a, 0.1, variant)
     assert d.max_residual <= 1e-12
     assert d.positivity.min() >= 0.0
@@ -500,7 +526,7 @@ def test_multiplier_reconstruction_on_random_tuples(variant, k):
 
 def test_multipliers_accept_wrapped_variant_names():
     b = col(0.8, 0.6)
-    a = ortho_pos_step_linear(b)
+    a = densify(ortho_pos_step_linear, b)
     d = recover_multipliers(b, a, 0.1, "three_step_linear_ed")
     assert d.max_residual <= 1e-12
 
@@ -510,7 +536,7 @@ def test_multipliers_norm_component_uses_grid_quadrature():
     b = np.zeros((2,) + g.shape)
     b[0, 1, 1] = 0.8
     b[1, 2, 5] = 0.5
-    a = ortho_pos_step_linear(b)
+    a = densify(ortho_pos_step_linear, b)
     tau = 0.2
     d = recover_multipliers(b, a, tau, "three_step_linear", grid=g)
     expected = (1.0 - np.sqrt(g.cell_volume) * 0.8) / tau
@@ -519,7 +545,7 @@ def test_multipliers_norm_component_uses_grid_quadrature():
 
 def test_multipliers_input_validation():
     b = col(0.8, 0.6)
-    a = ortho_pos_step_linear(b)
+    a = densify(ortho_pos_step_linear, b)
     with pytest.raises(ValueError):
         recover_multipliers(b, a, 0.0, "three_step_linear")
     with pytest.raises(ValueError):

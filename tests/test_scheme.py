@@ -23,7 +23,7 @@ from optpart import (
     run,
     voronoi_init,
 )
-from optpart.grid import support_labels, weighted_norms
+from optpart.grid import weighted_norms
 from optpart.scheme import (
     SECANT_MAX_ITERS,
     SecantFailed,
@@ -34,6 +34,7 @@ from optpart.scheme import (
     step,
     stopping_check,
 )
+from multipliers import dense_apply_sigma
 from test_projection import same_bits
 from test_spectral import positive_zero
 
@@ -172,9 +173,10 @@ def test_step_allocates_little_beyond_the_new_state(dim, n, k, variant, bc, mask
     (2, 192, 6, "three_step_linear_ed", "dirichlet", "star5", 0.05),
     (3, 28, 8, "four_step", "dirichlet", None, 0.2),
 ], ids=["torus2d-ed", "masked2d-ed", "box3d"])
-def test_trace_norms_are_the_sums_norm_step_divides_by(dim, n, k, variant, bc, mask_name, tau):
-    # the trace measures the solver's own normalization: a unit-norm iterate
-    # reads within two ulps of 1, where a sum in another order read 1e-14
+def test_trace_norms_are_those_of_the_normalized_stack(dim, n, k, variant, bc, mask_name, tau):
+    # the trace measures the normalized stack in the order norm_step sums it:
+    # a unit-norm iterate reads within two ulps of 1, where a sum in another
+    # order read 1e-14
     grid = GridSpec(dim, n)
     mask = make_mask(grid, mask_name) if mask_name else None
     cfg = SchemeConfig(k=k, variant=variant, tau=tau, bc=bc, mask=mask, n_max=5)
@@ -231,32 +233,38 @@ def test_secant_search_releases_its_seed_trial():
     assert peak / previous.values.nbytes <= 4.5
 
 
-@pytest.mark.parametrize("dim,n,k,variant,mask_name,tau,seed,n_max", [
-    (2, 192, 6, "three_step_linear_ed", "star5", 0.05, 2, 2000),  # masked2d-ed, corrected
-    (3, 32, 4, "four_step", "disk", 0.25, 0, 40),
-    (2, 64, 4, "three_step_geometric_ed", "square_with_holes", 0.1, 1, 2000),
+@pytest.mark.parametrize("dim,n,k,variant,mask_name,tau,seed,n_max,corrected", [
+    (2, 192, 6, "three_step_linear_ed", "star5", 0.05, 2, 2000, True),  # masked2d-ed
+    (3, 32, 4, "four_step", "disk", 0.25, 0, 40, False),
+    (2, 64, 4, "three_step_geometric_ed", "square_with_holes", 0.1, 1, 2000, False),
 ])
 def test_carried_data_matches_the_dense_state(monkeypatch, dim, n, k, variant, mask_name,
-                                              tau, seed, n_max):
-    # a step leaves the label map, norms and minimum it found on the mask's
-    # nodes; each must be what the dense state gives
+                                              tau, seed, n_max, corrected):
+    # a step or a shift leaves the label map, norms and minimum it found on
+    # the mask's nodes; each must be what the dense state gives
     grid = GridSpec(dim, n)
     mask = make_mask(grid, mask_name)
     cfg = SchemeConfig(k=k, variant=variant, tau=tau, bc="dirichlet", mask=mask, n_max=n_max)
-    stepped = {}  # by id: a weak reference to the step's state, and whether it carried
+    made = {}  # by id: a weak reference to a step's or shift's state, and whether it carried
 
-    def recorded_step(*args):
-        out = step(*args)
-        stepped[id(out)] = weakref.ref(out), {"labels", "norms", "min_value"} <= vars(out).keys()
-        return out
+    def recorded(fn):
+        def call(*args):
+            out = fn(*args)
+            made[id(out)] = weakref.ref(out), {"labels", "norms", "min_value"} <= vars(out).keys()
+            return out
 
-    monkeypatch.setattr(optpart.scheme, "step", recorded_step)
-    from_step = []
+        return call
+
+    monkeypatch.setattr(optpart.scheme, "step", recorded(step))
+    monkeypatch.setattr(optpart.scheme, "apply_sigma", recorded(apply_sigma))
+    seen, carried_rows = [], []
 
     def check(state, row):
-        ref, carried = stepped.get(id(state), (lambda: None, None))
-        from_step.append(carried if ref() is state else None)
-        assert np.array_equal(state.labels, support_labels(state.values))
+        ref, carried = made.get(id(state), (lambda: None, None))
+        if seen and state is not seen[-1]:  # neither the initial state nor a frozen row
+            carried_rows.append((row.sigma is not None, ref() is state and carried))
+        seen.append(state)
+        assert np.array_equal(state.labels, label_map(state))
         assert state.labels.dtype == np.uint8 and not state.labels.flags.writeable
         assert same_bits(state.min_value, float(state.values.min()))
         assert row.min_value == state.min_value
@@ -266,11 +274,12 @@ def test_carried_data_matches_the_dense_state(monkeypatch, dim, n, k, variant, m
         assert positive_zero(state.values[:, ~mask.indicator])
 
     _, trace = run(cfg, voronoi_init(grid, k, seed, "dirichlet", mask), on_iteration=check)
-    # every step left its data, and every iterate but the initial state and
-    # the corrected ones is a step's
-    assert all(carried for _, carried in stepped.values())
-    assert from_step == [None] + [True if row.sigma is None else None for row in trace[1:]]
-    assert len(trace) > 20
+    # every step and shift left its data, and every iterate but the initial
+    # state and the frozen rows is a step's or, corrected, a shift's
+    assert all(carried for _, carried in made.values())
+    assert all(carried for _, carried in carried_rows)
+    assert len(carried_rows) > 20
+    assert any(shifted for shifted, _ in carried_rows) == corrected
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +394,29 @@ def test_apply_sigma_shifts_the_domain_nodes(monkeypatch, mask_name):
         # the iterate is zero off the mask: only the norms' summation order moves
         plain = apply_sigma(state, -0.01)
         assert np.max(np.abs(out.values - plain.values)) <= 4e-16 * np.max(plain.values)
+
+
+@pytest.mark.parametrize("bc,mask_name", [("periodic", None), ("dirichlet", None),
+                                          ("dirichlet", "star5")])
+def test_apply_sigma_is_the_dense_shift_bitwise(bc, mask_name):
+    # one value per node, at the label the candidate carries or else its
+    # label_map, shifted: the bits of shifting the whole stack, and its norms
+    grid = GridSpec(2, 64)
+    mask = make_mask(grid, mask_name) if mask_name else None
+    cfg = SchemeConfig(k=5, variant="three_step_linear", tau=0.1, bc=bc, mask=mask, n_max=3)
+    state, _ = run(cfg, voronoi_init(grid, 5, 0, bc, mask))
+    candidate = step(state, cfg, 0.1)
+    assert "labels" in vars(candidate)
+    scale, least = (float(f(candidate.values[candidate.values > 0.0])) for f in (np.max, np.min))
+    cut = 0
+    for start in (candidate, PartitionState(grid, candidate.values)):
+        for sigma in (-0.3 * scale, -1.5 * least, 1e-3 * scale, 2.0 * scale):
+            got, want = apply_sigma(start, sigma, mask), dense_apply_sigma(start, sigma, mask)
+            assert same_bits(got.values, want.values)
+            assert same_bits(got.norms, want.norms)
+            assert same_bits(got.labels, label_map(got))
+            cut += np.count_nonzero(got.values) < np.count_nonzero(start.values)
+    assert cut == 4  # the negative shifts cut nodes
 
 
 def test_apply_sigma_degenerates_when_shift_swallows_a_part():
@@ -797,7 +829,6 @@ def test_label_scan_equals_label_map_on_every_iterate(variant, dim, bc, mask_nam
         seen = []
 
         def check(state, row):
-            assert np.array_equal(support_labels(state.values), label_map(state))
             assert np.array_equal(state.labels, label_map(state))
             if seen and state is seen[-1]:
                 rows["frozen"] += 1
@@ -815,10 +846,9 @@ def test_label_scan_equals_label_map_on_every_iterate(variant, dim, bc, mask_nam
 
 
 def test_frozen_overlapping_init_repeats_its_label_map(monkeypatch):
-    # a caller's initial state may overlap, and there the scan of supports
-    # (all part 1) differs from the lowest-index argmax (part 1 on the left
-    # half, part 0 on the tied right half); a frozen first iterate must
-    # still stop the run at once, as the repeated argmax map does
+    # a caller's initial state may overlap; its labels are the lowest-index
+    # argmax (part 1 on the left half, part 0 on the tied right half), as
+    # every iterate's are, so a frozen first iterate stops the run at once
     grid = GridSpec(dim=2, n=8)
     values = np.ones((2,) + grid.shape)
     values[1, :4] = 2.0
@@ -833,11 +863,13 @@ def test_frozen_overlapping_init_repeats_its_label_map(monkeypatch):
     final, trace = run(cfg, init)
     assert final is init
     assert [r.stopped for r in trace] == [False, True]
-    assert not np.array_equal(support_labels(init.values), label_map(init))
+    want = np.zeros(grid.shape, np.uint8)
+    want[:4] = 1
+    assert same_bits(init.labels, want) and same_bits(label_map(init), want)
 
 
-def counting(monkeypatch, names) -> dict[str, int]:
-    """Wrap optpart.scheme attributes with call counters; return the counts."""
+def counting(monkeypatch, names, module=optpart.scheme) -> dict[str, int]:
+    """Wrap ``module`` attributes with call counters; return the counts."""
     calls = dict.fromkeys(names, 0)
 
     def wrap(name, fn):
@@ -848,19 +880,21 @@ def counting(monkeypatch, names) -> dict[str, int]:
         return counted
 
     for name in names:
-        monkeypatch.setattr(optpart.scheme, name, wrap(name, getattr(optpart.scheme, name)))
+        monkeypatch.setattr(module, name, wrap(name, getattr(module, name)))
     return calls
 
 
 @pytest.mark.parametrize("variant", ["four_step", "three_step_geometric_ed"])
 def test_label_map_computed_once_per_iterate(monkeypatch, variant):
-    calls = counting(monkeypatch, ["label_map", "support_labels"])
+    maps = counting(monkeypatch, ["label_map"], optpart.grid)
+    passes = counting(monkeypatch, ["top_two"])
     grid = GridSpec(dim=2, n=16)
     cfg = SchemeConfig(k=3, variant=variant, tau=0.2, n_max=20)
     _, trace = run(cfg, voronoi_init(grid, 3, 1))
-    # the general map for the initial state, then one scan of the supports
-    # per iteration inside stopping_check
-    assert calls == {"label_map": 1, "support_labels": len(trace) - 1}
+    # the general map for the initial state; every later map is the winner
+    # of the step's one pass over the parts, as the step or a shift left it
+    assert maps == {"label_map": 1}
+    assert passes == {"top_two": len(trace) - 1}
 
 
 PROJECTION_LAYERS = {
