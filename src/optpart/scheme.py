@@ -19,7 +19,10 @@ by a secant search, so that the total gradient energy never increases.
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -323,6 +326,24 @@ def _trace_row(
     )
 
 
+@contextmanager
+def _one_blas_thread():
+    """OpenBLAS on one thread inside, so that no product's summation order, and no output,
+    depends on the caller's count, which every exit restores.  The OpenBLAS is numpy's
+    bundled one; where it is not found, the count is left alone.  The count is the
+    process's: runs in two threads at once restore it under each other."""
+    found = Path(np.__file__).parent.parent.glob("numpy.libs/*scipy_openblas64_*")
+    lib = next(map(ctypes.CDLL, map(str, found)), None)
+    threads = lib and lib.scipy_openblas_get_num_threads64_()
+    set_threads = lib.scipy_openblas_set_num_threads64_ if lib else lambda count: None
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
+
+
+@_one_blas_thread()
 def run(
     cfg: SchemeConfig,
     init: PartitionState,
@@ -336,7 +357,7 @@ def run(
     the iterate at the previous state, rather than accepting an energy
     increase, and stops the run.  A ``DegeneratePart`` raised by an
     iteration carries its index as ``iteration`` and the rows before it as
-    ``trace``.
+    ``trace``.  OpenBLAS runs on one thread throughout.
     """
     if init.k != cfg.k:
         raise ValueError(f"config expects k={cfg.k}, initial state has k={init.k}")

@@ -9,9 +9,9 @@ Transforms run over the trailing ``dim`` axes of a (k, ...) stack.
 
 ``diffuse_stack`` applies the exact heat semigroup to a state through the
 modes ``SpectralOperator.modes`` keeps; the rest cannot move any value.  The
-Dirichlet heat step is ``SpectralOperator.heat``, one loop over the parts:
-with n <= ``SINE_MATRIX_MAX_N`` a step of every mode is the heat kernel
-S diag(e^{-tau lambda}) S / 2n along each axis, in node space.  The
+Dirichlet heat step is ``SpectralOperator.heat``, one loop over the parts: a
+step of every mode is the heat kernel S diag(e^{-tau lambda}) S / 2n along
+each axis, in node space.  The
 Dirichlet energy is 0.5 h^d times the sum over the axes of ||G u||^2 along
 the axis, G = diag(sqrt(lambda)) S / sqrt(2n), and on a mask forward
 differences.  Products skip exact zeros: each part goes from the box of its
@@ -26,7 +26,6 @@ import math
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .grid import (
     DomainMask,
@@ -37,16 +36,6 @@ from .grid import (
     check_support,
     check_tau,
 )
-
-# Caps the Dirichlet heat step's dense products: the node-space heat kernel
-# of every mode runs for n <= SINE_MATRIX_MAX_N, and the pair of J kept sine
-# columns, down and back up, for J <= SINE_MATRIX_MAX_N - 1.  A step that
-# would keep more modes keeps every mode, which above the cap is scipy's DST
-# both ways.  Fixed, not timed at run time, so that a configuration always
-# takes the same route; README.md gives the timings it rests on.  Its output
-# can still vary with the BLAS thread count, which may change the summation
-# order of a large product (README.md names the cases seen).
-SINE_MATRIX_MAX_N = 96
 
 # Caps the wavenumbers |m| <= M a periodic heat step keeps for products: a
 # count above min(n/4, PERIODIC_MAX_MODES) keeps every mode through irfftn,
@@ -147,17 +136,16 @@ class SpectralOperator:
     def modes(self, tau: float) -> int:
         """Modes per axis a heat step at ``tau`` keeps (see the class docstring).
 
-        Counts that products would not run faster than the full transforms
-        become every mode: Dirichlet counts above ``SINE_MATRIX_MAX_N`` - 1
-        become n-1, and periodic ones above n/4 or ``PERIODIC_MAX_MODES``
-        become n/2.  Sine mode 1 is always kept.
+        Periodic counts above n/4 or ``PERIODIC_MAX_MODES``, which products
+        would not run faster than ``irfftn``, become every mode, n/2.  Sine
+        mode 1 is always kept.
         """
         n = self.shape[0]
         floor = 2.0**-53 / (2**self.dim * self._nodes)
         kept = int(np.count_nonzero(np.exp(-tau * self._axis_eigenvalues) >= floor))
         if self.bc == "periodic":
             return kept if kept <= min(n // 4, PERIODIC_MAX_MODES) else n // 2
-        return max(kept, 1) if kept < SINE_MATRIX_MAX_N else n - 1
+        return max(kept, 1)
 
     def block(self, modes: int) -> tuple:
         """Index of the coefficients of ``modes`` modes per axis in a full array."""
@@ -233,25 +221,17 @@ class SpectralOperator:
         """The Dirichlet heat step of a (k, ...) stack, one part at a time.
 
         Each part goes from its box in ``boxes`` (a state's ``boxes``) along
-        the route ``modes(tau)`` picks: every mode on n <= ``SINE_MATRIX_MAX_N``
-        is ``heat_kernel(tau)`` along each axis; J < n - 1 kept modes are the J
-        sine columns down, the decay, and ``_inverse_tables(J)`` back up; every
-        mode above the cap is scipy's ``dstn``/``idstn`` of the whole stack.
-        Only the interior nodes of the grid, or of the mask's box, are
-        computed, from their tables' rows.  The output is the (k, ...) stack,
-        +0.0 on the index-0 planes, or with a mask the (k, M) stack at
-        ``mask.nodes``, +0.0 at the inside nodes on an index-0 plane.
+        the route ``modes(tau)`` picks: every mode is ``heat_kernel(tau)``
+        along each axis; J < n - 1 kept modes are the J sine columns down, the
+        decay, and ``_inverse_tables(J)`` back up.  Only the interior nodes of
+        the grid, or of the mask's box, are computed, from their tables' rows.
+        The output is the (k, ...) stack, +0.0 on the index-0 planes, or with
+        a mask the (k, M) stack at ``mask.nodes``, +0.0 at the inside nodes on
+        an index-0 plane.
         """
         n, dim, modes = self.shape[0], self.dim, self.modes(tau)
         interior = values[(...,) + (slice(1, None),) * dim]
-        full_dst = modes == n - 1 and n > SINE_MATRIX_MAX_N
-        if full_dst:
-            # one stack-sized array, decayed and transformed back in place;
-            # the output is allocated after it
-            whole = sp_fft.dstn(interior, type=1, axes=self.axes)
-            whole *= self.decay(tau)
-            whole = sp_fft.idstn(whole, type=1, axes=self.axes, overwrite_x=True)
-        elif modes == n - 1:
+        if modes == n - 1:
             kernel = self.heat_kernel(tau)
         else:
             (cols, sines), (leading, last) = self._sine_tables(modes), self._inverse_tables(modes)
@@ -270,12 +250,10 @@ class SpectralOperator:
             # one box-sized buffer, whose index-0 planes stay +0.0
             written, taken = np.zeros(tuple(s.stop - s.start for s in box)), mask.indicator[box]
         # the products' two work buffers, each a part's interior or more
-        work = () if full_dst else [np.empty((n - 1) ** (dim - 1) * modes) for _ in range(2)]
+        work = [np.empty((n - 1) ** (dim - 1) * modes) for _ in range(2)]
         for idx, nonzero in zip(np.ndindex(values.shape[:-dim]), boxes):
             dest, nonzero = (out[idx] if mask is None else written)[inner], _interior(nonzero)
-            if full_dst:
-                dest[...] = whole[idx][rows]
-            elif nonzero is None:
+            if nonzero is None:
                 dest[...] = 0.0
             elif modes == n - 1:
                 dest[...] = _box_products(interior[idx], nonzero, kernel[:, rows[-1]],

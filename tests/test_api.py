@@ -4,6 +4,10 @@ import ast
 import dataclasses
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +55,8 @@ REMOVED = {
         "heat_semigroup_periodic", "heat_semigroup_dirichlet", "mask_restrict",
         "_clamp_ringing", "RINGING_TOL", "_check_tau", "_check_mask", "_check_energy_domain",
         "_check_boundary_planes",  # grid.check_support
+        # a step of every mode is the node-space kernel on any n; scipy is a test dependency
+        "SINE_MATRIX_MAX_N", "sp_fft",
     ],
     optpart.cli: ["_spread_labels", "export_tiling"],
     # an iterate's label map is the one its step or shift wrote
@@ -138,3 +144,28 @@ def test_grid_imports_no_sibling_module():
         elif isinstance(node, ast.Import):
             modules.update(alias.name for alias in node.names)
     assert [m for m in modules if m.startswith((".", "optpart"))] == []
+
+
+def test_the_package_runs_without_scipy():
+    # scipy is a test dependency only: a fresh process runs Dirichlet steps of
+    # every mode on n > 96, masked and unmasked, and never imports it
+    code = """
+import sys
+import optpart.cli
+from optpart import GridSpec, SchemeConfig, make_mask, run, voronoi_init
+from optpart.spectral import spectral_operator
+grid = GridSpec(2, 98)
+assert spectral_operator("dirichlet", 2, 98).modes(0.01) == 97
+for mask in (None, make_mask(grid, "disk")):
+    cfg = SchemeConfig(k=3, variant="three_step_linear_ed", tau=0.01, bc="dirichlet", mask=mask,
+                       n_max=3)
+    final, trace = run(cfg, voronoi_init(grid, 3, 0, "dirichlet", mask))
+    assert len(trace) == 4
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -431,13 +431,12 @@ def test_3d_dirichlet_output_does_not_depend_on_blas_threads(tmp_path):
      "--algorithm", "three-step-1-ed"],
     # |m| <= 13 of 64: the last axis' (128, 28) @ (28, 128) product per part
     ["--grid", "128", "--bc", "periodic", "--tau", "0.25", "--algorithm", "three-step-2-ed"],
-    # 62 of 191 sine modes, every node: the trace differs, the labels do not
-    pytest.param(
-        ["--grid", "192", "--bc", "dirichlet", "--tau", "0.05", "--algorithm", "four-step"],
-        marks=pytest.mark.xfail(strict=True, reason=(
-            "OpenBLAS sums the kept-mode product (191, 62) @ (62, 191) in another "
-            "order on two threads than on one"))),
-], ids=["masked", "periodic", "unmasked-192"])
+    # 62 of 191 sine modes, every node: OpenBLAS would sum the (191, 62) @ (62, 191)
+    # product in another order on two threads, but run pins it to one
+    ["--grid", "192", "--bc", "dirichlet", "--tau", "0.05", "--algorithm", "four-step"],
+    # every mode: the (191, 191) kernel's products, and the energy's
+    ["--grid", "192", "--bc", "dirichlet", "--tau", "0.004", "--algorithm", "four-step"],
+], ids=["masked", "periodic", "unmasked-192", "unmasked-192-every-mode"])
 def test_2d_kept_mode_output_does_not_depend_on_blas_threads(tmp_path, argv):
     argv = ["--k", "6", "--seed", "3", "--max-iters", "60", *argv]
     assert_output_does_not_depend_on_blas_threads(tmp_path, argv, ("trace.csv", "labels.pgm"))

@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import expm
 
 from optpart import DomainMask, GridSpec, PartitionState, dirichlet_energy, make_mask
-from optpart.spectral import SINE_MATRIX_MAX_N, diffuse_stack, spectral_operator
+from optpart.spectral import diffuse_stack, spectral_operator
 from scipy_heat import at_nodes, on_index0_planes, positive_zero
 from test_projection import same_bits
 
@@ -210,15 +210,12 @@ def test_diffuse_stack_applies_mask():
 
 
 def route(op, tau) -> str:
-    n = op.shape[0]
-    if op.modes(tau) < n - 1:
-        return "kept-modes"
-    return "kernel" if n <= SINE_MATRIX_MAX_N else "dst"
+    return "kept-modes" if op.modes(tau) < op.shape[0] - 1 else "kernel"
 
 
 @pytest.mark.parametrize("dim,n,tau,expected", [
-    (2, 16, 0.1, "kernel"), (2, 64, 0.25, "kept-modes"), (2, 98, 0.01, "dst"),
-    (3, 12, 0.1, "kernel"), (3, 32, 0.25, "kept-modes"), (3, 98, 1e-3, "dst"),
+    (2, 16, 0.1, "kernel"), (2, 64, 0.25, "kept-modes"), (2, 98, 0.01, "kernel"),
+    (3, 12, 0.1, "kernel"), (3, 32, 0.25, "kept-modes"), (3, 98, 1e-3, "kernel"),
 ])
 def test_masked_heat_step_on_index0_planes(dim, n, tau, expected):
     # a mask's inside nodes on an index-0 plane count in M but lie outside the

@@ -1,7 +1,9 @@
 """Splitting-step drivers, the energy-decrease correction, and the run loop."""
 
+import ctypes
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,12 +125,16 @@ def test_one_step_preserves_all_constraints(name):
     assert max_support_overlap(twice) == 0.0
 
 
-def test_identical_parts_degenerate_with_iteration_index():
-    grid = GridSpec(dim=2, n=8)
+def twin_parts(grid: GridSpec) -> PartitionState:
+    """Two identical parts, which a four_step iteration degenerates."""
     half = np.zeros(grid.shape)
     half[:4, :] = 1.0
     part = half / np.sqrt(grid.cell_volume * half.sum())
-    state = PartitionState(grid, np.stack([part, part]))
+    return PartitionState(grid, np.stack([part, part]))
+
+
+def test_identical_parts_degenerate_with_iteration_index():
+    state = twin_parts(GridSpec(dim=2, n=8))
     with pytest.raises(DegeneratePart) as err:
         run(SchemeConfig(k=2, variant="four_step", tau=0.1), state)
     assert err.value.iteration == 1
@@ -137,14 +143,43 @@ def test_identical_parts_degenerate_with_iteration_index():
     assert [row.iteration for row in err.value.trace] == [0]
 
 
+def test_run_pins_one_blas_thread_and_restores_the_callers_count():
+    found = sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*scipy_openblas64_*"))
+    if not found:
+        pytest.skip("numpy's bundled OpenBLAS is not found")
+    lib = ctypes.CDLL(str(found[0]))
+    get, set_threads = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    grid, caller = GridSpec(dim=2, n=16), get()
+    seen = []
+
+    def fail(state, row):
+        seen.append(get())
+        raise RuntimeError("callback")
+
+    try:
+        set_threads(2)
+        # a run to its end, a callback that raises, and a part that degenerates
+        run(SchemeConfig(k=2, tau=0.1, n_max=3), flat_partition(grid, 2),
+            lambda state, row: seen.append(get()))
+        assert get() == 2
+        with pytest.raises(RuntimeError, match="callback"):
+            run(SchemeConfig(k=2, tau=0.1), flat_partition(grid, 2), fail)
+        assert get() == 2
+        with pytest.raises(DegeneratePart):
+            run(SchemeConfig(k=2, variant="four_step", tau=0.1), twin_parts(grid))
+        assert get() == 2
+    finally:
+        set_threads(caller)
+    assert seen == [1] * 5
+
+
 @pytest.mark.parametrize("dim,n,k,variant,bc,mask_name,tau,bound", [
     (3, 28, 8, "four_step", "dirichlet", None, 0.2, 2.0),
     # the masked heat step returns the mask's nodes: 1.55 when it returned
     # the box's (k, N) stack, which the step gathered from
     (2, 192, 6, "three_step_linear", "dirichlet", "star5", 0.05, 1.45),
     (2, 128, 6, "three_step_geometric", "periodic", None, 0.25, 2.0),
-    # every mode kept, above n = 96: the heat step's own coefficients go
-    # through scipy's DST, decayed and transformed back in place
+    # every mode kept, above n = 96: the node-space kernel along each axis
     (2, 128, 6, "three_step_linear", "dirichlet", "star5", 0.002, 2.0),
 ])
 def test_step_allocates_little_beyond_the_new_state(dim, n, k, variant, bc, mask_name, tau,

@@ -22,7 +22,6 @@ from optpart import spectral
 from optpart.grid import true_boxes
 from optpart.spectral import (
     PERIODIC_MAX_MODES,
-    SINE_MATRIX_MAX_N,
     SpectralOperator,
     diffuse_stack,
     spectral_operator,
@@ -81,7 +80,7 @@ def test_one_cached_operator_per_grid():
                                       ("dirichlet", True)])
 def test_heat_step_only_reads_the_state_coefficients(bc, dim, n, tau, boxed):
     # every route: 2D and 3D products (which decay into memory of their own),
-    # irfftn, the node-space kernel and scipy's DST of every mode
+    # irfftn and the node-space kernel of every mode, on n <= 96 and above
     g = GridSpec(dim=dim, n=n)
     state = PartitionState(g, boundary_zero_stack(dim, n, 3))
     op = spectral_operator(bc, g.dim, g.n)
@@ -233,7 +232,7 @@ def test_heat_step_buffers(dim, n, tau, domain, found):
     # at n = 98, tau = 0.3 keeps 27 sine modes of 97 and |m| <= 12 of 49;
     # tau = 0.01 keeps them all
     assert every_mode == (n != 98 or tau == 0.01)
-    if every_mode and (bc == "periodic" or n > SINE_MATRIX_MAX_N):
+    if every_mode and bc == "periodic":
         assert same_bits(a, want)
     else:
         # the node-space kernel and the kept-mode products round differently
@@ -299,33 +298,19 @@ def test_sine_matrix_heat_step_matches_scipy_dst(dim, n):
     assert all(positive_zero(np.moveaxis(got, ax, 0)[0]) for ax in range(1, dim + 1))
 
 
-def test_sine_matrix_path_is_pinned_to_n_at_most_96(monkeypatch):
-    assert SINE_MATRIX_MAX_N == 96
-    # at n = 98 a step of every mode is scipy's DST both ways, bit for bit
+def test_every_mode_is_the_kernel_on_any_n():
+    # at n = 98 the kept counts are not capped: 95 and 96 of 97 modes go
+    # through products, and every mode through the node-space kernel (which
+    # test_every_mode_heat_step_is_the_node_space_kernel pins), all within
+    # rounding of scipy's DST both ways
     g = GridSpec(2, 98)
     op = spectral_operator("dirichlet", 2, 98)
     vals = boundary_zero_stack(2, 98, 98)
-    assert op.modes(0.01) == 97
-    want = scipy_heat(vals, g, 0.01, "dirichlet", snap=False)
-    assert same_bits(diffuse_stack(PartitionState(g, vals), 0.01, "dirichlet"), want)
-
-    # at n = 96, and for fewer than every mode at n = 98, scipy's DST is
-    # never called
-    def no_dst(*args, **kwargs):
-        raise AssertionError("scipy DST called on the sine-matrix path")
-
-    monkeypatch.setattr(spectral.sp_fft, "dstn", no_dst)
-    monkeypatch.setattr(spectral.sp_fft, "idstn", no_dst)
-    small = boundary_zero_stack(2, 96, 96)
-    for tau, modes in ((0.01, 95), (0.1, 43)):
-        assert spectral_operator("dirichlet", 2, 96).modes(tau) == modes
-        out = diffuse_stack(PartitionState(GridSpec(2, 96), small), tau, "dirichlet")
-        assert out.shape == small.shape
-    # SINE_MATRIX_MAX_N - 1 kept modes are the most that go through products
-    for tau, modes in ((0.3, 25), (0.0207, SINE_MATRIX_MAX_N - 1)):
+    for tau, modes in ((0.3, 25), (0.0207, 95), (0.0203, 96), (0.01, 97)):
         assert op.modes(tau) == modes
-        out = diffuse_stack(PartitionState(g, vals), tau, "dirichlet")
-        assert out.shape == vals.shape
+        got = diffuse_stack(PartitionState(g, vals), tau, "dirichlet")
+        want = scipy_heat(vals, g, tau, "dirichlet", snap=False)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +321,9 @@ def test_kept_modes_are_pinned():
     assert spectral_operator("dirichlet", 2, 192).modes(0.05) == 62
     assert spectral_operator("periodic", 2, 128).modes(0.25) == 13
     assert spectral_operator("dirichlet", 3, 28).modes(0.2) == 27  # every mode
-    # counts above SINE_MATRIX_MAX_N - 1 keep every mode: scipy's DST is full
-    assert spectral_operator("dirichlet", 2, 256).modes(0.01) == 255
+    # a Dirichlet count is not capped: products of the kept modes on any n
+    assert spectral_operator("dirichlet", 2, 96).modes(0.1) == 43
+    assert spectral_operator("dirichlet", 2, 256).modes(0.01) == 140
     assert spectral_operator("periodic", 2, 98).modes(0.01) == 49
     # periodic counts above n/4 or PERIODIC_MAX_MODES keep every mode:
     # irfftn is then faster than the products
@@ -467,7 +453,7 @@ def test_heat_step_of_empty_single_node_and_dense_parts(dim, n, tau):
     (2, 192, 0.05, "star5"),  # 62 of 191 modes
     (3, 32, 0.25, "disk"),  # 28 of 31 modes
     (3, 28, 0.2, "disk"),  # every mode, through the node-space heat kernel
-    (2, 98, 0.01, "disk"),  # every mode, through scipy's DST
+    (2, 98, 0.01, "disk"),  # every mode above n = 96, through the node-space heat kernel
 ])
 def test_masked_heat_step_is_the_box_heat_step_at_the_mask_nodes(dim, n, tau, mask_name):
     g = GridSpec(dim, n)
@@ -555,7 +541,7 @@ def test_dirichlet_energy_makes_no_stack_sized_temporary():
     assert got == pytest.approx(dst_energy(state.values, g), rel=1e-14)
 
 
-@pytest.mark.parametrize("dim,n,tau", [(3, 28, 0.2), (2, 64, 0.01)])
+@pytest.mark.parametrize("dim,n,tau", [(3, 28, 0.2), (2, 64, 0.01), (2, 98, 0.01)])
 @pytest.mark.parametrize("mask_name", [None, "disk"])
 def test_every_mode_heat_step_is_the_node_space_kernel(monkeypatch, dim, n, tau, mask_name):
     g = GridSpec(dim, n)
@@ -576,8 +562,6 @@ def test_every_mode_heat_step_is_the_node_space_kernel(monkeypatch, dim, n, tau,
         raise AssertionError("a transform on the node-space route")
 
     monkeypatch.setattr(SpectralOperator, "_inverse_tables", no_transform)
-    monkeypatch.setattr(spectral.sp_fft, "dstn", no_transform)
-    monkeypatch.setattr(spectral.sp_fft, "idstn", no_transform)
     for vals, want in zip((iterate, dense), wants):
         got = diffuse_stack(PartitionState(g, vals), tau, "dirichlet", mask)
         if mask is not None:
