@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import BOUNDARY_CONDITIONS, DIMENSIONS, DomainMask, GridSpec, PartitionState, label_map
+from .grid import BOUNDARY_CONDITIONS, DIMENSIONS, DomainMask, GridSpec, PartitionState
 from .initial import InitFailed, make_mask, voronoi_init
 from .projection import DegeneratePart
 from .scheme import EnergyTrace, SchemeConfig, TraceRow, run
@@ -319,8 +319,8 @@ def write_vtk_labels(labels: np.ndarray, grid: GridSpec, path: Path | str):
 
 
 def export_labels(state: PartitionState, path: Path | str):
-    """Write the label map: P5 PGM in 2D, legacy VTK in 3D."""
-    labels = label_map(state)
+    """Write the state's carried label map ``state.labels``: P5 PGM in 2D, legacy VTK in 3D."""
+    labels = state.labels
     if labels.ndim == 2:  # the k labels spread over the gray levels 0..255
         write_pgm(np.round(labels.T * (255.0 / (state.k - 1))).astype(np.uint8), path)
     else:

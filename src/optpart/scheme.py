@@ -20,8 +20,10 @@ by a secant search, so that the total gradient energy never increases.
 from __future__ import annotations
 
 import ctypes
-from contextlib import contextmanager
+import threading
+from contextlib import ContextDecorator
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -326,24 +328,40 @@ def _trace_row(
     )
 
 
-@contextmanager
-def _one_blas_thread():
+class _OneBlasThread(ContextDecorator):
     """OpenBLAS on one thread inside, so that no product's summation order, and no output,
-    depends on the caller's count, which every exit restores.  The OpenBLAS is numpy's
-    bundled one; where it is not found, the count is left alone.  The count is the
-    process's: runs in two threads at once restore it under each other."""
-    found = Path(np.__file__).parent.parent.glob("numpy.libs/*scipy_openblas64_*")
-    lib = next(map(ctypes.CDLL, map(str, found)), None)
-    threads = lib and lib.scipy_openblas_get_num_threads64_()
-    set_threads = lib.scipy_openblas_set_num_threads64_ if lib else lambda count: None
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(threads)
+    depends on the caller's count.  The count is the process's: the first of concurrent
+    runs saves it and the last to leave restores it.  The OpenBLAS is numpy's bundled
+    one; where it is not found, the count is left alone."""
+
+    def __init__(self):
+        self._lock, self._inside, self._caller = threading.Lock(), 0, None
+
+    @cached_property
+    def _count(self) -> tuple[Callable, Callable]:
+        """The count's getter and setter, found on the first run."""
+        found = Path(np.__file__).parent.parent.glob("numpy.libs/*scipy_openblas64_*")
+        lib = next(map(ctypes.CDLL, map(str, found)), None)
+        if lib is None:
+            return (lambda: None), (lambda count: None)
+        return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+
+    def __enter__(self):
+        with self._lock:
+            if not self._inside:
+                get, set_threads = self._count
+                self._caller = get()
+                set_threads(1)
+            self._inside += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._inside -= 1
+            if not self._inside:
+                self._count[1](self._caller)
 
 
-@_one_blas_thread()
+@_OneBlasThread()
 def run(
     cfg: SchemeConfig,
     init: PartitionState,

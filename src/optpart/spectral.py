@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .grid import (
     DomainMask,
     GridSpec,
     PartitionState,
+    _frozen_array,
     check_domain,
     check_mask,
     check_support,
@@ -42,11 +43,6 @@ from .grid import (
 # whose cost, unlike the products', does not grow with M (README.md gives
 # the timings).
 PERIODIC_MAX_MODES = 32
-
-
-def _axis_sum(per_axis: list[np.ndarray]) -> np.ndarray:
-    grids = np.meshgrid(*per_axis, indexing="ij")
-    return sum(grids)
 
 
 def _wavenumber_rows(n: int, modes: int) -> np.ndarray:
@@ -89,11 +85,13 @@ def _box_products(part: np.ndarray, box, last: np.ndarray, leads, out, spare) ->
 
 
 class SpectralOperator:
-    """Heat steps, heat decay and energy for one (bc, dim, n).
+    """Heat steps and energy for one (bc, dim, n), from one-axis tables.
 
     Obtain instances through ``spectral_operator``, which caches them and their
     tables.  A Dirichlet heat step is ``heat``, from node values; a periodic
-    one is ``inverse`` of a block of a state's read-only ``spectrum``.
+    one is ``inverse`` of a block of a state's read-only ``spectrum``.  The
+    decay e^{-tau lambda} of a mode is the product of its axes' one-axis
+    factors, which the per-tau tables carry: none of them is the size of the grid.
 
     A heat step keeps ``modes(tau)`` modes per axis: sine modes 1..J, or
     wavenumbers |m| <= M.  Mode j is kept iff its one-axis multiplier
@@ -113,24 +111,21 @@ class SpectralOperator:
         self.shape = GridSpec(dim, n).shape
         self.axes = tuple(range(-dim, 0))
         if bc == "periodic":
-            m_full = np.fft.fftfreq(n, d=1.0 / n)
-            m_half = np.fft.rfftfreq(n, d=1.0 / n)
-            self.eigenvalues = _axis_sum([m_full**2] * (dim - 1) + [m_half**2])
-            self._axis_eigenvalues = m_half[1:] ** 2
+            # squared wavenumbers along a full leading axis and the half last axis
+            self._squares = np.fft.fftfreq(n, d=1.0 / n) ** 2, np.fft.rfftfreq(n, d=1.0 / n) ** 2
+            self._axis_eigenvalues = self._squares[1][1:]
             self._nodes = n**dim
             # Hermitian symmetry: every last-axis mode except 0 and n/2 stands
             # for itself and its conjugate partner, which rfftn does not store
             weight = np.full(n // 2 + 1, 2.0)
             weight[[0, -1]] = 1.0
             scale = 0.5 * (2.0 * np.pi) ** dim / float(n**dim) ** 2
-            self._energy_weights = scale * weight * self.eigenvalues
-            self._energy_weights.setflags(write=False)
+            eigenvalues = sum(np.meshgrid(*[self._squares[0]] * (dim - 1), self._squares[1],
+                                          indexing="ij"))
+            self._energy_weights = _frozen_array(scale * weight * eigenvalues)
         else:
-            j = np.arange(1, n)
-            self._axis_eigenvalues = (j / 2.0) ** 2
-            self.eigenvalues = _axis_sum([self._axis_eigenvalues] * dim)
+            self._axis_eigenvalues = (np.arange(1, n) / 2.0) ** 2
             self._nodes = (n - 1) ** dim
-        self.eigenvalues.setflags(write=False)
 
     @lru_cache(maxsize=32)
     def modes(self, tau: float) -> int:
@@ -148,73 +143,70 @@ class SpectralOperator:
         return max(kept, 1)
 
     def block(self, modes: int) -> tuple:
-        """Index of the coefficients of ``modes`` modes per axis in a full array."""
-        if self.bc == "dirichlet":
-            return (...,) + (slice(None, modes),) * self.dim
+        """Index of the periodic coefficients of ``modes`` wavenumbers per axis in a
+        half spectrum."""
         if modes == self.shape[0] // 2:
             return (...,)
         rows = _wavenumber_rows(self.shape[0], modes)
         return (...,) + np.ix_(*[rows] * (self.dim - 1)) + (slice(None, modes + 1),)
 
-    @lru_cache(maxsize=16)
-    def _sine_tables(self, modes: int) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only first ``modes`` columns of the DST-I matrix, and their transpose."""
+    @cached_property
+    def _sine(self) -> np.ndarray:
+        """Read-only DST-I matrix S = 2 sin(pi j l / n), j, l = 1..n-1, symmetric bit for bit."""
         n = self.shape[0]
         j = np.arange(1, n)
         # reducing j*l modulo the period 2n keeps the sine's argument below
-        # 2*pi: the full matrix squared then misses 2n*I by 9e-16, not 6e-15,
-        # at n=96
-        cols = 2.0 * np.sin(np.pi * (np.outer(j, j[:modes]) % (2 * n)) / n)
-        rows = np.ascontiguousarray(cols.T)
-        cols.setflags(write=False)
-        rows.setflags(write=False)
-        return cols, rows
+        # 2*pi: S squared then misses 2n*I by 9e-16, not 6e-15, at n=96
+        return _frozen_array(2.0 * np.sin(np.pi * (np.outer(j, j) % (2 * n)) / n))
 
     @lru_cache(maxsize=32)
     def heat_kernel(self, tau: float) -> np.ndarray:
         """Read-only symmetric one-axis Dirichlet heat kernel S diag(e^{-tau lambda}) S / 2n."""
-        s, n = self._sine_tables(self.shape[0] - 1)[0], self.shape[0]
+        s, n = self._sine, self.shape[0]
         out = (s * np.exp(-tau * self._axis_eigenvalues)) @ s
-        out = (out + out.T) / (4 * n)  # symmetric bit for bit, not just to rounding
-        out.setflags(write=False)
-        return out
+        # symmetric bit for bit, not just to rounding
+        return _frozen_array((out + out.T) / (4 * n))
 
     @cached_property
     def gradient_factor(self) -> np.ndarray:
         """Read-only Dirichlet G = diag(sqrt(lambda_j)) S / sqrt(2n), column l for node l + 1:
         S / sqrt(2n) is orthogonal, so an axis's share of the energy is G's alone."""
-        s, n = self._sine_tables(self.shape[0] - 1)[0], self.shape[0]
-        out = np.sqrt(self._axis_eigenvalues)[:, None] * s / math.sqrt(2 * n)
-        out.setflags(write=False)
-        return out
+        s, n = self._sine, self.shape[0]
+        return _frozen_array(np.sqrt(self._axis_eigenvalues)[:, None] * s / math.sqrt(2 * n))
 
     @lru_cache(maxsize=16)
-    def _inverse_tables(self, modes: int) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only matrices of an inverse from ``modes`` modes per axis.
+    def _decayed_sines(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only Dirichlet tables back up from the J = ``modes(tau)`` kept sine modes:
+        S[:, :J] diag(e^{-tau lambda_j}) / 2n, rows by node (the leading axes), and
+        its transpose, columns by node (the last axis)."""
+        modes = self.modes(tau)
+        decay = np.exp(-tau * self._axis_eigenvalues[:modes]) / (2 * self.shape[0])
+        cols = self._sine[:, :modes] * decay
+        return _frozen_array(cols), _frozen_array(cols.T)
 
-        The first goes along the leading axes, the second along the last.
-        Dirichlet: the sine tables divided by 2n.  Periodic: the complex
-        (n, 2M+1) matrix exp(2 pi i l m / n) / n over the kept rows, and a
-        real (2M+2, n) one that sums the half axis' interleaved real and
-        imaginary parts into w_m (cos, -sin)(2 pi m l / n) / n, with weight w
-        1 for m = 0 and 2 for the conjugate pairs.
+    @lru_cache(maxsize=16)
+    def _inverse_tables(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only periodic matrices of an inverse from the M = ``modes(tau)`` kept
+        wavenumbers per axis, each mode's one-axis decay e^{-tau m^2} in.
+
+        The first goes along the leading axes, the second along the last: the
+        complex (n, 2M+1) matrix exp(2 pi i l m / n) e^{-tau m^2} / n over the
+        kept rows, and a real (2M+2, n) one that sums the half axis'
+        interleaved real and imaginary parts into w_m (cos, -sin)(2 pi m l / n)
+        e^{-tau m^2} / n, with weight w 1 for m = 0 and 2 for the conjugate pairs.
         """
-        n = self.shape[0]
-        if self.bc == "dirichlet":
-            tables = tuple(t / (2 * n) for t in self._sine_tables(modes))
-        else:
-            nodes = np.arange(n)
-            full = np.exp(2j * np.pi * (np.outer(nodes, _wavenumber_rows(n, modes)) % n) / n) / n
-            angle = 2.0 * np.pi * (np.outer(np.arange(modes + 1), nodes) % n) / n
-            weight = np.full((modes + 1, 1), 2.0 / n)
-            weight[0] = 1.0 / n
-            half = np.empty((2 * modes + 2, n))
-            half[0::2] = weight * np.cos(angle)
-            half[1::2] = -weight * np.sin(angle)
-            tables = (full, half)
-        for t in tables:
-            t.setflags(write=False)
-        return tables
+        n, modes = self.shape[0], self.modes(tau)
+        nodes, rows = np.arange(n), _wavenumber_rows(n, modes)
+        full = np.exp(2j * np.pi * (np.outer(nodes, rows) % n) / n)
+        full *= np.exp(-tau * self._squares[0][rows]) / n
+        angle = 2.0 * np.pi * (np.outer(np.arange(modes + 1), nodes) % n) / n
+        weight = np.full((modes + 1, 1), 2.0 / n)
+        weight[0] = 1.0 / n
+        weight *= np.exp(-tau * self._squares[1][: modes + 1, None])
+        half = np.empty((2 * modes + 2, n))
+        half[0::2] = weight * np.cos(angle)
+        half[1::2] = -weight * np.sin(angle)
+        return _frozen_array(full, None), _frozen_array(half)
 
     def heat(self, values: np.ndarray, tau: float, boxes,
              mask: DomainMask | None = None) -> np.ndarray:
@@ -222,20 +214,20 @@ class SpectralOperator:
 
         Each part goes from its box in ``boxes`` (a state's ``boxes``) along
         the route ``modes(tau)`` picks: every mode is ``heat_kernel(tau)``
-        along each axis; J < n - 1 kept modes are the J sine columns down, the
-        decay, and ``_inverse_tables(J)`` back up.  Only the interior nodes of
-        the grid, or of the mask's box, are computed, from their tables' rows.
-        The output is the (k, ...) stack, +0.0 on the index-0 planes, or with
-        a mask the (k, M) stack at ``mask.nodes``, +0.0 at the inside nodes on
-        an index-0 plane.
+        along each axis; J < n - 1 kept modes are the slices S[:, :J] and
+        S[:J] of the sine matrix down, and ``_decayed_sines(tau)`` back up.
+        Only the interior nodes of the grid, or of the mask's box, are
+        computed, from their tables' rows.  The output is the (k, ...) stack,
+        +0.0 on the index-0 planes, or with a mask the (k, M) stack at
+        ``mask.nodes``, +0.0 at the inside nodes on an index-0 plane.
         """
         n, dim, modes = self.shape[0], self.dim, self.modes(tau)
         interior = values[(...,) + (slice(1, None),) * dim]
         if modes == n - 1:
             kernel = self.heat_kernel(tau)
         else:
-            (cols, sines), (leading, last) = self._sine_tables(modes), self._inverse_tables(modes)
-            decay = self.decay(tau)[self.block(modes)]
+            cols, sines = self._sine[:, :modes], self._sine[:modes]
+            leading, last = self._decayed_sines(tau)
         # the nodes the output holds: the grid's, or the mask's box; the
         # products write their interior (inner), from the table rows of those nodes
         box = (slice(0, n),) * dim if mask is None else mask.box
@@ -260,7 +252,6 @@ class SpectralOperator:
                                           [kernel[r] for r in rows], *work)
             else:
                 coef = _box_products(interior[idx], nonzero, cols, (sines,) * dim, *work)
-                coef *= decay
                 # the leading axes first, so that the last product, along the
                 # last axis, writes straight into dest
                 np.matmul(_left_products(coef, [leading[r] for r in rows[:-1]],
@@ -270,40 +261,29 @@ class SpectralOperator:
                 out[idx] = written[taken]
         return out
 
-    def inverse(self, coef: np.ndarray, decay: np.ndarray | float) -> np.ndarray:
-        """Periodic nodal values of full or ``block``-kept coefficients times ``decay``.
+    def inverse(self, coef: np.ndarray, tau: float) -> np.ndarray:
+        """Periodic nodal values of full or ``block``-kept coefficients, diffused for ``tau``.
 
-        Every mode goes through ``irfftn`` of one fresh product.  ``coef`` is
-        only read: the products write ``coef * decay`` into the buffer that
-        their first left product does not write (the output's memory in 2D,
-        their work buffer in 3D).
+        Every mode goes through ``irfftn`` of the coefficients times the outer
+        product of the one-axis decays; kept modes through the products of
+        ``_inverse_tables(tau)``, which carry the decay.  ``coef`` is only read.
         """
         lead, kept = coef.shape[: -self.dim], coef.shape[-1]
         if kept == self.shape[0] // 2 + 1:
+            decays = [np.exp(-tau * sq) for sq in self._squares]
+            decay = reduce(np.multiply.outer, decays[:1] * (self.dim - 1) + decays[1:])
             return np.fft.irfftn(coef * decay, s=self.shape, axes=self.axes)
-        leading, last = self._inverse_tables(kept - 1)
+        leading, last = self._inverse_tables(tau)
         out = np.empty(lead + self.shape)
         # the leading axes first, so that the last product, along the last
-        # axis, writes straight into the output; the left products alternate
-        # between the output's memory (M <= n/4 leaves room) and one work
-        # buffer, ending in the buffer
+        # axis, writes straight into the output; the left products end in one
+        # work buffer, in 3D from the output's memory (M <= n/4 leaves room)
         spare = np.empty(lead + self.shape[:-1] + (kept,), coef.dtype)
-        room = out.reshape(-1).view(coef.dtype)
-        buffers = (spare, room) if self.dim == 2 else (room, spare)
-        # where the first left product does not write
-        coef = np.multiply(coef, decay, out=buffers[-1].reshape(-1)[: coef.size]
-                           .reshape(coef.shape))
+        buffers = (spare,) if self.dim == 2 else (out.reshape(-1).view(coef.dtype), spare)
         partial = _left_products(coef, [leading] * (self.dim - 1), range(-self.dim, -1), buffers)
         # the complex partial's interleaved real and imaginary parts meet the
         # real table's rows
         np.matmul(partial.view(np.float64), last, out=out)
-        return out
-
-    @lru_cache(maxsize=32)
-    def decay(self, tau: float) -> np.ndarray:
-        """Heat semigroup multipliers exp(-tau * eigenvalue) (read-only)."""
-        out = np.exp(-tau * self.eigenvalues)
-        out.setflags(write=False)
         return out
 
     def energy(self, coef: np.ndarray) -> float:
@@ -344,8 +324,7 @@ def diffuse_stack(state: PartitionState, tau: float, bc: str,
     op = spectral_operator(bc, grid.dim, grid.n)
     if bc == "dirichlet":
         return op.heat(state.values, tau, state.boxes, mask)
-    block = op.block(op.modes(tau))
-    return op.inverse(state.spectrum[block], op.decay(tau)[block])
+    return op.inverse(state.spectrum[op.block(op.modes(tau))], tau)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,32 @@
 """The heat step through scipy's transforms: the reference the package's heat step is
 checked against, and the helpers that compare a masked (k, M) step with it."""
 
+from functools import reduce
+
 import numpy as np
 from scipy import fft as sp_fft
 
-from optpart.spectral import spectral_operator
+
+def axis_eigenvalues(grid, bc):
+    """Per axis, the one-axis eigenvalues of -Laplacian along it: m^2 over the
+    wavenumbers of ``rfftn``'s axes (full leading, half last), or (j/2)^2 over
+    the sine modes j = 1..n-1."""
+    n = grid.n
+    if bc == "periodic":
+        return [np.fft.fftfreq(n, d=1.0 / n) ** 2] * (grid.dim - 1) + [
+            np.fft.rfftfreq(n, d=1.0 / n) ** 2]
+    return [(np.arange(1, n) / 2.0) ** 2] * grid.dim
+
+
+def eigenvalues(grid, bc):
+    """The eigenvalue of every mode: the sum of its axes' one-axis eigenvalues."""
+    return sum(np.meshgrid(*axis_eigenvalues(grid, bc), indexing="ij"))
+
+
+def decay(grid, tau, bc):
+    """The heat multiplier e^{-tau lambda} of every mode: the outer product of
+    the one-axis exps."""
+    return reduce(np.multiply.outer, [np.exp(-tau * lam) for lam in axis_eigenvalues(grid, bc)])
 
 
 def scipy_heat(values, grid, tau, bc, snap=True):
@@ -12,15 +34,15 @@ def scipy_heat(values, grid, tau, bc, snap=True):
     Dirichlet grids scipy's ``dstn``/``idstn`` of the interior nodes into a
     zero-filled output.  ``snap`` zeroes negative values above -1e-12, as the
     heat step once did."""
-    op = spectral_operator(bc, grid.dim, grid.n)
+    axes = tuple(range(-grid.dim, 0))
     if bc == "periodic":
-        out = np.fft.irfftn(np.fft.rfftn(values, axes=op.axes) * op.decay(tau),
-                            s=grid.shape, axes=op.axes)
+        out = np.fft.irfftn(np.fft.rfftn(values, axes=axes) * decay(grid, tau, bc),
+                            s=grid.shape, axes=axes)
     else:
         interior = (...,) + (slice(1, None),) * grid.dim
-        coef = sp_fft.dstn(values[interior], type=1, axes=op.axes) * op.decay(tau)
+        coef = sp_fft.dstn(values[interior], type=1, axes=axes) * decay(grid, tau, bc)
         out = np.zeros(values.shape[:1] + grid.shape)
-        out[interior] = sp_fft.idstn(coef, type=1, axes=op.axes)
+        out[interior] = sp_fft.idstn(coef, type=1, axes=axes)
     if snap:
         out[(out > -1e-12) & (out < 0.0)] = 0.0
     return out

@@ -120,7 +120,11 @@ def test_no_coefficients_pass_through_the_scheme():
     operator = optpart.spectral.SpectralOperator
     assert list(inspect.signature(operator.heat).parameters) == [
         "self", "values", "tau", "boxes", "mask"]
-    assert list(inspect.signature(operator.inverse).parameters) == ["self", "coef", "decay"]
+    assert list(inspect.signature(operator.inverse).parameters) == ["self", "coef", "tau"]
+    # the decay lives in the one-axis per-tau tables: no grid-sized table of it
+    for bc in ("periodic", "dirichlet"):
+        op = optpart.spectral.spectral_operator(bc, 2, 16)
+        assert not any(hasattr(op, name) for name in ("decay", "eigenvalues", "_sine_tables"))
 
 
 def test_every_plain_variant_has_a_projection():

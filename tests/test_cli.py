@@ -9,7 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from optpart import GridSpec, PartitionState, label_map, voronoi_init
+import optpart.grid
+from optpart import (
+    GridSpec,
+    PartitionState,
+    SchemeConfig,
+    label_map,
+    make_mask,
+    run,
+    voronoi_init,
+)
 from optpart.cli import (
     CliError,
     _build_parser,
@@ -354,6 +363,25 @@ def test_vtk_writer_matches_the_per_value_writer_byte_for_byte(tmp_path, n, k):
     assert (tmp_path / "new.vtk").read_bytes() == (tmp_path / "old.vtk").read_bytes()
     export_labels(state, tmp_path / "export.vtk")
     assert (tmp_path / "export.vtk").read_bytes() == (tmp_path / "old.vtk").read_bytes()
+
+
+@pytest.mark.parametrize("dim,n,k,variant,mask_name,name", [
+    (2, 32, 3, "three_step_linear_ed", "disk", "labels.pgm"),
+    (3, 12, 4, "four_step", None, "labels.vtk"),
+])
+def test_export_writes_the_carried_label_map(tmp_path, monkeypatch, dim, n, k, variant,
+                                             mask_name, name):
+    # a run's iterate carries the label map its step wrote: the export writes
+    # it without a top_two pass over the stack, byte for byte what label_map gives
+    grid = GridSpec(dim, n)
+    mask = make_mask(grid, mask_name) if mask_name else None
+    cfg = SchemeConfig(k=k, variant=variant, tau=0.1, bc="dirichlet", mask=mask, n_max=5)
+    final, _ = run(cfg, voronoi_init(grid, k, 0, "dirichlet", mask))
+    with monkeypatch.context() as patched:
+        patched.setattr(optpart.grid, "top_two", None)
+        export_labels(final, tmp_path / name)
+    export_labels(PartitionState(grid, final.values), tmp_path / ("dense-" + name))
+    assert (tmp_path / name).read_bytes() == (tmp_path / ("dense-" + name)).read_bytes()
 
 
 def test_dump_fields_roundtrip(tmp_path):

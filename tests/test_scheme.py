@@ -1,6 +1,9 @@
 """Splitting-step drivers, the energy-decrease correction, and the run loop."""
 
 import ctypes
+import sys
+import threading
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -143,12 +146,17 @@ def test_identical_parts_degenerate_with_iteration_index():
     assert [row.iteration for row in err.value.trace] == [0]
 
 
-def test_run_pins_one_blas_thread_and_restores_the_callers_count():
+def openblas_threads():
+    """The getter and setter of numpy's bundled OpenBLAS thread count."""
     found = sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*scipy_openblas64_*"))
     if not found:
         pytest.skip("numpy's bundled OpenBLAS is not found")
     lib = ctypes.CDLL(str(found[0]))
-    get, set_threads = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+
+
+def test_run_pins_one_blas_thread_and_restores_the_callers_count():
+    get, set_threads = openblas_threads()
     grid, caller = GridSpec(dim=2, n=16), get()
     seen = []
 
@@ -173,6 +181,68 @@ def test_run_pins_one_blas_thread_and_restores_the_callers_count():
     assert seen == [1] * 5
 
 
+def test_concurrent_runs_keep_one_blas_thread_until_the_last_returns():
+    # the count is the process's: a run that returns while another is still
+    # iterating in a second thread leaves it at 1, and the last restores it
+    get, set_threads = openblas_threads()
+    grid, caller, seen, rows = GridSpec(dim=2, n=16), get(), [], []
+
+    def sleepy(state, row):
+        seen.append(get())
+        time.sleep(0.02)
+
+    def solve(n_max):
+        rows.append(len(run(SchemeConfig(k=2, tau=0.1, n_max=n_max), flat_partition(grid, 2),
+                            sleepy)[1]))
+
+    try:
+        set_threads(2)
+        short, long = (threading.Thread(target=solve, args=(n_max,)) for n_max in (2, 6))
+        short.start()
+        time.sleep(0.02)
+        long.start()
+        short.join(timeout=60)
+        long.join(timeout=60)
+        assert not short.is_alive() and not long.is_alive()
+        assert get() == 2
+    finally:
+        set_threads(caller)
+    # one callback per row, the initial state's and each iteration's; the
+    # longer run (its labels settle after 4 iterations) outlasts the shorter
+    assert sorted(rows) == [3, 5] and seen == [1] * 8
+
+
+def test_many_concurrent_runs_restore_the_callers_count():
+    # more threads than cores, switching every microsecond: runs start and
+    # return while others are inside, so a count restored under a running
+    # one shows as a callback that reads 2, and a count saved from one as a
+    # caller left at 1
+    get, set_threads = openblas_threads()
+    grid, caller, seen = GridSpec(dim=2, n=16), get(), []
+
+    def solve():
+        for _ in range(5):
+            run(SchemeConfig(k=2, tau=0.1, n_max=3), flat_partition(grid, 2),
+                lambda state, row: seen.append(get()))
+
+    interval = sys.getswitchinterval()
+    try:
+        set_threads(2)
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=solve) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert get() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        set_threads(caller)
+    # 4 rows per run: the initial state's and 3 iterations'
+    assert seen == [1] * (4 * 5 * 4)
+
+
 @pytest.mark.parametrize("dim,n,k,variant,bc,mask_name,tau,bound", [
     (3, 28, 8, "four_step", "dirichlet", None, 0.2, 2.0),
     # the masked heat step returns the mask's nodes: 1.55 when it returned
@@ -186,8 +256,8 @@ def test_step_allocates_little_beyond_the_new_state(dim, n, k, variant, bc, mask
                                                     bound):
     # the projection and the normalization work in the diffusion's output;
     # the heat step's products go part by part through part-sized buffers,
-    # and the periodic inverse decays coefficients into memory of its own,
-    # the output's or (3D) its one work buffer
+    # and the periodic inverse's through one work buffer and (3D) the
+    # output's memory
     grid = GridSpec(dim, n)
     mask = make_mask(grid, mask_name) if mask_name else None
     cfg = SchemeConfig(k=k, variant=variant, tau=tau, bc=bc, mask=mask)

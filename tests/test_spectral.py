@@ -26,7 +26,7 @@ from optpart.spectral import (
     diffuse_stack,
     spectral_operator,
 )
-from scipy_heat import at_nodes, on_index0_planes, positive_zero, scipy_heat
+from scipy_heat import at_nodes, eigenvalues, on_index0_planes, positive_zero, scipy_heat
 from test_projection import same_bits
 
 
@@ -68,8 +68,13 @@ def test_one_cached_operator_per_grid():
     op = spectral_operator("periodic", 2, 16)
     assert spectral_operator("periodic", 2, 16) is op
     assert spectral_operator("dirichlet", 2, 16) is not op
-    assert op.decay(0.1) is op.decay(0.1)
-    assert not op.eigenvalues.flags.writeable
+    # the per-tau tables are cached, and the energy's weights read-only
+    assert op._inverse_tables(1.0) is op._inverse_tables(1.0)
+    weight = np.full(9, 2.0)
+    weight[[0, -1]] = 1.0
+    assert same_bits(op._energy_weights, 0.5 * (2.0 * np.pi) ** 2 / 256.0**2 * weight
+                     * eigenvalues(GridSpec(2, 16), "periodic"))
+    assert not op._energy_weights.flags.writeable
     with pytest.raises(ValueError):
         spectral_operator("neumann", 2, 16)
 
@@ -104,12 +109,12 @@ def test_heat_step_only_reads_the_state_coefficients(bc, dim, n, tau, boxed):
     kept = coef.copy()
     # the transform a periodic state keeps for its energy and its next step
     assert same_bits(coef, np.fft.rfftn(state.values, axes=op.axes))
-    diffuse_stack(state, tau, bc)
+    got = diffuse_stack(state, tau, bc)
     assert state.spectrum is coef and same_bits(coef, kept)
-    # the inverse multiplies the decay in, and only reads the coefficients
+    # the inverse of a writable block of the spectrum only reads it too
     block = op.block(op.modes(tau))
-    coef, decay = coef[block], op.decay(tau)[block]
-    assert same_bits(op.inverse(coef, decay), op.inverse(coef * decay, 1.0))
+    coef = coef[block].copy()
+    assert same_bits(op.inverse(coef, tau), got)
     assert same_bits(coef, kept[block])
 
 
@@ -128,8 +133,10 @@ def test_masked_heat_step_transforms_each_part_once(monkeypatch):
     monkeypatch.setattr(spectral, "_box_products",
                         lambda *args: tables.append(args[2]) or products(*args))
     out = diffuse_stack(state, 0.05, "dirichlet", mask)
-    # one forward transform per part, from its box through the kept sine columns
-    assert len(tables) == 6 and all(t is op._sine_tables(61)[0] for t in tables)
+    # one forward transform per part, from its box through the kept sine
+    # columns: a slice of the grid's one sine matrix
+    assert len(tables) == 6 and all(t is tables[0] for t in tables)
+    assert tables[0].base is op._sine and same_bits(tables[0], op._sine[:, :61])
     assert out.shape == (6, mask.nodes.size)
 
 
@@ -160,7 +167,8 @@ def test_uncorrected_iteration_costs_one_transform_each_way(monkeypatch, bc, mas
     assert spectral_operator(bc, 2, n).modes(tau) == {
         (24, "dirichlet"): 23, (24, "periodic"): 12, (64, "dirichlet"): 27, (64, "periodic"): 13,
     }[n, bc]
-    calls = {"rfftn": 0, "heat": 0, "inverse": 0, "energy": 0, "_inverse_tables": 0}
+    calls = {"rfftn": 0, "heat": 0, "inverse": 0, "energy": 0, "_inverse_tables": 0,
+             "_decayed_sines": 0}
     rfftn = np.fft.rfftn
 
     def counted_rfftn(*args, **kwargs):
@@ -168,7 +176,7 @@ def test_uncorrected_iteration_costs_one_transform_each_way(monkeypatch, bc, mas
         return rfftn(*args, **kwargs)
 
     # a periodic forward transform is one rfftn, a state's spectrum; a
-    # Dirichlet step is one heat call, whose kept modes read the inverse tables
+    # Dirichlet step is one heat call, whose kept modes read the decayed sines
     monkeypatch.setattr(np.fft, "rfftn", counted_rfftn)
     for name in list(calls)[1:]:
         original = getattr(SpectralOperator, name)
@@ -185,14 +193,15 @@ def test_uncorrected_iteration_costs_one_transform_each_way(monkeypatch, bc, mas
         # one forward per iterate, its spectrum, read by its energy and its
         # next diffusion
         assert calls == {"rfftn": iterations + 1, "heat": 0, "inverse": iterations,
-                         "energy": iterations + 1, "_inverse_tables": iterations * (n == 64)}
+                         "energy": iterations + 1, "_inverse_tables": iterations * (n == 64),
+                         "_decayed_sines": 0}
     else:
         # one heat step per iteration, from the boxes its state's energy
         # found (sine gradient factor or finite differences, from node
         # values); every mode is the kernel, in node space, and kept modes
         # transform each part down and back up
         assert calls == {"rfftn": 0, "heat": iterations, "inverse": 0, "energy": 0,
-                         "_inverse_tables": 0 if n == 24 else iterations}
+                         "_inverse_tables": 0, "_decayed_sines": 0 if n == 24 else iterations}
 
 
 @pytest.mark.parametrize("dim,n,tau", [(2, 12, 0.3), (3, 8, 0.3), (2, 98, 0.3), (2, 98, 0.01)],
@@ -274,11 +283,12 @@ def whole_boxes(op, k):
 @pytest.mark.parametrize("n", [8, 28, 96])
 def test_sine_matrix_squares_to_2n_times_the_identity(n):
     op = spectral_operator("dirichlet", 2, n)
-    s, s_inv = op._sine_tables(n - 1)[0], op._inverse_tables(n - 1)[0]
-    assert s.shape == (n - 1, n - 1)
-    assert not s.flags.writeable and not s_inv.flags.writeable
+    s = op._sine
+    assert op._sine is s and s.shape == (n - 1, n - 1)
+    assert not s.flags.writeable
+    # symmetric bit for bit: S[:J] is the transpose of S[:, :J]
+    assert same_bits(s, s.T)
     assert np.max(np.abs(s @ s / (2 * n) - np.eye(n - 1))) <= 4e-15
-    assert np.array_equal(s_inv, s / (2 * n))
 
 
 @pytest.mark.parametrize("n", [8, 28, 96])
@@ -353,7 +363,7 @@ def test_kept_mode_heat_step_matches_the_full_spectrum(bc, dim, n, tau):
 
 
 @pytest.mark.parametrize("bc,n,tau,shapes", [
-    ("dirichlet", 192, 0.05, [(191, 62), (62, 191), (191, 62), (62, 191)]),
+    ("dirichlet", 192, 0.05, [(191, 62), (62, 191)]),
     ("periodic", 128, 0.25, [(128, 27), (28, 128)]),
 ])
 def test_kept_mode_tables_are_read_only_and_cached_per_tau(bc, n, tau, shapes):
@@ -362,12 +372,37 @@ def test_kept_mode_tables_are_read_only_and_cached_per_tau(bc, n, tau, shapes):
     modes = op.modes(tau)
     assert op.modes(tau) == modes
     assert SpectralOperator.modes.cache_info().hits > hits
-    tables = (op._sine_tables(modes) if bc == "dirichlet" else ()) + op._inverse_tables(modes)
+    per_tau = op._decayed_sines if bc == "dirichlet" else op._inverse_tables
+    tables = per_tau(tau)
     assert [t.shape for t in tables] == shapes
     assert not any(t.flags.writeable for t in tables)
-    again = (op._sine_tables(op.modes(tau)) if bc == "dirichlet" else ()) + op._inverse_tables(
-        op.modes(tau))
-    assert all(t is u for t, u in zip(tables, again))
+    assert all(t is u for t, u in zip(tables, per_tau(tau)))
+    if bc == "dirichlet":
+        # down through S's slices, back up through S[:, :J] diag(e^{-tau lambda_j}) / 2n
+        # and its contiguous transpose
+        decay = np.exp(-tau * (np.arange(1, modes + 1) / 2.0) ** 2) / (2 * n)
+        assert same_bits(tables[0], op._sine[:, :modes] * decay)
+        assert same_bits(tables[1], tables[0].T) and tables[1].flags.c_contiguous
+
+
+def test_heat_tables_keep_less_than_one_part():
+    # every table a heat step caches is one-axis: a 3D Dirichlet run through
+    # four kept-mode tau values and an every-mode periodic step leave less
+    # than one part behind, where a decay tensor per tau was one part each
+    g = GridSpec(3, 40)
+    cfg = SchemeConfig(k=4, variant="four_step", tau=(1.6, 0.8, 0.4, 0.2), bc="dirichlet",
+                       n_max=4)
+    assert [spectral_operator("dirichlet", 3, 40).modes(t) for t in cfg.tau] == [11, 15, 22, 31]
+    assert spectral_operator("periodic", 3, 40).modes(0.1) == 20  # every mode
+    values = np.random.default_rng(40).normal(size=(2,) + g.shape)
+    tracemalloc.start()
+    state, trace = run(cfg, voronoi_init(g, 4, 0, "dirichlet"))
+    diffuse_stack(PartitionState(g, values), 0.1, "periodic")
+    assert len(trace) == 5
+    del state, trace
+    retained = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    assert retained < g.num_nodes * values.itemsize
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +526,9 @@ def test_heat_step_reads_the_state_boxes(monkeypatch, dim, n, tau, mask_name):
 
 def dst_energy(values, grid):
     """0.5 pi^d / n^2d sum lambda |dstn(u)|^2 over scipy's full sine spectrum: the reference."""
-    op = spectral_operator("dirichlet", grid.dim, grid.n)
-    coef = sp_fft.dstn(interior(values, grid.dim), type=1, axes=op.axes)
+    coef = sp_fft.dstn(interior(values, grid.dim), type=1, axes=tuple(range(-grid.dim, 0)))
     return float(0.5 * np.pi**grid.dim / grid.n ** (2 * grid.dim)
-                 * np.sum(op.eigenvalues * coef * coef))
+                 * np.sum(eigenvalues(grid, "dirichlet") * coef * coef))
 
 
 def long_double_energy(values, grid, boxes):
@@ -561,7 +595,7 @@ def test_every_mode_heat_step_is_the_node_space_kernel(monkeypatch, dim, n, tau,
     def no_transform(*args, **kwargs):
         raise AssertionError("a transform on the node-space route")
 
-    monkeypatch.setattr(SpectralOperator, "_inverse_tables", no_transform)
+    monkeypatch.setattr(SpectralOperator, "_decayed_sines", no_transform)
     for vals, want in zip((iterate, dense), wants):
         got = diffuse_stack(PartitionState(g, vals), tau, "dirichlet", mask)
         if mask is not None:
